@@ -2,17 +2,25 @@
 
 fpg_prox runs an accelerated projected-gradient method on the dual of the
 TV-prox problem (per-entry or per-location dual-ball constraints for the
-anisotropic / isotropic case). tautstring_prox_1d is an exact non-iterative
-solver for the 1D free-boundary problem, used to cross-validate FPG.
+anisotropic / isotropic case). Each iteration makes one difference pass and
+one adjoint pass of the shared slicing kernel: the primal point of the
+extrapolated dual q = p + beta*(p - p_prev) is x + beta*(x - x_prev), so
+only x = z - tau*D^T p is synthesised. Its first iteration from p = 0 is the
+closed-form approximate prox of tvprox.shrinkage. tautstring_prox_1d is an
+exact non-iterative solver for the 1D free-boundary problem, used to
+cross-validate FPG.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .frame import _grad, _grad_adjoint
+from .shrinkage import _project_ball
 from .signal import l2_norm, validate_signal
-from .tv import check_mode
+from .tv import _tv_of_differences, check_mode
 
 
 @dataclass
@@ -34,53 +42,9 @@ class OracleConfig:
             raise ValueError(f"boundary must be 'circular' or 'free', got {self.boundary!r}")
 
 
-def _grad_op(x, boundary):
-    """Per-axis forward differences, shape (d, *x.shape).
-
-    circular: wrap-around neighbour; free: last difference along each axis
-    is zeroed (one fewer effective difference per line).
-    """
-    d = x.ndim
-    g = np.empty((d,) + x.shape, dtype=np.float64)
-    for j in range(d):
-        gj = x - np.roll(x, -1, axis=j)
-        if boundary == "free":
-            idx = [slice(None)] * x.ndim
-            idx[j] = -1
-            gj[tuple(idx)] = 0.0
-        g[j] = gj
-    return g
-
-
-def _grad_adjoint(p, boundary):
-    """Exact adjoint of _grad_op."""
-    d = p.shape[0]
-    out = np.zeros(p.shape[1:], dtype=np.float64)
-    for j in range(d):
-        pj = p[j]
-        if boundary == "free":
-            pj = pj.copy()
-            idx = [slice(None)] * pj.ndim
-            idx[j] = -1
-            pj[tuple(idx)] = 0.0
-        out += pj - np.roll(pj, 1, axis=j)
-    return out
-
-
-def _project_dual(p, mode):
-    """Project a dual field onto its feasible set in place-free fashion."""
-    if mode == "aniso":
-        return np.clip(p, -1.0, 1.0)
-    norms = np.sqrt((p**2).sum(axis=0))
-    return p / np.maximum(norms, 1.0)
-
-
 def tv_with_boundary(x, mode, boundary):
     """TV value under a chosen boundary convention (circular matches tv())."""
-    g = _grad_op(np.asarray(x, dtype=np.float64), boundary)
-    if mode == "aniso":
-        return float(np.abs(g).sum())
-    return float(np.sqrt((g**2).sum(axis=0)).sum())
+    return _tv_of_differences(_grad(np.asarray(x, dtype=np.float64), boundary), mode)
 
 
 def fpg_prox(z, tau, cfg=None, return_info=False):
@@ -91,6 +55,11 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     initialization, standard momentum, no restarts. Stops when the relative
     change of the primal iterate drops below cfg.tol; hitting max_iter
     first emits a warning with the achieved change.
+
+    One adjoint per iteration: D^T is linear, so the primal point
+    z - tau*D^T q of the extrapolated dual q = p + beta*(p - p_prev) is
+    x + beta*(x - x_prev), and only x = z - tau*D^T p is formed. All
+    buffers are allocated once per call and updated in place.
     """
     z = validate_signal(z)
     if tau <= 0.0:
@@ -98,26 +67,43 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     cfg = cfg or OracleConfig()
     d = z.ndim
     step = 1.0 / (4.0 * d * tau)
+    boundary, mode = cfg.boundary, cfg.mode
 
     p = np.zeros((d,) + z.shape, dtype=np.float64)
-    q = p
-    t_prev = 1.0
-    x_prev = None
+    q = np.zeros_like(p)
+    g = np.empty_like(p)
     x = z.copy()
+    x_prev = np.empty_like(z)
+    dx = np.zeros_like(z)  # x - x_prev, extrapolated in place to the primal point of q
+    dtp = np.empty_like(z)
+    t_prev = 1.0
+    beta = 0.0
     change = np.inf
     iters = 0
     for k in range(cfg.max_iter):
-        x_q = z - tau * _grad_adjoint(q, cfg.boundary)
-        p_new = _project_dual(q + step * _grad_op(x_q, cfg.boundary), cfg.mode)
-        t = (1.0 + np.sqrt(1.0 + 4.0 * t_prev**2)) / 2.0
-        q = p_new + ((t_prev - 1.0) / t) * (p_new - p)
-        p, t_prev = p_new, t
-        x = z - tau * _grad_adjoint(p, cfg.boundary)
+        # Projected dual step at q; its primal point is x + beta*(x - x_prev).
+        dx *= beta
+        dx += x
+        _grad(dx, boundary, out=g)
+        g *= step
+        g += q
+        _project_ball(g, 1.0, mode)
+        t = (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev)) / 2.0
+        beta = (t_prev - 1.0) / t
+        np.subtract(g, p, out=q)
+        q *= beta
+        q += g
+        p, g, t_prev = g, p, t
+        x, x_prev = x_prev, x
+        _grad_adjoint(p, boundary, out=dtp)
+        dtp *= tau
+        np.subtract(z, dtp, out=x)
+        np.subtract(x, x_prev, out=dx)
         iters = k + 1
-        if x_prev is not None:
-            denom = l2_norm(x_prev)
-            change = l2_norm(x - x_prev) / denom if denom > 0 else l2_norm(x - x_prev)
-        x_prev = x
+        if k > 0:
+            num = math.sqrt(np.vdot(dx, dx))
+            denom = math.sqrt(np.vdot(x_prev, x_prev))
+            change = num / denom if denom > 0 else num
         if change <= cfg.tol:
             break
     converged = change <= cfg.tol
@@ -226,7 +212,7 @@ def prox_residual(z, x, tau, mode="aniso", boundary="circular", max_iter=5000):
         raise ValueError(f"shape mismatch: {z.shape} vs {x.shape}")
     check_mode(mode)
     d = z.ndim
-    g = _grad_op(x, boundary)
+    g = _grad(x, boundary)
     w = z - x
 
     zero_tol = 1e-8 * (np.abs(g).max() + np.finfo(np.float64).tiny)
@@ -239,7 +225,7 @@ def prox_residual(z, x, tau, mode="aniso", boundary="circular", max_iter=5000):
         p_fix = np.where(fixed, g / np.maximum(norms, zero_tol), 0.0)
 
     def clamp_free(p):
-        return np.where(fixed, p_fix, _project_dual(np.where(fixed, 0.0, p), mode))
+        return np.where(fixed, p_fix, _project_ball(np.where(fixed, 0.0, p), 1.0, mode))
 
     step = 1.0 / (4.0 * d * tau**2)
     p = clamp_free(p_fix)
@@ -248,7 +234,7 @@ def prox_residual(z, x, tau, mode="aniso", boundary="circular", max_iter=5000):
     res_prev = np.inf
     for _ in range(max_iter):
         misfit = tau * _grad_adjoint(q, boundary) - w
-        p_new = clamp_free(q - step * tau * _grad_op(misfit, boundary))
+        p_new = clamp_free(q - step * tau * _grad(misfit, boundary))
         t = (1.0 + np.sqrt(1.0 + 4.0 * t_prev**2)) / 2.0
         q = p_new + ((t_prev - 1.0) / t) * (p_new - p)
         p, t_prev = p_new, t

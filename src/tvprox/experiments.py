@@ -59,8 +59,20 @@ class ExperimentConfig:
         check_mode(self.mode)
         if not self.lambda_grid or not len(self.gamma_grid):
             raise ValueError("lambda_grid and gamma_grid must be non-empty")
+        if not all(np.isfinite(v) and v >= 0 for v in self.lambda_grid):
+            raise ValueError(f"lambda values must be finite and >= 0, got {self.lambda_grid}")
+        if not all(np.isfinite(v) and v > 0 for v in self.gamma_grid):
+            raise ValueError(f"gamma values must be finite and > 0, got {self.gamma_grid}")
+        if self.image_size < 16:
+            raise ValueError(f"image size must be >= 16, got {self.image_size}")
+        if self.n_phantoms < 1:
+            raise ValueError(f"number of phantoms must be >= 1, got {self.n_phantoms}")
+        if self.n_angles < 1:
+            raise ValueError(f"number of angles must be >= 1, got {self.n_angles}")
         if self.noise_sigma is None:
             self.noise_sigma = 0.1 if self.task == "denoise" else 0.5
+        if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
+            raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
 
     def paper_scale(self):
         self.n_phantoms = 10

@@ -1,11 +1,19 @@
 """Redundant Haar-like frame: per-axis averaging/difference convolutions.
 
-All kernels use circular (periodic) boundaries, which makes the analysis /
-synthesis pair an exact tight frame: w_adjoint(w_forward(z)) == z. The
-forward stencils pair sample i with its +1 neighbour along the axis.
+The frame kernels use circular (periodic) boundaries, which makes the
+analysis / synthesis pair an exact tight frame: w_adjoint(w_forward(z)) == z.
+The forward stencils pair sample i with its +1 neighbour along the axis.
+
+The per-axis kernels and the w_forward / w_adjoint pair are the reference
+definition of the frame; the approximate prox analyses with w_forward.
+The hot paths (tv, the FPG oracle, the approximate prox's synthesis)
+share one slicing difference pair, _grad / _grad_adjoint, which stacks
+the d difference blocks and also supports free boundaries.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,6 +80,75 @@ def diff_axis_adjoint(t, j):
     t = np.asarray(t, dtype=np.float64)
     _check_axis(t, j)
     return t - np.roll(t, 1, axis=j)
+
+
+@lru_cache(maxsize=64)
+def _axis_slices(shape):
+    """Per-axis (stride, first, last, penult) of a C-ordered signal shape:
+    the flat distance between neighbours along the axis, and index tuples
+    of the first, last and second-to-last slab along it."""
+    full = (slice(None),) * len(shape)
+
+    def slab(j, sl):
+        return full[:j] + (sl,) + full[j + 1 :]
+
+    return tuple(
+        (math.prod(shape[j + 1 :]), slab(j, slice(0, 1)), slab(j, slice(-1, None)), slab(j, slice(-2, -1)))
+        for j in range(len(shape))
+    )
+
+
+def _grad(x, boundary="circular", out=None):
+    """Forward differences D x stacked over axes, shape (d, *x.shape).
+
+    out[j]_i = x_i - x_{i+1} along axis j. circular: the last sample pairs
+    with the first (out[j] == diff_axis(x, j)); free: the last difference
+    along each axis is zero. Writes into `out` (C-contiguous) when given.
+
+    Each axis is one contiguous subtraction over the flattened signal at
+    the axis stride, after which the last slab, where that pairing crosses
+    a line end, is overwritten with its boundary value.
+    """
+    if out is None:
+        out = np.empty((x.ndim,) + x.shape, dtype=np.float64)
+    xf = x.reshape(-1)
+    for j, (s, first, last, _) in enumerate(_axis_slices(x.shape)):
+        gj = out[j]
+        gf = gj.reshape(-1)
+        np.subtract(xf[:-s], xf[s:], out=gf[:-s])
+        if boundary == "circular":
+            np.subtract(x[last], x[first], out=gj[last])
+        else:
+            gj[last] = 0.0
+    return out
+
+
+def _grad_adjoint(p, boundary="circular", out=None):
+    """Exact adjoint of _grad: sum over axes of p[j]_i - p[j]_{i-1}.
+
+    circular: p[j]_{-1} wraps to the last sample; free: the last sample of
+    p[j] is ignored and p[j]_{-1} is zero. Writes into `out` (C-contiguous)
+    when given. Like _grad, each axis is one contiguous subtraction plus a
+    fix of its first slab (and, for free, its last).
+    """
+    shape = p.shape[1:]
+    if out is None:
+        out = np.empty(shape, dtype=np.float64)
+    work = out  # axis 0 writes out directly; later axes go through one scratch array
+    for j, (s, first, last, penult) in enumerate(_axis_slices(shape)):
+        pj = p[j]
+        pf = pj.reshape(-1)
+        if j == 1:
+            work = np.empty(shape, dtype=np.float64)
+        np.subtract(pf[s:], pf[:-s], out=work.reshape(-1)[s:])
+        if boundary == "circular":
+            np.subtract(pj[first], pj[last], out=work[first])
+        else:
+            work[first] = pj[first]
+            np.negative(pj[penult], out=work[last])
+        if j > 0:
+            out += work
+    return out
 
 
 def w_forward(z):

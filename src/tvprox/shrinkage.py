@@ -1,15 +1,23 @@
 """Shrinkage functions and the closed-form approximate TV proximal operator.
 
-The operator analyses the signal with the redundant Haar-like frame,
-soft-thresholds only the difference blocks at level 2*tau*sqrt(d), and
-synthesises back. One analysis + one synthesis pass, no sub-iterations.
+The operator is S_tau(z) = W^T T(W z): analyse with the redundant Haar-like
+frame, soft-threshold only the difference blocks at level 2*tau*sqrt(d),
+synthesise back. The averaging blocks pass T unchanged, W^T W = I and soft
+thresholding is the identity minus the projection onto the threshold ball,
+so S_tau(z) = z - D^T P_tau(D z / (4d)) with D the stacked forward
+differences and P_tau the projection onto [-tau, tau] (aniso) or onto the
+per-location tau-ball (iso). That is exactly the first projected dual
+step, from p = 0, of the FPG oracle in tvprox.exact. approx_prox analyses
+with w_forward and fuses threshold and synthesis: it projects the
+difference blocks in place and applies one difference adjoint, with no
+sub-iterations; the averaging blocks are never synthesised.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import CoeffStack, w_adjoint, w_forward
+from .frame import CoeffStack, _grad_adjoint, w_forward
 from .signal import validate_signal
 from .tv import check_mode
 
@@ -79,13 +87,37 @@ def threshold_stack(u, lam, mode):
     return CoeffStack(u.avg.copy(), dif)
 
 
-def approx_prox(z, params):
-    """Closed-form approximate TV proximal operator.
+def _project_ball(p, radius, mode):
+    """Project a stack of d difference blocks, in place, onto the dual
+    feasible set: each entry onto [-radius, radius] (aniso) or each
+    per-location d-vector onto the radius-ball (iso). t - P(t) is the
+    matching soft threshold."""
+    if mode == "aniso":
+        return np.clip(p, -radius, radius, out=p)
+    norms = np.multiply(p[0], p[0])
+    for pj in p[1:]:
+        norms += pj * pj
+    np.sqrt(norms, out=norms)
+    np.maximum(norms, radius, out=norms)
+    if radius != 1.0:
+        norms /= radius
+    p /= norms
+    return p
 
-    Analysis, difference-block shrinkage at 2*tau*sqrt(d), synthesis.
-    Cost O(n d); no iterations.
+
+def approx_prox(z, params):
+    """Closed-form approximate TV proximal operator S_tau(z) = W^T T(W z).
+
+    Analysis with w_forward, then threshold and synthesis in one step: the
+    averaging blocks pass T unchanged and W^T W = I, so W^T T(u) equals
+    z - W^T (u - T(u)), where u - T(u) is the projection P_lam of the
+    difference blocks at lam = 2*tau*sqrt(d) and W^T on difference blocks
+    is D^T / (2 sqrt d). The averaging blocks are never synthesised and no
+    thresholded stack is built. Cost O(n d); no iterations.
     """
     z = validate_signal(z)
+    d = z.ndim
     u = w_forward(z)
-    lam = params.threshold(z.ndim)
-    return w_adjoint(threshold_stack(u, lam, params.mode))
+    out = _grad_adjoint(_project_ball(u.dif, params.threshold(d), params.mode))
+    out *= 1.0 / (2.0 * np.sqrt(d))
+    return np.subtract(z, out, out=out)

@@ -48,6 +48,8 @@ class SolverConfig:
             raise ValueError("lambda must be finite and >= 0")
         if self.stop_tol <= 0:
             raise ValueError("stop_tol must be > 0")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         check_mode(self.mode)
         if self.prox_choice not in ("approx", "exact"):
             raise ValueError(f"prox_choice must be 'approx' or 'exact', got {self.prox_choice!r}")

@@ -2,13 +2,14 @@
 counterpart.
 
 The TV functionals use the same circular forward differences as the frame
-module, so that the lifted functional evaluated at analysis coefficients
-reproduces TV exactly: h_hat(w_forward(z), mode) == tv(z, mode).
+module (its slicing kernel _grad), so that the lifted functional evaluated
+at analysis coefficients reproduces TV exactly:
+h_hat(w_forward(z), mode) == tv(z, mode).
 """
 
 import numpy as np
 
-from .frame import CoeffStack, diff_axis
+from .frame import CoeffStack, _grad
 from .signal import validate_signal
 
 MODES = ("aniso", "iso")
@@ -20,11 +21,6 @@ def check_mode(mode):
     return mode
 
 
-def _gradient(x):
-    """Stack of circular per-axis differences, shape (d, *x.shape)."""
-    return np.stack([diff_axis(x, j) for j in range(x.ndim)])
-
-
 def tv(x, mode):
     """Total variation of a signal.
 
@@ -34,10 +30,18 @@ def tv(x, mode):
     """
     x = validate_signal(x)
     check_mode(mode)
-    g = _gradient(x)
+    return _tv_of_differences(_grad(x), mode)
+
+
+def _tv_of_differences(g, mode):
+    """TV from a stack of per-axis differences; overwrites g."""
     if mode == "aniso":
-        return float(np.abs(g).sum())
-    return float(np.sqrt((g**2).sum(axis=0)).sum())
+        return float(np.abs(g, out=g).sum())
+    sq = np.square(g, out=g)
+    norms = sq[0]
+    for gj in sq[1:]:
+        norms += gj
+    return float(np.sqrt(norms, out=norms).sum())
 
 
 def h_hat(u, mode):

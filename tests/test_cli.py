@@ -89,3 +89,17 @@ def test_byte_identical_tables(tmp_path):
     b1 = (tmp_path / "r1" / "table.csv").read_bytes()
     b2 = (tmp_path / "r2" / "table.csv").read_bytes()
     assert b1 == b2
+
+
+@pytest.mark.parametrize("argv", [
+    ["denoise", "--gamma", "-1"],
+    ["denoise", "--gamma", "nan"],
+    ["denoise", "--lambda", "-0.5"],
+    ["denoise", "--size", "8"],
+    ["denoise", "--phantoms", "0"],
+    ["denoise", "--sigma", "-0.1"],
+    ["ct", "--angles", "0"],
+])
+def test_bad_sweep_input_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert "config error:" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 optimality residual, cross-checked against each other and against simple
 grid/bisection oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -35,18 +37,25 @@ def test_fpg_constant_is_fixed_point():
         np.testing.assert_allclose(fpg_prox(z, tau), z, atol=1e-12)
 
 
-def grid_prox_n2_circular(z, tau, mode="aniso"):
-    # two-variable problem: 0.5||x-z||^2 + tau*(|x0-x1|+|x1-x0|), solved on a
-    # refined grid + golden-section-free local 1e-6 sweep over the difference
+def grid_prox_n2_circular(z, tau, chunk=1 << 20):
+    # two-variable problem: 0.5||x-z||^2 + tau*(|x0-x1|+|x1-x0|), solved by
+    # a brute-force sweep over a 1e-6 grid of the half-difference
     m = 0.5 * (z[0] + z[1])
     # optimum keeps the mean; parametrize x = [m+t, m-t]
-    def f(t):
+    lo, hi = -abs(z[0] - z[1]), abs(z[0] - z[1]) + 1e-6
+    # the points of np.arange(lo, hi, 1e-6), made chunk by chunk so memory
+    # stays small; the first minimiser wins, as with one np.argmin
+    n = math.ceil((hi - lo) / 1e-6)
+    delta = (lo + 1e-6) - lo
+    best_t, best_f = None, np.inf
+    for start in range(0, n, chunk):
+        t = lo + np.arange(start, min(start + chunk, n)) * delta
         x0, x1 = m + t, m - t
-        return 0.5 * ((x0 - z[0]) ** 2 + (x1 - z[1]) ** 2) + tau * 2.0 * abs(x0 - x1)
-
-    ts = np.arange(-abs(z[0] - z[1]), abs(z[0] - z[1]) + 1e-6, 1e-6)
-    t = ts[np.argmin([f(v) for v in ts])]
-    return np.array([m + t, m - t])
+        f = 0.5 * ((x0 - z[0]) ** 2 + (x1 - z[1]) ** 2) + tau * 2.0 * np.abs(x0 - x1)
+        i = int(np.argmin(f))
+        if f[i] < best_f:
+            best_t, best_f = t[i], f[i]
+    return np.array([m + best_t, m - best_t])
 
 
 def test_fpg_n2_closed_form():
@@ -60,6 +69,62 @@ def test_fpg_n2_closed_form():
         got = fpg_prox(z, tau, OracleConfig(max_iter=3000, tol=1e-12))
         want = grid_prox_n2_circular(z, tau)
         assert np.max(np.abs(got - want)) <= 1e-5
+
+
+def roll_fpg_reference(z, tau, cfg):
+    # the textbook dual FPG loop with np.roll differences and two adjoints
+    # per iteration, kept as an independent oracle for fpg_prox
+    def grad(x):
+        g = np.empty((x.ndim,) + x.shape)
+        for j in range(x.ndim):
+            g[j] = x - np.roll(x, -1, axis=j)
+            if cfg.boundary == "free":
+                g[j].swapaxes(0, j)[-1] = 0.0
+        return g
+
+    def grad_adjoint(p):
+        out = np.zeros(p.shape[1:])
+        for j in range(p.shape[0]):
+            pj = p[j].copy()
+            if cfg.boundary == "free":
+                pj.swapaxes(0, j)[-1] = 0.0
+            out += pj - np.roll(pj, 1, axis=j)
+        return out
+
+    def project(p):
+        if cfg.mode == "aniso":
+            return np.clip(p, -1.0, 1.0)
+        return p / np.maximum(np.sqrt((p**2).sum(axis=0)), 1.0)
+
+    step = 1.0 / (4.0 * z.ndim * tau)
+    p = q = np.zeros((z.ndim,) + z.shape)
+    t_prev, x_prev, change = 1.0, None, np.inf
+    for k in range(cfg.max_iter):
+        p_new = project(q + step * grad(z - tau * grad_adjoint(q)))
+        t = (1.0 + np.sqrt(1.0 + 4.0 * t_prev**2)) / 2.0
+        q = p_new + ((t_prev - 1.0) / t) * (p_new - p)
+        p, t_prev = p_new, t
+        x = z - tau * grad_adjoint(p)
+        if x_prev is not None:
+            change = l2_norm(x - x_prev) / l2_norm(x_prev)
+        x_prev = x
+        if change <= cfg.tol:
+            break
+    return x, k + 1
+
+
+@pytest.mark.parametrize("boundary", ["circular", "free"])
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+def test_fpg_matches_roll_reference(mode, boundary):
+    rng = np.random.default_rng(50)
+    for shape, tau in (((40,), 0.3), ((12, 13), 0.2), ((5, 6, 7), 0.1)):
+        z = rng.standard_normal(shape)
+        cfg = OracleConfig(max_iter=3000, tol=1e-10, mode=mode, boundary=boundary)
+        want, iters = roll_fpg_reference(z, tau, cfg)
+        got, info = fpg_prox(z, tau, cfg, return_info=True)
+        assert info["converged"]
+        assert info["iterations"] == iters
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_fpg_objective_decreases():

@@ -84,6 +84,10 @@ def test_config_validation():
         ExperimentConfig(solver="pdhg")
     with pytest.raises(ValueError):
         ExperimentConfig(lambda_grid=())
+    for bad in (dict(lambda_grid=(-0.5,)), dict(gamma_grid=(0.1, 0.0)), dict(gamma_grid=(np.inf,)),
+                dict(image_size=15), dict(n_phantoms=0), dict(n_angles=0), dict(noise_sigma=-1.0)):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
     cfg = ExperimentConfig(task="ct")
     assert cfg.noise_sigma == 0.5
     cfg.paper_scale()

@@ -1,10 +1,13 @@
-"""Haar-frame transforms: hand traces, loop oracles, adjointness, WtW = I."""
+"""Haar-frame transforms: hand traces, loop oracles, adjointness, WtW = I,
+and the slicing difference pair shared by tv, the fused prox and FPG."""
 
 import numpy as np
 import pytest
 
 from tvprox.frame import (
     CoeffStack,
+    _grad,
+    _grad_adjoint,
     avg_axis,
     avg_axis_adjoint,
     diff_axis,
@@ -162,3 +165,42 @@ def test_coeffstack_validation():
         CoeffStack(np.zeros((1, 4)), np.zeros((2, 4)))
     with pytest.raises(ValueError):
         CoeffStack(np.zeros((3, 4, 4)), np.zeros((3, 4, 4)))  # 3 blocks for d=2
+
+
+def test_grad_circular_stacks_diff_axis():
+    rng = np.random.default_rng(17)
+    for d, shape in SHAPES.items():
+        x = rng.standard_normal(shape)
+        want = np.stack([diff_axis(x, j) for j in range(d)])
+        np.testing.assert_array_equal(_grad(x, "circular"), want)
+
+
+def test_grad_free_hand_trace():
+    g = _grad(np.array([4.0, 0.0, 0.0, 1.0]), "free")
+    np.testing.assert_array_equal(g, [[4.0, 0.0, -1.0, 0.0]])
+    # adjoint of the free differences: p_i - p_{i-1}, ignoring the last p
+    np.testing.assert_array_equal(_grad_adjoint(np.array([[1.0, 2.0, 3.0, 9.0]]), "free"),
+                                  [1.0, 1.0, 1.0, -3.0])
+
+
+@pytest.mark.parametrize("boundary", ["circular", "free"])
+def test_grad_pair_dot_test(boundary):
+    rng = np.random.default_rng(18)
+    for d, shape in SHAPES.items():
+        for _ in range(5):
+            x = rng.standard_normal(shape)
+            p = rng.standard_normal((d,) + shape)
+            lhs = dot(_grad(x, boundary), p)
+            rhs = dot(x, _grad_adjoint(p, boundary))
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, l2_norm(x) * l2_norm(p))
+
+
+def test_grad_pair_writes_into_buffers():
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((5, 6))
+    g = np.full((2, 5, 6), np.nan)
+    assert _grad(x, "free", out=g) is g
+    np.testing.assert_array_equal(g, _grad(x, "free"))
+    out = np.full((5, 6), np.nan)
+    assert _grad_adjoint(g, "free", out=out) is out
+    np.testing.assert_array_equal(out, _grad_adjoint(g, "free"))

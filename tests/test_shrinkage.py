@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tvprox.exact import OracleConfig, fpg_prox
-from tvprox.frame import CoeffStack, stack_norm, w_forward
+from tvprox.frame import CoeffStack, stack_norm, w_adjoint, w_forward
 from tvprox.shrinkage import (
     ProxParams,
     approx_prox,
@@ -92,6 +92,27 @@ def test_approx_prox_hand_trace():
     z = np.array([4.0, 0.0, 0.0, 0.0])
     out = approx_prox(z, ProxParams(0.5, "aniso"))
     np.testing.assert_allclose(out, [3.0, 0.5, 0.0, 0.5], atol=1e-14)
+
+
+def test_fused_prox_equals_frame_path():
+    # z - D^T P_tau(D z / (4d)) == W^T T_{2 tau sqrt(d)}(W z)
+    rng = np.random.default_rng(39)
+    for d, shape in SHAPES.items():
+        for mode in ("aniso", "iso"):
+            for tau in (1e-3, 1e-2, 0.1, 0.7, 5.0):
+                z = rng.standard_normal(shape)
+                want = w_adjoint(threshold_stack(w_forward(z), 2.0 * tau * np.sqrt(d), mode))
+                got = approx_prox(z, ProxParams(tau, mode))
+                assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_approx_prox_is_first_fpg_step():
+    rng = np.random.default_rng(40)
+    for d, shape in SHAPES.items():
+        for mode in ("aniso", "iso"):
+            z = rng.standard_normal(shape)
+            first = fpg_prox(z, 0.2, OracleConfig(max_iter=1, mode=mode), return_info=True)[0]
+            assert np.max(np.abs(first - approx_prox(z, ProxParams(0.2, mode)))) <= 1e-13
 
 
 def test_descent_property():

@@ -171,3 +171,11 @@ def test_stop_rule_uses_relative_change():
     assert report.iterations < 20000
     assert isinstance(report, RunReport)
     assert np.all(np.isfinite(report.final_x))
+
+
+def test_solver_config_rejects_zero_iterations():
+    with pytest.raises(ValueError, match="max_iter"):
+        SolverConfig(max_iter=0)
+    y = np.zeros((4, 4))
+    report = apgm(denoise_problem(y), SolverConfig(max_iter=1), y)
+    assert report.iterations == 1
