@@ -34,88 +34,82 @@ def _read_config_file(path):
     return values
 
 
-_CONFIG_KEYS = {
-    "lambda": ("lambda_grid", _parse_floats),
-    "gamma": ("gamma_grid", _parse_floats),
-    "mode": ("mode", str),
-    "solver": ("solver", str),
-    "prox": ("prox", str),
-    "size": ("size", int),
-    "seed": ("seed", int),
-    "angles": ("angles", int),
-    "phantoms": ("phantoms", int),
-    "sigma": ("sigma", float),
-    "out": ("out", str),
-    "paper_scale": ("paper_scale", lambda v: v.lower() in ("1", "true", "yes")),
-    "timing": ("timing", lambda v: v.lower() in ("1", "true", "yes")),
+# Flag name -> (destination: the ExperimentConfig field where there is one,
+# argparse keywords). Both the flags and the --config file keys come from it.
+_SWEEP_OPTIONS = {
+    "lambda": ("lambda_grid", {"type": _parse_floats, "help": "comma-separated regularization grid"}),
+    "gamma": ("gamma_grid", {"type": _parse_floats, "help": "comma-separated step-size/penalty grid"}),
+    "mode": ("mode", {"choices": ("aniso", "iso")}),
+    "solver": ("solver", {"choices": ("apgm", "admm")}),
+    "prox": ("prox", {"choices": ("approx", "exact"), "help": "exact also emits the budgeted-FPG baseline table"}),
+    "size": ("image_size", {"type": int}),
+    "seed": ("seed", {"type": int}),
+    "angles": ("n_angles", {"type": int}),
+    "phantoms": ("n_phantoms", {"type": int}),
+    "sigma": ("noise_sigma", {"type": float}),
+    "out": ("output_dir", {"help": "output directory"}),
+    "paper_scale": ("paper_scale", {"action": "store_true"}),
+    "timing": ("timing", {"action": "store_true",
+                          "help": "record real wall seconds in table.csv (not byte-reproducible)"}),
 }
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _add_sweep_flags(p):
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--lambda", dest="lambda_grid", type=_parse_floats, default=None,
-                   help="comma-separated regularization grid")
-    p.add_argument("--gamma", dest="gamma_grid", type=_parse_floats, default=None,
-                   help="comma-separated step-size/penalty grid")
-    p.add_argument("--mode", choices=("aniso", "iso"), default=None)
-    p.add_argument("--solver", choices=("apgm", "admm"), default=None)
-    p.add_argument("--prox", choices=("approx", "exact"), default=None,
-                   help="exact also emits the budgeted-FPG baseline table")
-    p.add_argument("--size", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--angles", type=int, default=None)
-    p.add_argument("--phantoms", type=int, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--paper-scale", action="store_true", default=None)
-    p.add_argument("--timing", action="store_true", default=None,
-                   help="record real wall seconds in table.csv (not byte-reproducible)")
+    for name, (dest, kwargs) in _SWEEP_OPTIONS.items():
+        if "action" not in kwargs and "choices" not in kwargs:
+            kwargs = {"metavar": name.upper(), **kwargs}
+        p.add_argument("--" + name.replace("_", "-"), dest=dest, default=None, **kwargs)
+
+
+def _config_value(name, kwargs, raw):
+    """A config-file value, converted and checked as its flag would be."""
+    if kwargs.get("action") == "store_true":
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"{name}: expected one of {', '.join(_BOOLEANS)}, got {raw!r}")
+        return _BOOLEANS[raw.lower()]
+    value = kwargs.get("type", str)(raw)
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ValueError(f"{name}: expected one of {', '.join(kwargs['choices'])}, got {raw!r}")
+    return value
 
 
 def _merged_options(args):
     opts = {}
     if args.config:
-        file_values = _read_config_file(args.config)
-        for key, raw in file_values.items():
-            if key not in _CONFIG_KEYS:
+        for key, raw in _read_config_file(args.config).items():
+            if key not in _SWEEP_OPTIONS:
                 raise ValueError(f"unknown config key {key!r}")
-            dest, conv = _CONFIG_KEYS[key]
-            opts[dest] = conv(raw)
-    for dest in ("lambda_grid", "gamma_grid", "mode", "solver", "prox", "size", "seed",
-                 "angles", "phantoms", "sigma", "out", "paper_scale", "timing"):
-        val = getattr(args, dest, None)
-        if val is not None:
-            opts[dest] = val
+            dest, kwargs = _SWEEP_OPTIONS[key]
+            opts[dest] = _config_value(key, kwargs, raw)
+    for dest, _ in _SWEEP_OPTIONS.values():
+        if getattr(args, dest) is not None:
+            opts[dest] = getattr(args, dest)
     return opts
 
 
 def _build_config(task, opts):
-    cfg = ExperimentConfig(
-        task=task,
-        image_size=opts.get("size", 32),
-        n_phantoms=opts.get("phantoms", 3),
-        seed=opts.get("seed", 0),
-        mode=opts.get("mode", "aniso"),
-        lambda_grid=opts.get("lambda_grid", (0.5,)),
-        gamma_grid=opts.get("gamma_grid", (1e-1, 1e-2, 1e-3) if task == "denoise" else (1e-2, 1e-3, 1e-4)),
-        solver=opts.get("solver", "apgm" if task == "denoise" else "admm"),
-        n_angles=opts.get("angles", 15),
-        noise_sigma=opts.get("sigma"),
-        fpg50_baseline=opts.get("prox") == "exact",
-        timing=bool(opts.get("timing")),
-        output_dir=opts.get("out"),
-    )
+    # unset options keep ExperimentConfig's defaults; CT defaults to ADMM on a finer gamma grid
+    fields = {k: v for k, v in opts.items() if k not in ("prox", "paper_scale")}
+    if task == "ct":
+        fields = {"gamma_grid": (1e-2, 1e-3, 1e-4), "solver": "admm", **fields}
+    cfg = ExperimentConfig(task=task, fpg50_baseline=opts.get("prox") == "exact", **fields)
     if opts.get("paper_scale"):
         cfg.paper_scale()
     return cfg
+
+
+def _config_error(err):
+    print(f"config error: {err}", file=sys.stderr)
+    return 2
 
 
 def _run_task(task, args):
     try:
         cfg = _build_config(task, _merged_options(args))
     except (ValueError, OSError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+        return _config_error(err)
     result = run_sweep(cfg)
     for row in result.rows:
         status = "FAILED" if row.failed else "ok"
@@ -129,11 +123,12 @@ def _run_task(task, args):
 
 def _run_prox_check(args):
     """Spot-check the operator's contracts on random signals."""
+    size, mode, tau = args.size, args.mode, args.tau
+    if not (np.isfinite(tau) and tau > 0):
+        return _config_error(f"tau must be finite and > 0, got {tau}")
+    if size < 2:
+        return _config_error(f"size must be >= 2, got {size}")
     rng = np.random.default_rng(args.seed)
-    size = args.size
-    mode = args.mode
-    tau = args.tau
-    n = size * size
     ok = True
 
     z = rng.standard_normal((size, size))
@@ -152,7 +147,7 @@ def _run_prox_check(args):
     ok &= nonexp
 
     exact = fpg_prox(z, tau, OracleConfig(max_iter=5000, tol=1e-12, mode=mode))
-    bound = 4.0 * tau * 2 * np.sqrt(n)
+    bound = 4.0 * tau * z.ndim * np.sqrt(z.size)
     dist = l2_norm(exact - s)
     bounded = dist <= bound
     print(f"error bound: ||prox - S||={dist:.6e} <= 4*tau*d*sqrt(n)={bound:.6e}  "

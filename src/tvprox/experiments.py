@@ -7,6 +7,7 @@ prox, compares against a tight exact-TV baseline computed once per
 artifacts.
 """
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -16,7 +17,6 @@ from .exact import OracleConfig, fpg_prox
 from .operators import (
     CtGeometry,
     add_awgn,
-    identity_operator,
     lipschitz_power_iter,
     prox_g_ct,
     prox_g_denoise,
@@ -178,7 +178,7 @@ def _make_problem(cfg, y, ct_op=None):
 
 
 def _baseline(cfg, problem, lam, y, budget=None):
-    """Exact-TV reference solution for one (lambda, phantom).
+    """Exact-TV reference solution for one (lambda, phantom) and its objective.
 
     Tight mode (budget=None) controls tolerances so cost_accuracy against it
     is nonnegative; a finite budget caps FPG sub-iterations instead.
@@ -186,33 +186,36 @@ def _baseline(cfg, problem, lam, y, budget=None):
     if cfg.task == "denoise":
         # The denoising problem *is* a TV prox evaluation; solve it directly.
         oracle = OracleConfig(max_iter=budget or 20000, tol=1e-13, mode=cfg.mode)
-        x_star, _ = fpg_prox(y, lam, oracle, return_info=True) if lam > 0 else (y.copy(), None)
-        return x_star
-    oracle = OracleConfig(max_iter=budget or 300, tol=1e-11, mode=cfg.mode)
-    ref_cfg = SolverConfig(
-        gamma=1.0 / problem.lipschitz_L,
-        lam=lam,
-        mode=cfg.mode,
-        prox_choice="exact",
-        oracle=oracle,
-        stop_tol=min(cfg.stop_tol, 1e-7),
-        max_iter=max(cfg.max_iter, 20000),
-    )
-    report = apgm(problem, ref_cfg, np.zeros((cfg.image_size, cfg.image_size)))
-    return report.final_x
+        x_star = fpg_prox(y, lam, oracle, return_info=True)[0] if lam > 0 else y.copy()
+    else:
+        oracle = OracleConfig(max_iter=budget or 300, tol=1e-11, mode=cfg.mode)
+        ref_cfg = SolverConfig(
+            gamma=1.0 / problem.lipschitz_L,
+            lam=lam,
+            mode=cfg.mode,
+            prox_choice="exact",
+            oracle=oracle,
+            stop_tol=min(cfg.stop_tol, 1e-7),
+            max_iter=max(cfg.max_iter, 20000),
+        )
+        x_star = apgm(problem, ref_cfg, np.zeros((cfg.image_size, cfg.image_size))).final_x
+    return x_star, objective(problem, SolverConfig(gamma=1.0, lam=lam, mode=cfg.mode), x_star)
 
 
-def _phantom_data(cfg, index):
-    """Ground truth, measurements, and (for CT) the forward operator."""
-    gt = gen_foam_phantom(cfg.image_size, seed=cfg.seed * 1000 + index)
-    if cfg.task == "denoise":
-        y = add_awgn(gt, cfg.noise_sigma, seed=cfg.seed * 1000 + 500 + index)
-        return gt, y, None
-    geo = CtGeometry(n_pixels=cfg.image_size, n_angles=cfg.n_angles)
-    op = radon_operator(geo)
+def _ct_operator(cfg):
+    """The sweep's Radon operator with its Lipschitz bound; None for denoise."""
+    if cfg.task != "ct":
+        return None
+    op = radon_operator(CtGeometry(n_pixels=cfg.image_size, n_angles=cfg.n_angles))
     op.lipschitz_bound = lipschitz_power_iter(op, iters=200, tol=1e-9, seed=cfg.seed)
-    y = add_awgn(op.apply(gt), cfg.noise_sigma, seed=cfg.seed * 1000 + 500 + index)
-    return gt, y, op
+    return op
+
+
+def _phantom_data(cfg, index, op):
+    """Ground truth and noisy measurements (op(gt) for CT) of one phantom."""
+    gt = gen_foam_phantom(cfg.image_size, seed=cfg.seed * 1000 + index)
+    clean = gt if op is None else op.apply(gt)
+    return gt, add_awgn(clean, cfg.noise_sigma, seed=cfg.seed * 1000 + 500 + index)
 
 
 def _gamma_value(cfg, gamma, lipschitz_L):
@@ -223,105 +226,100 @@ def _gamma_value(cfg, gamma, lipschitz_L):
     return gamma
 
 
+def _gap(f_hat, f_star):
+    """cost_accuracy, or the absolute gap where lambda = 0 makes the
+    baseline objective 0, so the row remains well defined."""
+    return cost_accuracy(f_hat, f_star) if f_star > 0 else f_hat - f_star
+
+
+def _run_cell(cfg, lam, gamma, i, data, problem, refs):
+    """One timed approximate solve on phantom i, scored against each
+    reference (x, f) in refs (the tight one first); writes the cell's
+    artifacts. Returns the cell record and its scores, None on divergence."""
+    gt, y = data
+    run_cfg = SolverConfig(
+        gamma=_gamma_value(cfg, gamma, problem.lipschitz_L),
+        lam=lam,
+        mode=cfg.mode,
+        prox_choice="approx",
+        stop_tol=cfg.stop_tol,
+        max_iter=cfg.max_iter,
+    )
+    x0 = y.copy() if cfg.task == "denoise" else np.zeros_like(gt)
+    solve = apgm if cfg.solver == "apgm" else admm
+    t0 = time.perf_counter()
+    try:
+        report = solve(problem, run_cfg, x0)
+    except SolverDivergence as err:
+        return {"lam": lam, "gamma": gamma, "phantom": i, "error": str(err)}, None
+    elapsed = time.perf_counter() - t0
+    x, x_star = report.final_x, refs[0][0]
+    gaps = [_gap(report.objective_trace[-1], f_ref) for _, f_ref in refs]
+    if cfg.output_dir:
+        path = lambda kind, ext: os.path.join(
+            cfg.output_dir, f"{kind}_{cfg.task}_{cfg.solver}_lam{lam:g}_gam{gamma:g}_ph{i}.{ext}")
+        _write_trace(path("trace", "csv"), report)
+        if cfg.write_images:
+            write_pgm(path("recon", "pgm"), x)
+            write_pgm(path("diff", "pgm"), x - x_star)
+            save_csv(path("recon", "csv"), x)
+    cell = {
+        "lam": lam, "gamma": gamma, "phantom": i,
+        "stop_reason": report.stop_reason, "iterations": report.iterations,
+        "cost_acc": gaps[0], "report": report,
+    }
+    score = {"gaps": gaps, "psnr_tv": psnr(x_star, x), "psnr_gt": psnr(gt, x),
+             "iterations": report.iterations, "seconds": elapsed}
+    return cell, score
+
+
+def _row(cfg, lam, gamma, scores, k):
+    """One table row: means over the cells that survived, with cost_acc
+    against reference k (0 tight, 1 the 50-iteration FPG baseline)."""
+    mean = lambda vals: float(np.mean(vals)) if vals else np.nan
+    col = lambda key: [s[key] for s in scores]
+    return MetricsRow(
+        lam=lam, gamma=gamma,
+        cost_acc=mean([gaps[k] for gaps in col("gaps")]),
+        psnr_tv=mean(col("psnr_tv")),
+        psnr_gt=mean(col("psnr_gt")),
+        iterations=mean(col("iterations")),
+        seconds=float(np.sum(col("seconds"))) if cfg.timing else 0.0,
+        failed=len(scores) < cfg.n_phantoms,
+    )
+
+
 def run_sweep(cfg):
     """Run the full (lambda, gamma, phantom) sweep and return averaged rows.
 
-    Writes table.csv, per-run traces, and PGM/CSV reconstructions when
-    cfg.output_dir is set. Solver aborts mark the affected row failed and
-    the sweep continues.
+    Writes table.csv (and table_fpg50.csv with fpg50_baseline), per-run
+    traces, and PGM/CSV reconstructions when cfg.output_dir is set. Solver
+    aborts mark the affected row failed and the sweep continues.
     """
-    import os
-
-    rows = []
-    rows_fpg50 = [] if cfg.fpg50_baseline else None
+    if cfg.output_dir:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    op = _ct_operator(cfg)
+    data = [_phantom_data(cfg, i, op) for i in range(cfg.n_phantoms)]
+    problems = [_make_problem(cfg, y, op) for _, y in data]
+    budgets = (None, 50) if cfg.fpg50_baseline else (None,)
+    tables = [[] for _ in budgets]  # table.csv rows, then table_fpg50.csv rows
     cells = []
-    out = cfg.output_dir
-    if out:
-        os.makedirs(out, exist_ok=True)
-
-    # Per-phantom data and baselines are shared across the gamma grid.
-    data = [_phantom_data(cfg, i) for i in range(cfg.n_phantoms)]
-
     for lam in cfg.lambda_grid:
-        problems = [_make_problem(cfg, y, op) for _, y, op in data]
-        baselines = [_baseline(cfg, prob, lam, y) for prob, (_, y, _) in zip(problems, data)]
-        baselines50 = None
-        if cfg.fpg50_baseline:
-            baselines50 = [_baseline(cfg, prob, lam, y, budget=50) for prob, (_, y, _) in zip(problems, data)]
-
+        per_budget = [[_baseline(cfg, prob, lam, y, b) for prob, (_, y) in zip(problems, data)] for b in budgets]
+        refs = list(zip(*per_budget))  # refs[i]: phantom i's (x, f) per budget
         for gamma in cfg.gamma_grid:
-            accs, accs50, psnrs_tv, psnrs_gt, iters, secs = [], [], [], [], [], []
-            failed = False
-            for i, ((gt, y, op), problem, x_star) in enumerate(zip(data, problems, baselines)):
-                run_cfg = SolverConfig(
-                    gamma=_gamma_value(cfg, gamma, problem.lipschitz_L),
-                    lam=lam,
-                    mode=cfg.mode,
-                    prox_choice="approx",
-                    stop_tol=cfg.stop_tol,
-                    max_iter=cfg.max_iter,
-                )
-                x0 = y.copy() if cfg.task == "denoise" else np.zeros_like(gt)
-                t0 = time.perf_counter()
-                try:
-                    report = apgm(problem, run_cfg, x0) if cfg.solver == "apgm" else admm(problem, run_cfg, x0)
-                except SolverDivergence as err:
-                    failed = True
-                    cells.append({"lam": lam, "gamma": gamma, "phantom": i, "error": str(err)})
-                    continue
-                elapsed = time.perf_counter() - t0
-                f_hat = report.objective_trace[-1]
-                f_star = objective(problem, SolverConfig(gamma=1.0, lam=lam, mode=cfg.mode), x_star)
-                # lambda = 0 makes the baseline objective 0; fall back to the
-                # absolute gap there so the row remains well defined.
-                acc = cost_accuracy(f_hat, f_star) if f_star > 0 else f_hat - f_star
-                accs.append(acc)
-                if baselines50 is not None:
-                    f50 = objective(problem, SolverConfig(gamma=1.0, lam=lam, mode=cfg.mode), baselines50[i])
-                    accs50.append(cost_accuracy(f_hat, f50) if f50 > 0 else f_hat - f50)
-                psnrs_tv.append(psnr(x_star, report.final_x))
-                psnrs_gt.append(psnr(gt, report.final_x))
-                iters.append(report.iterations)
-                secs.append(elapsed)
-                cells.append({
-                    "lam": lam, "gamma": gamma, "phantom": i,
-                    "stop_reason": report.stop_reason, "iterations": report.iterations,
-                    "cost_acc": acc, "report": report,
-                })
-                if out:
-                    tag = f"{cfg.task}_{cfg.solver}_lam{lam:g}_gam{gamma:g}_ph{i}"
-                    _write_trace(os.path.join(out, f"trace_{tag}.csv"), report)
-                    if cfg.write_images:
-                        write_pgm(os.path.join(out, f"recon_{tag}.pgm"), report.final_x)
-                        write_pgm(os.path.join(out, f"diff_{tag}.pgm"), report.final_x - x_star)
-                        save_csv(os.path.join(out, f"recon_{tag}.csv"), report.final_x)
-            if not accs:
-                failed = True
-            rows.append(MetricsRow(
-                lam=lam, gamma=gamma,
-                cost_acc=float(np.mean(accs)) if accs else np.nan,
-                psnr_tv=float(np.mean(psnrs_tv)) if psnrs_tv else np.nan,
-                psnr_gt=float(np.mean(psnrs_gt)) if psnrs_gt else np.nan,
-                iterations=float(np.mean(iters)) if iters else np.nan,
-                seconds=float(np.sum(secs)) if cfg.timing else 0.0,
-                failed=failed,
-            ))
-            if rows_fpg50 is not None:
-                rows_fpg50.append(MetricsRow(
-                    lam=lam, gamma=gamma,
-                    cost_acc=float(np.mean(accs50)) if accs50 else np.nan,
-                    psnr_tv=float(np.mean(psnrs_tv)) if psnrs_tv else np.nan,
-                    psnr_gt=float(np.mean(psnrs_gt)) if psnrs_gt else np.nan,
-                    iterations=float(np.mean(iters)) if iters else np.nan,
-                    seconds=float(np.sum(secs)) if cfg.timing else 0.0,
-                    failed=failed,
-                ))
-
-    if out:
-        write_table(os.path.join(out, "table.csv"), rows)
-        if rows_fpg50 is not None:
-            write_table(os.path.join(out, "table_fpg50.csv"), rows_fpg50)
-    return SweepResult(rows=rows, cells=cells, rows_fpg50=rows_fpg50)
+            scores = []
+            for i, (d, problem, ref) in enumerate(zip(data, problems, refs)):
+                cell, score = _run_cell(cfg, lam, gamma, i, d, problem, ref)
+                cells.append(cell)
+                if score is not None:
+                    scores.append(score)
+            for k, rows in enumerate(tables):
+                rows.append(_row(cfg, lam, gamma, scores, k))
+    if cfg.output_dir:
+        for name, rows in zip(("table.csv", "table_fpg50.csv"), tables):
+            write_table(os.path.join(cfg.output_dir, name), rows)
+    return SweepResult(rows=tables[0], cells=cells, rows_fpg50=tables[1] if cfg.fpg50_baseline else None)
 
 
 def _write_trace(path, report):

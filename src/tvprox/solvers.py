@@ -97,9 +97,8 @@ def _tv_prox(z, cfg):
     oracle = cfg.oracle or OracleConfig(mode=cfg.mode)
     if oracle.mode != cfg.mode:
         raise ValueError("oracle mode does not match solver mode")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # budgeted sub-iterations may not converge
-        return fpg_prox(z, tau, oracle)
+    # return_info=True: a budgeted sub-solve that stops short does not warn
+    return fpg_prox(z, tau, oracle, return_info=True)[0]
 
 
 def _stopped(x, x_prev, tol):

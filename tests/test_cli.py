@@ -99,7 +99,19 @@ def test_byte_identical_tables(tmp_path):
     ["denoise", "--phantoms", "0"],
     ["denoise", "--sigma", "-0.1"],
     ["ct", "--angles", "0"],
+    ["prox-check", "--tau", "0"],
+    ["prox-check", "--tau", "-1"],
+    ["prox-check", "--size", "1"],
 ])
 def test_bad_sweep_input_exits_2(argv, capsys):
     assert main(argv) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["prox=exatc", "paper_scale=on"])
+def test_config_file_values_are_checked_like_flags(tmp_path, capsys, line):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"size=16\nphantoms=1\n{line}\n")
+    assert main(["denoise", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -4,10 +4,13 @@ full trend runs live in test_acceptance)."""
 import numpy as np
 import pytest
 
+from tvprox import experiments
+from tvprox.exact import OracleConfig, fpg_prox
 from tvprox.experiments import (
     TABLE_HEADER,
     ExperimentConfig,
     MetricsRow,
+    _phantom_data,
     cost_accuracy,
     gen_foam_phantom,
     psnr,
@@ -15,6 +18,7 @@ from tvprox.experiments import (
     write_pgm,
     write_table,
 )
+from tvprox.solvers import RunReport
 from tvprox.tv import tv
 
 
@@ -129,13 +133,47 @@ def test_sweep_artifacts_and_determinism(tmp_path):
 
 
 def test_sweep_fpg50_baseline_table(tmp_path):
-    cfg = ExperimentConfig(task="denoise", image_size=16, n_phantoms=1, seed=0,
-                           lambda_grid=(0.5,), gamma_grid=(1e-2,),
+    cfg = ExperimentConfig(task="denoise", image_size=16, n_phantoms=2, seed=0,
+                           lambda_grid=(0.5,), gamma_grid=(1e-1, 1e-2),
                            fpg50_baseline=True, output_dir=str(tmp_path))
     res = run_sweep(cfg)
-    assert res.rows_fpg50 is not None and len(res.rows_fpg50) == 1
+    assert res.rows_fpg50 is not None and len(res.rows_fpg50) == 2
     lines = (tmp_path / "table_fpg50.csv").read_text().splitlines()
     assert lines[0] == TABLE_HEADER
+
+    # every column but cost_acc (psnr_tv included) matches table.csv
+    cost_col = TABLE_HEADER.split(",").index("cost_acc")
+    drop = lambda line: line.split(",")[:cost_col] + line.split(",")[cost_col + 1:]
+    tight = (tmp_path / "table.csv").read_text().splitlines()
+    assert [drop(line) for line in lines] == [drop(line) for line in tight]
+
+    # cost_acc is the mean gap against the 50-iteration FPG references
+    f50 = []
+    for i in range(cfg.n_phantoms):
+        _, y = _phantom_data(cfg, i, None)
+        x50 = fpg_prox(y, 0.5, OracleConfig(max_iter=50, tol=1e-13, mode=cfg.mode), return_info=True)[0]
+        f50.append(0.5 * float(((y - x50) ** 2).sum()) + 0.5 * tv(x50, cfg.mode))
+    for j, row in enumerate(res.rows_fpg50):
+        cells = res.cells[j * cfg.n_phantoms:(j + 1) * cfg.n_phantoms]
+        gaps = [(c["report"].objective_trace[-1] - f) / f for c, f in zip(cells, f50)]
+        assert row.cost_acc == pytest.approx(np.mean(gaps), rel=1e-12)
+        assert row.cost_acc != res.rows[j].cost_acc
+
+
+def test_ct_sweep_builds_one_operator(monkeypatch):
+    calls = []
+    real = experiments.lipschitz_power_iter
+    monkeypatch.setattr(experiments, "lipschitz_power_iter", lambda *a, **k: calls.append(1) or real(*a, **k))
+    # instant solvers: only the sweep's set-up is under test
+    stub = lambda problem, cfg, x0: RunReport(final_x=x0, objective_trace=np.array([1.0]), iterations=1,
+                                              stop_reason="tolerance-met", wall_time=0.0)
+    monkeypatch.setattr(experiments, "apgm", stub)
+    monkeypatch.setattr(experiments, "admm", stub)
+    cfg = ExperimentConfig(task="ct", image_size=16, n_phantoms=2, n_angles=4,
+                           lambda_grid=(0.5, 1.0), gamma_grid=(1e-2,), solver="admm")
+    res = run_sweep(cfg)
+    assert len(calls) == 1
+    assert len(res.cells) == 4 and not any(r.failed for r in res.rows)
 
 
 def test_sweep_marks_failed_rows():
