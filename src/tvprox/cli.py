@@ -69,7 +69,10 @@ def _config_value(name, kwargs, raw):
         if raw.lower() not in _BOOLEANS:
             raise ValueError(f"{name}: expected one of {', '.join(_BOOLEANS)}, got {raw!r}")
         return _BOOLEANS[raw.lower()]
-    value = kwargs.get("type", str)(raw)
+    try:
+        value = kwargs.get("type", str)(raw)
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from None
     if "choices" in kwargs and value not in kwargs["choices"]:
         raise ValueError(f"{name}: expected one of {', '.join(kwargs['choices'])}, got {raw!r}")
     return value

@@ -1,14 +1,15 @@
-"""Redundant Haar-like frame: per-axis averaging/difference convolutions.
+"""Redundant Haar-like frame W and the one slicing difference pair.
 
-The frame kernels use circular (periodic) boundaries, which makes the
-analysis / synthesis pair an exact tight frame: w_adjoint(w_forward(z)) == z.
-The forward stencils pair sample i with its +1 neighbour along the axis.
+W stacks, per axis j, an averaging block A_j z = z + z_{+1} and a
+difference block D_j z = z - z_{+1}, scaled by 1/(2 sqrt d). The
+difference pair _grad / _grad_adjoint stacks the d difference blocks, one
+contiguous subtraction per axis, with circular or free boundaries. tv,
+the FPG oracle and the approximate prox's synthesis use it directly, and
+W is defined on it through A_j = 2I - D_j, so w_forward / w_adjoint carry
+no stencil of their own.
 
-The per-axis kernels and the w_forward / w_adjoint pair are the reference
-definition of the frame; the approximate prox analyses with w_forward.
-The hot paths (tv, the FPG oracle, the approximate prox's synthesis)
-share one slicing difference pair, _grad / _grad_adjoint, which stacks
-the d difference blocks and also supports free boundaries.
+Under circular boundaries W^T W = I exactly: w_adjoint(w_forward(z)) == z.
+The approximate prox analyses with w_forward.
 """
 
 import math
@@ -49,39 +50,6 @@ class CoeffStack:
         return CoeffStack(self.avg.copy(), self.dif.copy())
 
 
-def _check_axis(x, j):
-    if not 0 <= j < x.ndim:
-        raise ValueError(f"axis {j} invalid for {x.ndim}-d signal")
-
-
-def avg_axis(x, j):
-    """Circular averaging convolution along axis j: out_i = x_i + x_{i+1}."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_axis(x, j)
-    return x + np.roll(x, -1, axis=j)
-
-
-def diff_axis(x, j):
-    """Circular difference convolution along axis j: out_i = x_i - x_{i+1}."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_axis(x, j)
-    return x - np.roll(x, -1, axis=j)
-
-
-def avg_axis_adjoint(t, j):
-    """Exact adjoint of avg_axis: out_i = t_i + t_{i-1} (circular)."""
-    t = np.asarray(t, dtype=np.float64)
-    _check_axis(t, j)
-    return t + np.roll(t, 1, axis=j)
-
-
-def diff_axis_adjoint(t, j):
-    """Exact adjoint of diff_axis: out_i = t_i - t_{i-1} (circular)."""
-    t = np.asarray(t, dtype=np.float64)
-    _check_axis(t, j)
-    return t - np.roll(t, 1, axis=j)
-
-
 @lru_cache(maxsize=64)
 def _axis_slices(shape):
     """Per-axis (stride, first, last, penult) of a C-ordered signal shape:
@@ -102,8 +70,8 @@ def _grad(x, boundary="circular", out=None):
     """Forward differences D x stacked over axes, shape (d, *x.shape).
 
     out[j]_i = x_i - x_{i+1} along axis j. circular: the last sample pairs
-    with the first (out[j] == diff_axis(x, j)); free: the last difference
-    along each axis is zero. Writes into `out` (C-contiguous) when given.
+    with the first; free: the last difference along each axis is zero.
+    Writes into `out` (C-contiguous) when given.
 
     Each axis is one contiguous subtraction over the flattened signal at
     the axis stride, after which the last slab, where that pairing crosses
@@ -152,28 +120,31 @@ def _grad_adjoint(p, boundary="circular", out=None):
 
 
 def w_forward(z):
-    """Analysis transform: stack A_j z and D_j z over axes, scaled by 1/(2 sqrt d)."""
+    """Analysis transform: stack A_j z and D_j z over axes, scaled by 1/(2 sqrt d).
+
+    D_j z is the circular difference block of _grad and A_j = 2I - D_j.
+    The difference blocks are scaled after the subtraction, the rounding
+    that approx_prox's output depends on.
+    """
     z = validate_signal(z)
-    d = z.ndim
-    scale = 1.0 / (2.0 * np.sqrt(d))
-    avg = np.stack([avg_axis(z, j) for j in range(d)]) * scale
-    dif = np.stack([diff_axis(z, j) for j in range(d)]) * scale
-    return CoeffStack(avg, dif)
+    scale = 1.0 / (2.0 * np.sqrt(z.ndim))
+    dif = _grad(z)
+    dif *= scale
+    return CoeffStack(2.0 * scale * z - dif, dif)
 
 
 def w_adjoint(u):
     """Synthesis transform, exact adjoint of w_forward.
 
+    With A_j^T = 2I - D_j^T, W^T u = scale * (D^T (dif - avg) + 2 sum_j avg_j).
     Satisfies w_adjoint(w_forward(z)) == z (tight frame under circular
     boundaries).
     """
-    d = u.d
-    scale = 1.0 / (2.0 * np.sqrt(d))
-    out = np.zeros(u.signal_shape, dtype=np.float64)
-    for j in range(d):
-        out += avg_axis_adjoint(u.avg[j], j)
-        out += diff_axis_adjoint(u.dif[j], j)
-    return out * scale
+    scale = 1.0 / (2.0 * np.sqrt(u.d))
+    out = _grad_adjoint(u.dif - u.avg)
+    out += 2.0 * u.avg.sum(axis=0)
+    out *= scale
+    return out
 
 
 def stack_norm(u):

@@ -77,10 +77,15 @@ def fista_momentum(q_prev):
 
 
 def objective(problem, cfg, x):
-    """Composite objective g(x) + lambda * tv(x, mode)."""
-    val = problem.objective_g(x)
-    if cfg.lam > 0:
-        val += cfg.lam * tv(x, cfg.mode)
+    """Composite objective g(x) + lambda * tv(x, mode).
+
+    A diverging iterate may overflow here; numpy's warning is silenced
+    because the caller's finiteness check raises SolverDivergence instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = problem.objective_g(x)
+        if cfg.lam > 0:
+            val += cfg.lam * tv(x, cfg.mode)
     return float(val)
 
 

@@ -48,12 +48,7 @@ def h_hat(u, mode):
     """Lifted TV surrogate on coefficient stacks: 2 sqrt(d) times the group
     norm of the difference blocks (groups = per-location d-vectors)."""
     check_mode(mode)
-    d = u.d
-    if mode == "aniso":
-        group = np.abs(u.dif).sum(axis=0)
-    else:
-        group = np.sqrt((u.dif**2).sum(axis=0))
-    return float(2.0 * np.sqrt(d) * group.sum())
+    return float(2.0 * np.sqrt(u.d) * _tv_of_differences(np.array(u.dif, dtype=np.float64), mode))
 
 
 def h_hat_subgradient(u, mode):

@@ -108,10 +108,12 @@ def test_bad_sweep_input_exits_2(argv, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["prox=exatc", "paper_scale=on"])
+@pytest.mark.parametrize("line", ["prox=exatc", "paper_scale=on", "size=x"])
 def test_config_file_values_are_checked_like_flags(tmp_path, capsys, line):
     path = tmp_path / "cfg.txt"
     path.write_text(f"size=16\nphantoms=1\n{line}\n")
     assert main(["denoise", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert line.split("=")[0] + ":" in err  # the message names the key
     assert not (tmp_path / "o").exists()

@@ -8,10 +8,6 @@ from tvprox.frame import (
     CoeffStack,
     _grad,
     _grad_adjoint,
-    avg_axis,
-    avg_axis_adjoint,
-    diff_axis,
-    diff_axis_adjoint,
     stack_norm,
     w_adjoint,
     w_forward,
@@ -21,71 +17,74 @@ from tvprox.signal import dot, l2_norm
 SHAPES = {1: (12,), 2: (6, 7), 3: (4, 5, 3)}
 
 
-def loop_avg_1d(x):
-    n = len(x)
-    return np.array([x[i] + x[(i + 1) % n] for i in range(n)])
-
-
-def loop_diff_axis(x, j):
+def _loop_axis(x, j, sign):
     out = np.empty_like(x)
-    it = np.ndindex(x.shape)
-    for idx in it:
+    for idx in np.ndindex(x.shape):
         nxt = list(idx)
         nxt[j] = (nxt[j] + 1) % x.shape[j]
-        out[idx] = x[idx] - x[tuple(nxt)]
+        out[idx] = x[idx] + sign * x[tuple(nxt)]
     return out
 
 
+def loop_avg(x, j):
+    return _loop_axis(x, j, 1.0)
+
+
+def loop_diff_axis(x, j):
+    return _loop_axis(x, j, -1.0)
+
+
 def test_avg_axis_hand_trace():
-    np.testing.assert_array_equal(avg_axis(np.array([4.0, 0.0, 0.0, 0.0]), 0),
-                                  [4.0, 0.0, 0.0, 4.0])
-    c = np.full((5, 5), 3.0)
-    np.testing.assert_array_equal(avg_axis(c, 1), np.full((5, 5), 6.0))
+    # the averaging blocks A_j z = z + z_{+1} of w_forward, scale 1/(2 sqrt d)
+    np.testing.assert_array_equal(w_forward(np.array([4.0, 0.0, 0.0, 0.0])).avg,
+                                  [[2.0, 0.0, 0.0, 2.0]])
+    u = w_forward(np.full((5, 5), 3.0))
+    np.testing.assert_allclose(u.avg, np.full((2, 5, 5), 6.0 / (2.0 * np.sqrt(2.0))), rtol=1e-15)
 
 
 def test_avg_axis_loop_oracle():
     rng = np.random.default_rng(10)
-    x = rng.standard_normal(6)
-    np.testing.assert_array_equal(avg_axis(x, 0), loop_avg_1d(x))
+    for d, shape in SHAPES.items():
+        x = rng.standard_normal(shape)
+        scale = 1.0 / (2.0 * np.sqrt(d))
+        avg = w_forward(x).avg
+        for j in range(d):
+            np.testing.assert_allclose(avg[j], scale * loop_avg(x, j), rtol=1e-14, atol=1e-15)
 
 
 def test_diff_axis_hand_trace():
-    np.testing.assert_array_equal(diff_axis(np.array([4.0, 0.0, 0.0, 0.0]), 0),
-                                  [4.0, 0.0, 0.0, -4.0])
-    np.testing.assert_array_equal(diff_axis(np.full(7, 2.5), 0), np.zeros(7))
+    np.testing.assert_array_equal(_grad(np.array([4.0, 0.0, 0.0, 0.0])), [[4.0, 0.0, 0.0, -4.0]])
+    np.testing.assert_array_equal(_grad(np.full(7, 2.5)), np.zeros((1, 7)))
 
 
 def test_diff_axis_loop_oracle():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((4, 4))
-    np.testing.assert_array_equal(diff_axis(x, 1), loop_diff_axis(x, 1))
-
-
-def test_invalid_axis():
-    with pytest.raises(ValueError):
-        avg_axis(np.zeros(4), 1)
-    with pytest.raises(ValueError):
-        diff_axis(np.zeros((3, 3)), 2)
+    np.testing.assert_array_equal(_grad(x)[1], loop_diff_axis(x, 1))
 
 
 def test_axis_adjoint_dot_tests():
+    # every single block of W, A_j or D_j, against w_adjoint of a stack holding only that block
     rng = np.random.default_rng(12)
     for d, shape in SHAPES.items():
         for j in range(d):
             for _ in range(5):
                 x = rng.standard_normal(shape)
                 t = rng.standard_normal(shape)
-                for fwd, adj in ((avg_axis, avg_axis_adjoint), (diff_axis, diff_axis_adjoint)):
-                    lhs = dot(fwd(x, j), t)
-                    rhs = dot(x, adj(t, j))
+                for block in ("avg", "dif"):
+                    blocks = {"avg": np.zeros((d,) + shape), "dif": np.zeros((d,) + shape)}
+                    blocks[block][j] = t
+                    lhs = dot(getattr(w_forward(x), block)[j], t)
+                    rhs = dot(x, w_adjoint(CoeffStack(**blocks)))
                     assert abs(lhs - rhs) <= 1e-12 * max(1.0, l2_norm(x) * l2_norm(t))
 
 
 def test_adjoint_hand_traces():
     # constants telescope to zero under the difference adjoint
-    np.testing.assert_array_equal(diff_axis_adjoint(np.full(9, 4.0), 0), np.zeros(9))
-    np.testing.assert_array_equal(avg_axis_adjoint(np.array([2.0, 0.0, 0.0, 2.0]), 0),
-                                  [4.0, 2.0, 0.0, 2.0])
+    np.testing.assert_array_equal(_grad_adjoint(np.full((1, 9), 4.0)), np.zeros(9))
+    # A^T t = t_i + t_{i-1}, scale 1/2 in 1D
+    u = CoeffStack(np.array([[2.0, 0.0, 0.0, 2.0]]), np.zeros((1, 4)))
+    np.testing.assert_array_equal(w_adjoint(u), [2.0, 1.0, 0.0, 1.0])
 
 
 def test_w_forward_hand_trace():
@@ -171,7 +170,7 @@ def test_grad_circular_stacks_diff_axis():
     rng = np.random.default_rng(17)
     for d, shape in SHAPES.items():
         x = rng.standard_normal(shape)
-        want = np.stack([diff_axis(x, j) for j in range(d)])
+        want = np.stack([loop_diff_axis(x, j) for j in range(d)])
         np.testing.assert_array_equal(_grad(x, "circular"), want)
 
 

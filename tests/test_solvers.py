@@ -1,6 +1,8 @@
 """APGM / ADMM drivers: momentum schedule, objective bookkeeping, stopping
 protocol, and long-run oracles on tiny problems."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -120,7 +122,6 @@ def test_apgm_warns_on_large_gamma():
         apgm(denoise_problem(y), SolverConfig(gamma=2.0, lam=0.1, max_iter=5), y.copy())
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_apgm_divergence_raises():
     y = np.zeros((4, 4))
     bad = Problem(grad_g=lambda x: -10.0 * x - 1.0,  # wrong-sign gradient blows up
@@ -128,6 +129,18 @@ def test_apgm_divergence_raises():
                   lipschitz_L=None)
     with pytest.raises(SolverDivergence):
         apgm(bad, SolverConfig(gamma=1.0, lam=0.0, max_iter=2000), np.ones((4, 4)))
+
+
+def test_denoise_divergence_raises_without_overflow_warnings():
+    # the objective overflows before the finiteness check; only the step-size warning may surface
+    rng = np.random.default_rng(68)
+    y = rng.standard_normal((8, 8))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error")
+        warnings.filterwarnings("always", message=r"apgm: gamma=.* exceeds 1/L")
+        with pytest.raises(SolverDivergence):
+            apgm(denoise_problem(y), SolverConfig(gamma=50.0, lam=0.5, max_iter=2000), np.zeros_like(y))
+    assert [str(w.message) for w in caught] == ["apgm: gamma=50.0 exceeds 1/L=1.000e+00"]
 
 
 def test_admm_identity_lambda_zero():
