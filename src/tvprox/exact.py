@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import _grad, _grad_adjoint
+from .frame import _adjoint_steps, _grad, _grad_adjoint, _grad_steps, _run
 from .shrinkage import _project_ball
 from .signal import l2_norm, validate_signal
 from .tv import _tv_of_differences, check_mode
@@ -59,7 +59,9 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     One adjoint per iteration: D^T is linear, so the primal point
     z - tau*D^T q of the extrapolated dual q = p + beta*(p - p_prev) is
     x + beta*(x - x_prev), and only x = z - tau*D^T p is formed. All
-    buffers are allocated once per call and updated in place.
+    buffers are allocated once per call and updated in place, and the
+    views of the difference pair are built once per call: one step list
+    per buffer of the (p, g) swap, so an iteration makes only ufunc calls.
     """
     z = validate_signal(z)
     if tau <= 0.0:
@@ -76,15 +78,20 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     x_prev = np.empty_like(z)
     dx = np.zeros_like(z)  # x - x_prev, extrapolated in place to the primal point of q
     dtp = np.empty_like(z)
+    scratch = np.empty_like(z)
+    # Iteration k writes D dx into the buffer g holds (g on even k, p on
+    # odd k), swaps it into p and reads D^T p from the same buffer.
+    steps = [(_grad_steps(dx, buf, boundary), _adjoint_steps(buf, dtp, scratch, boundary)) for buf in (g, p)]
     t_prev = 1.0
     beta = 0.0
     change = np.inf
     iters = 0
     for k in range(cfg.max_iter):
         # Projected dual step at q; its primal point is x + beta*(x - x_prev).
+        grad_steps, adjoint_steps = steps[k % 2]
         dx *= beta
         dx += x
-        _grad(dx, boundary, out=g)
+        _run(grad_steps)
         g *= step
         g += q
         _project_ball(g, 1.0, mode)
@@ -95,7 +102,7 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
         q += g
         p, g, t_prev = g, p, t
         x, x_prev = x_prev, x
-        _grad_adjoint(p, boundary, out=dtp)
+        _run(adjoint_steps)
         dtp *= tau
         np.subtract(z, dtp, out=x)
         np.subtract(x, x_prev, out=dx)

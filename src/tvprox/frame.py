@@ -8,6 +8,12 @@ the FPG oracle and the approximate prox's synthesis use it directly, and
 W is defined on it through A_j = 2I - D_j, so w_forward / w_adjoint carry
 no stencil of their own.
 
+The stencil lives in two step builders, _grad_steps and _adjoint_steps.
+They build the slab views of the pair for given buffers once and return
+the kernel calls as (ufunc, a, b, out) tuples. _grad / _grad_adjoint build
+and run them once per call; fpg_prox builds them once per solve and runs
+only the calls on each iteration.
+
 Under circular boundaries W^T W = I exactly: w_adjoint(w_forward(z)) == z.
 The approximate prox analyses with w_forward.
 """
@@ -54,11 +60,13 @@ class CoeffStack:
 def _axis_slices(shape):
     """Per-axis (stride, first, last, penult) of a C-ordered signal shape:
     the flat distance between neighbours along the axis, and index tuples
-    of the first, last and second-to-last slab along it."""
+    of the first, last and second-to-last slab along it. Each slab index
+    is a pair: into the signal, and into block j of a (d, *shape) stack."""
     full = (slice(None),) * len(shape)
 
     def slab(j, sl):
-        return full[:j] + (sl,) + full[j + 1 :]
+        index = full[:j] + (sl,) + full[j + 1 :]
+        return index, (j,) + index
 
     return tuple(
         (math.prod(shape[j + 1 :]), slab(j, slice(0, 1)), slab(j, slice(-1, None)), slab(j, slice(-2, -1)))
@@ -66,56 +74,87 @@ def _axis_slices(shape):
     )
 
 
-def _grad(x, boundary="circular", out=None):
-    """Forward differences D x stacked over axes, shape (d, *x.shape).
+def _grad_steps(x, out, boundary):
+    """Kernel calls (ufunc, a, b, out) that write D x into `out`.
 
     out[j]_i = x_i - x_{i+1} along axis j. circular: the last sample pairs
     with the first; free: the last difference along each axis is zero.
-    Writes into `out` (C-contiguous) when given.
-
     Each axis is one contiguous subtraction over the flattened signal at
     the axis stride, after which the last slab, where that pairing crosses
-    a line end, is overwritten with its boundary value.
+    a line end, is overwritten with its boundary value (the free zero as
+    the product 0 * 0). `out` has shape (d, *x.shape) and is C-contiguous;
+    every array a, b and out is a view of `x` or `out`, so the calls can
+    be run again after those buffers change.
+    """
+    xf = x.reshape(-1)
+    of = out.reshape(x.ndim, -1)
+    steps = []
+    for j, (s, (first, _), (last, block_last), _) in enumerate(_axis_slices(x.shape)):
+        steps.append((np.subtract, xf[:-s], xf[s:], of[j, :-s]))
+        if boundary == "circular":
+            steps.append((np.subtract, x[last], x[first], out[block_last]))
+        else:
+            steps.append((np.multiply, 0.0, 0.0, out[block_last]))
+    return steps
+
+
+def _adjoint_steps(p, out, scratch, boundary):
+    """Kernel calls (ufunc, a, b, out) that write D^T p into `out`.
+
+    D^T p is the sum over axes of p[j]_i - p[j]_{i-1}. circular: p[j]_{-1}
+    wraps to the last sample; free: the last sample of p[j] is ignored and
+    p[j]_{-1} is zero. Like _grad_steps, each axis is one contiguous
+    subtraction plus a fix of its first slab (and, for free, its last);
+    axis 0 writes `out` directly and every later axis goes through
+    `scratch` and is added to `out`. `out` and `scratch` are C-contiguous
+    arrays of the signal shape; `scratch` is unused when d = 1. Copy and
+    negation are multiplications by 1 and -1, which are exact.
+    """
+    pf = p.reshape(len(p), -1)
+    steps = []
+    work = out
+    for j, (s, (first, block_first), (last, block_last), (_, block_penult)) in enumerate(_axis_slices(out.shape)):
+        steps.append((np.subtract, pf[j, s:], pf[j, :-s], work.reshape(-1)[s:]))
+        if boundary == "circular":
+            steps.append((np.subtract, p[block_first], p[block_last], work[first]))
+        else:
+            steps.append((np.multiply, p[block_first], 1.0, work[first]))
+            steps.append((np.multiply, p[block_penult], -1.0, work[last]))
+        if j > 0:
+            steps.append((np.add, out, work, out))
+        work = scratch
+    return steps
+
+
+def _run(steps):
+    """Make the kernel calls of _grad_steps or _adjoint_steps, in order."""
+    for ufunc, a, b, out in steps:
+        ufunc(a, b, out=out)
+
+
+def _grad(x, boundary="circular", out=None):
+    """Forward differences D x stacked over axes, shape (d, *x.shape).
+
+    See _grad_steps for the stencil. Writes into `out` (C-contiguous) when
+    given.
     """
     if out is None:
-        out = np.empty((x.ndim,) + x.shape, dtype=np.float64)
-    xf = x.reshape(-1)
-    for j, (s, first, last, _) in enumerate(_axis_slices(x.shape)):
-        gj = out[j]
-        gf = gj.reshape(-1)
-        np.subtract(xf[:-s], xf[s:], out=gf[:-s])
-        if boundary == "circular":
-            np.subtract(x[last], x[first], out=gj[last])
-        else:
-            gj[last] = 0.0
+        out = np.empty((x.ndim,) + x.shape)
+    _run(_grad_steps(x, out, boundary))
     return out
 
 
 def _grad_adjoint(p, boundary="circular", out=None):
     """Exact adjoint of _grad: sum over axes of p[j]_i - p[j]_{i-1}.
 
-    circular: p[j]_{-1} wraps to the last sample; free: the last sample of
-    p[j] is ignored and p[j]_{-1} is zero. Writes into `out` (C-contiguous)
-    when given. Like _grad, each axis is one contiguous subtraction plus a
-    fix of its first slab (and, for free, its last).
+    See _adjoint_steps for the stencil. Writes into `out` (C-contiguous)
+    when given.
     """
     shape = p.shape[1:]
     if out is None:
-        out = np.empty(shape, dtype=np.float64)
-    work = out  # axis 0 writes out directly; later axes go through one scratch array
-    for j, (s, first, last, penult) in enumerate(_axis_slices(shape)):
-        pj = p[j]
-        pf = pj.reshape(-1)
-        if j == 1:
-            work = np.empty(shape, dtype=np.float64)
-        np.subtract(pf[s:], pf[:-s], out=work.reshape(-1)[s:])
-        if boundary == "circular":
-            np.subtract(pj[first], pj[last], out=work[first])
-        else:
-            work[first] = pj[first]
-            np.negative(pj[penult], out=work[last])
-        if j > 0:
-            out += work
+        out = np.empty(shape)
+    scratch = np.empty(shape) if len(shape) > 1 else None
+    _run(_adjoint_steps(p, out, scratch, boundary))
     return out
 
 

@@ -93,7 +93,7 @@ def _project_ball(p, radius, mode):
     per-location d-vector onto the radius-ball (iso). t - P(t) is the
     matching soft threshold."""
     if mode == "aniso":
-        return np.clip(p, -radius, radius, out=p)
+        return p.clip(-radius, radius, out=p)  # the clip ufunc without np.clip's wrapper
     norms = np.multiply(p[0], p[0])
     for pj in p[1:]:
         norms += pj * pj

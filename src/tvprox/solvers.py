@@ -66,6 +66,8 @@ class RunReport:
     iterations: int
     stop_reason: str  # "tolerance-met" | "max-iter"
     wall_time: float
+    # admm: primal_residual, dual_norm; exact prox: fpg_calls, fpg_iters,
+    # fpg_iters_max and fpg_not_converged of the inner FPG solves
     extras: dict = field(default_factory=dict)
 
 
@@ -89,10 +91,11 @@ def objective(problem, cfg, x):
     return float(val)
 
 
-def _tv_prox(z, cfg):
+def _tv_prox(z, cfg, fpg_infos):
     """Pluggable prox of lambda*tv at scale tau = gamma*lambda.
 
     lambda = 0 means no regularization: the prox step is skipped entirely.
+    Each FPG solve's info dict is appended to fpg_infos.
     """
     tau = cfg.tau
     if tau == 0.0:
@@ -102,8 +105,24 @@ def _tv_prox(z, cfg):
     oracle = cfg.oracle or OracleConfig(mode=cfg.mode)
     if oracle.mode != cfg.mode:
         raise ValueError("oracle mode does not match solver mode")
-    # return_info=True: a budgeted sub-solve that stops short does not warn
-    return fpg_prox(z, tau, oracle, return_info=True)[0]
+    # return_info=True: a budgeted sub-solve that stops short does not warn;
+    # it is counted in the run's fpg_not_converged instead
+    x, info = fpg_prox(z, tau, oracle, return_info=True)
+    fpg_infos.append(info)
+    return x
+
+
+def _fpg_counters(cfg, fpg_infos):
+    """RunReport.extras counters of the inner FPG solves of an exact-prox run."""
+    if cfg.prox_choice != "exact":
+        return {}
+    iters = [info["iterations"] for info in fpg_infos]
+    return {
+        "fpg_calls": len(iters),
+        "fpg_iters": sum(iters),
+        "fpg_iters_max": max(iters, default=0),
+        "fpg_not_converged": sum(not info["converged"] for info in fpg_infos),
+    }
 
 
 def _stopped(x, x_prev, tol):
@@ -135,10 +154,11 @@ def apgm(problem, cfg, x0):
     s = x0.copy()
     q_prev = 1.0
     trace = []
+    fpg_infos = []
     stop_reason = "max-iter"
     for k in range(1, cfg.max_iter + 1):
         z = s - cfg.gamma * problem.grad_g(s)
-        x = _tv_prox(z, cfg)
+        x = _tv_prox(z, cfg, fpg_infos)
         q = fista_momentum(q_prev)
         s = x + ((q_prev - 1.0) / q) * (x - x_prev)
         f = objective(problem, cfg, x)
@@ -155,6 +175,7 @@ def apgm(problem, cfg, x0):
         iterations=len(trace),
         stop_reason=stop_reason,
         wall_time=time.perf_counter() - t0,
+        extras=_fpg_counters(cfg, fpg_infos),
     )
 
 
@@ -172,11 +193,12 @@ def admm(problem, cfg, x0):
     x = x0.copy()
     s = np.zeros_like(x0)
     trace = []
+    fpg_infos = []
     stop_reason = "max-iter"
     primal_residual = np.inf
     for k in range(1, cfg.max_iter + 1):
         z = problem.prox_g(x - s, cfg.gamma)
-        x_new = _tv_prox(z + s, cfg)
+        x_new = _tv_prox(z + s, cfg, fpg_infos)
         # Dual ascent sign matches the (x - s) / (z + s) prox arguments above:
         # the multiplier estimate grows along z - x, not x - z.
         s = s + z - x_new
@@ -195,5 +217,6 @@ def admm(problem, cfg, x0):
         iterations=len(trace),
         stop_reason=stop_reason,
         wall_time=time.perf_counter() - t0,
-        extras={"primal_residual": primal_residual, "dual_norm": l2_norm(s)},
+        extras={"primal_residual": primal_residual, "dual_norm": l2_norm(s),
+                **_fpg_counters(cfg, fpg_infos)},
     )

@@ -1,18 +1,21 @@
-"""Property tests of the frame and the approximate prox on drawn shapes.
+"""Property tests of the frame, the approximate prox and the FPG oracle on
+drawn shapes.
 
 Shapes have d = 1..3 axes with every extent in 2..9, so extent-2 axes,
 where the slicing kernel's boundary slab is half the axis, are drawn too.
 Runs are derandomized, so every run checks the same examples.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tvprox.exact import OracleConfig, fpg_prox
-from tvprox.frame import CoeffStack, stack_norm, w_adjoint, w_forward
-from tvprox.shrinkage import ProxParams, approx_prox
+from tvprox.exact import OracleConfig, fpg_prox, tautstring_prox_1d
+from tvprox.frame import CoeffStack, _grad, _grad_adjoint, stack_norm, w_adjoint, w_forward
+from tvprox.shrinkage import ProxParams, _project_ball, approx_prox
 from tvprox.signal import dot, l2_norm
 from tvprox.tv import MODES, tv
 
@@ -81,3 +84,69 @@ def test_approx_prox_nonexpansive(pair, tau, mode):
 def test_distance_to_exact_prox_bound(z, tau, mode):
     exact, _ = fpg_prox(z, tau, OracleConfig(max_iter=2000, tol=1e-10, mode=mode), return_info=True)
     assert l2_norm(exact - approx_prox(z, ProxParams(tau, mode))) <= 4.0 * tau * z.ndim * np.sqrt(z.size)
+
+
+def unbound_fpg_reference(z, tau, cfg):
+    # fpg_prox's loop with the difference pair called unbound on every
+    # iteration (fresh views, a fresh adjoint scratch array): the same
+    # arithmetic in the same order, so the results must be bit-identical
+    d = z.ndim
+    step = 1.0 / (4.0 * d * tau)
+    p = np.zeros((d,) + z.shape)
+    q = np.zeros_like(p)
+    g = np.empty_like(p)
+    x = z.copy()
+    x_prev = np.empty_like(z)
+    dx = np.zeros_like(z)
+    dtp = np.empty_like(z)
+    t_prev, beta, change = 1.0, 0.0, np.inf
+    for k in range(cfg.max_iter):
+        dx *= beta
+        dx += x
+        _grad(dx, cfg.boundary, out=g)
+        g *= step
+        g += q
+        _project_ball(g, 1.0, cfg.mode)
+        t = (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev)) / 2.0
+        beta = (t_prev - 1.0) / t
+        np.subtract(g, p, out=q)
+        q *= beta
+        q += g
+        p, g, t_prev = g, p, t
+        x, x_prev = x_prev, x
+        _grad_adjoint(p, cfg.boundary, out=dtp)
+        dtp *= tau
+        np.subtract(z, dtp, out=x)
+        np.subtract(x, x_prev, out=dx)
+        if k > 0:
+            num = math.sqrt(np.vdot(dx, dx))
+            denom = math.sqrt(np.vdot(x_prev, x_prev))
+            change = num / denom if denom > 0 else num
+        if change <= cfg.tol:
+            break
+    return x, k + 1
+
+
+@settings(PROPERTY, max_examples=60)
+@given(SIGNALS, TAUS, st.sampled_from(MODES), st.sampled_from(("circular", "free")))
+# extent-2 axes, where the first, last and penultimate slabs coincide in pairs
+@example(np.array([3.0, -1.0]), 0.5, "aniso", "free")
+@example(np.arange(18.0).reshape(2, 9) % 5, 0.3, "iso", "free")
+@example(np.arange(12.0).reshape(3, 2, 2) % 7, 0.2, "iso", "circular")
+@example(np.arange(8.0).reshape(2, 2, 2) ** 2, 0.7, "aniso", "circular")
+def test_fpg_prox_bit_identical_to_unbound_loop(z, tau, mode, boundary):
+    cfg = OracleConfig(max_iter=300, tol=1e-10, mode=mode, boundary=boundary)
+    want, iters = unbound_fpg_reference(z, tau, cfg)
+    got, info = fpg_prox(z, tau, cfg, return_info=True)
+    assert np.array_equal(got, want)
+    assert info["iterations"] == iters
+
+
+@settings(PROPERTY, max_examples=60)
+@given(
+    st.integers(2, 64).flatmap(lambda n: hnp.arrays(np.float64, n, elements=st.floats(-10.0, 10.0, allow_subnormal=False))),
+    st.floats(-2.0, 0.5).map(lambda e: 10.0**e),
+)
+def test_free_boundary_fpg_matches_taut_string_1d(z, tau):
+    x = fpg_prox(z, tau, OracleConfig(max_iter=50000, tol=1e-12, boundary="free"), return_info=True)[0]
+    assert np.max(np.abs(x - tautstring_prox_1d(z, tau))) <= 1e-6

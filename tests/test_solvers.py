@@ -192,3 +192,24 @@ def test_solver_config_rejects_zero_iterations():
     y = np.zeros((4, 4))
     report = apgm(denoise_problem(y), SolverConfig(max_iter=1), y)
     assert report.iterations == 1
+
+
+def test_exact_runs_report_inner_fpg_counters():
+    rng = np.random.default_rng(68)
+    y = add_awgn(rng.random((8, 8)), 0.1, seed=12)
+    prob = denoise_problem(y)
+    exact = SolverConfig(gamma=0.5, lam=0.4, prox_choice="exact", oracle=OracleConfig(max_iter=3), max_iter=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a budgeted inner solve is counted, not warned about
+        a = apgm(prob, exact, y.copy())
+        b = admm(prob, exact, y.copy())
+    for report in (a, b):
+        assert report.iterations == 2
+        assert report.extras["fpg_calls"] == 2
+        assert report.extras["fpg_iters"] <= 6
+        assert report.extras["fpg_iters_max"] <= 3
+        assert report.extras["fpg_not_converged"] == 2
+    assert "primal_residual" in b.extras
+    approx = SolverConfig(gamma=0.5, lam=0.4, max_iter=2)
+    assert apgm(prob, approx, y.copy()).extras == {}
+    assert "fpg_calls" not in admm(prob, approx, y.copy()).extras
