@@ -2,8 +2,9 @@
 
 The CT projector splats each pixel center onto the two nearest detector
 bins with linear weights (detector spacing = pixel size). The weights are
-assembled once into a sparse matrix, so the adjoint is its exact transpose
-and every view conserves the total projected mass exactly.
+assembled once into a sparse matrix, cached with its CSR transpose, so the
+adjoint is exact and every view conserves the total projected mass exactly.
+The CT data prox is an in-place conjugate gradient, stopped once ||r|| < cg_tol ||b||.
 """
 
 import warnings
@@ -11,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .signal import l2_norm, validate_signal
 
@@ -55,6 +55,7 @@ class CtGeometry:
     n_detectors: int = None
     pixel_size: float = 1.0
     _matrix: sp.csr_matrix = field(default=None, repr=False)
+    _matrix_t: sp.csr_matrix = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.n_angles < 1:
@@ -75,7 +76,7 @@ class CtGeometry:
 
 
 def system_matrix(geo):
-    """Sparse (n_angles*n_detectors) x n_pixels^2 projection matrix, cached."""
+    """Sparse (n_angles*n_detectors) x n_pixels^2 projection matrix, cached with its CSR transpose."""
     if geo._matrix is not None:
         return geo._matrix
     n, m = geo.n_pixels, geo.n_detectors
@@ -101,6 +102,7 @@ def system_matrix(geo):
         shape=(geo.n_angles * m, n * n),
     )
     geo._matrix = mat
+    geo._matrix_t = mat.T.tocsr()  # sorted indices: sums in A.T @ s order, no transpose per call
     return mat
 
 
@@ -118,8 +120,8 @@ def radon_adjoint(sino, geo):
     sino = np.asarray(sino, dtype=np.float64)
     if sino.shape != geo.sinogram_shape:
         raise ValueError(f"sinogram shape {sino.shape} does not match geometry {geo.sinogram_shape}")
-    a = system_matrix(geo)
-    return (a.T @ sino.ravel()).reshape(geo.n_pixels, geo.n_pixels)
+    system_matrix(geo)
+    return (geo._matrix_t @ sino.ravel()).reshape(geo.n_pixels, geo.n_pixels)
 
 
 def radon_operator(geo):
@@ -173,44 +175,42 @@ def prox_g_denoise(v, gamma, y):
     return (v + gamma * y) / (1.0 + gamma)
 
 
-def prox_g_ct(v, gamma, y, op, cg_tol=1e-10, cg_max=200):
+def prox_g_ct(v, gamma, y, op, cg_tol=1e-10, cg_max=200, return_info=False):
     """Prox of gamma * (1/2)||Ax - y||^2: solve (I + gamma A^T A) x = v + gamma A^T y
-    by matrix-free conjugate gradient, warm-started at v."""
+    by conjugate gradient warm-started at v, with scipy cg's operations in order
+    (bit-identical): stop before a step once ||r|| < cg_tol ||b|| or after cg_max
+    steps; x = b = 0 if ||b|| = 0. Warns if the true relative residual exceeds
+    cg_tol. return_info=True returns (x, {"iterations", "residual", "converged"})."""
     v = np.asarray(v, dtype=np.float64)
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    rhs = v + gamma * op.adjoint(y)
-    n = rhs.size
+    b = (v + gamma * op.adjoint(y)).ravel()
 
     def matvec(u):
-        img = u.reshape(op.in_shape)
-        return u + gamma * op.adjoint(op.apply(img)).ravel()
+        return u + gamma * op.adjoint(op.apply(u.reshape(op.in_shape))).ravel()
 
-    lin = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    x, _ = spla.cg(lin, rhs.ravel(), x0=v.ravel(), rtol=cg_tol, atol=0.0, maxiter=cg_max)
-    achieved = l2_norm(matvec(x) - rhs.ravel()) / max(l2_norm(rhs), np.finfo(np.float64).tiny)
+    x, steps = b, 0  # the solution when ||b|| = 0
+    b_norm = np.linalg.norm(b)
+    if b_norm:
+        x = v.flatten()
+        r = b - matvec(x) if x.any() else b.copy()
+        while steps < cg_max and not np.linalg.norm(r) < cg_tol * b_norm:
+            rho = np.dot(r, r)
+            if steps:
+                p *= rho / rho_prev
+                p += r
+            else:
+                p = r.copy()
+            q = matvec(p)
+            alpha = rho / np.dot(p, q)
+            x += alpha * p
+            r -= alpha * q
+            rho_prev = rho
+            steps += 1
+    achieved = l2_norm(matvec(x) - b) / max(float(b_norm), np.finfo(np.float64).tiny)
     if achieved > cg_tol:
         warnings.warn(f"prox_g_ct: CG stalled at relative residual {achieved:.3e}", RuntimeWarning)
-    return x.reshape(op.in_shape)
-
-
-def save_sinogram(path, sino, geo):
-    """Plain-text sinogram: header ``angles=<count>,detectors=<count>``, then
-    one comma-separated row per angle."""
-    sino = np.asarray(sino, dtype=np.float64)
-    with open(path, "w") as f:
-        f.write(f"angles={geo.n_angles},detectors={geo.n_detectors}\n")
-        for row in sino:
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_sinogram(path):
-    with open(path) as f:
-        header = f.readline().strip()
-        parts = dict(kv.split("=") for kv in header.split(","))
-        n_angles, n_det = int(parts["angles"]), int(parts["detectors"])
-        rows = [np.array([float(v) for v in line.split(",")]) for line in f if line.strip()]
-    sino = np.vstack(rows)
-    if sino.shape != (n_angles, n_det):
-        raise ValueError(f"{path}: header promises {(n_angles, n_det)}, data is {sino.shape}")
-    return sino
+    x = x.reshape(op.in_shape)
+    if return_info:
+        return x, {"iterations": steps, "residual": achieved, "converged": achieved <= cg_tol}
+    return x

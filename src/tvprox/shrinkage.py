@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import CoeffStack, _grad_adjoint, w_forward
-from .signal import validate_signal
 from .tv import check_mode
 
 
@@ -113,11 +112,11 @@ def approx_prox(z, params):
     z - W^T (u - T(u)), where u - T(u) is the projection P_lam of the
     difference blocks at lam = 2*tau*sqrt(d) and W^T on difference blocks
     is D^T / (2 sqrt d). The averaging blocks are never synthesised and no
-    thresholded stack is built. Cost O(n d); no iterations.
+    thresholded stack is built; O(n d), no iterations; w_forward validates z.
     """
-    z = validate_signal(z)
-    d = z.ndim
     u = w_forward(z)
+    z = np.asarray(z, dtype=np.float64)
+    d = z.ndim
     out = _grad_adjoint(_project_ball(u.dif, params.threshold(d), params.mode))
     out *= 1.0 / (2.0 * np.sqrt(d))
     return np.subtract(z, out, out=out)

@@ -1,24 +1,28 @@
 """Forward models: identity / Radon operators, Lipschitz estimation, noise,
 and the data-term proxes."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import tvprox
 from tvprox.operators import (
     CtGeometry,
     LinearOperator,
     add_awgn,
     identity_operator,
     lipschitz_power_iter,
-    load_sinogram,
     prox_g_ct,
     prox_g_denoise,
     radon_adjoint,
     radon_forward,
     radon_operator,
-    save_sinogram,
     system_matrix,
 )
 from tvprox.signal import dot, l2_norm
@@ -196,12 +200,73 @@ def test_system_matrix_cached():
     assert system_matrix(geo) is system_matrix(geo)
 
 
-def test_sinogram_round_trip(tmp_path):
-    rng = np.random.default_rng(57)
+CT_SIZES = ((16, 8), (32, 15), (64, 45))
+
+
+def test_radon_adjoint_is_matrix_transpose_bitwise():
+    # the cached CSR transpose sums each pixel's bins in the order A.T @ s does
+    rng = np.random.default_rng(58)
+    for n, angles in CT_SIZES:
+        geo = CtGeometry(n_pixels=n, n_angles=angles)
+        for _ in range(3):
+            s = rng.standard_normal(geo.sinogram_shape)
+            want = (system_matrix(geo).T @ s.ravel()).reshape(n, n)
+            assert np.array_equal(radon_adjoint(s, geo), want)
+
+
+def scipy_prox_g_ct(v, gamma, y, op, cg_tol=1e-10, cg_max=200):
+    """Oracle: the data prox solved by scipy.sparse.linalg.cg, warm-started at v."""
+    rhs = v + gamma * op.adjoint(y)
+    n = rhs.size
+
+    def matvec(u):
+        return u + gamma * op.adjoint(op.apply(u.reshape(op.in_shape))).ravel()
+
+    lin = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    x, _ = spla.cg(lin, rhs.ravel(), x0=v.ravel(), rtol=cg_tol, atol=0.0, maxiter=cg_max)
+    return x.reshape(op.in_shape)
+
+
+def test_prox_g_ct_bitwise_equals_scipy_cg():
+    rng = np.random.default_rng(59)
+    cases = [(radon_operator(CtGeometry(n_pixels=n, n_angles=a)), n) for n, a in CT_SIZES]
+    cases.append((identity_operator((8, 8)), 8))
+    for op, n in cases:
+        for gamma in (1e-2, 1e-3, 1e-4):
+            v = rng.standard_normal((n, n))
+            y = rng.standard_normal(op.out_shape)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x, info = prox_g_ct(v, gamma, y, op, return_info=True)
+            assert np.array_equal(x, scipy_prox_g_ct(v, gamma, y, op))
+            assert info["converged"] and info["residual"] <= 1e-10
+            assert 1 <= info["iterations"] <= 200
+
+
+def test_prox_g_ct_zero_rhs_returns_zeros():
     geo = small_geo()
-    sino = rng.standard_normal(geo.sinogram_shape)
-    path = tmp_path / "sino.csv"
-    save_sinogram(path, sino, geo)
-    back = load_sinogram(path)
-    assert np.max(np.abs(back - sino)) <= 1e-15
-    assert path.read_text().splitlines()[0] == f"angles=9,detectors={geo.n_detectors}"
+    op = radon_operator(geo)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, info = prox_g_ct(np.zeros((16, 16)), 1e-2, np.zeros(geo.sinogram_shape), op, return_info=True)
+    assert x.shape == (16, 16) and np.all(x == 0.0)
+    assert info == {"iterations": 0, "residual": 0.0, "converged": True}
+
+
+def test_prox_g_ct_reports_stall():
+    rng = np.random.default_rng(60)
+    geo = CtGeometry(n_pixels=16, n_angles=8)
+    op = radon_operator(geo)
+    v = rng.standard_normal((16, 16))
+    y = rng.standard_normal(geo.sinogram_shape)
+    with pytest.warns(RuntimeWarning, match="CG stalled"):
+        x, info = prox_g_ct(v, 1e-2, y, op, cg_max=1, return_info=True)
+    assert info["iterations"] == 1 and not info["converged"]
+    assert info["residual"] > 1e-10 and np.all(np.isfinite(x))
+
+
+def test_import_leaves_scipy_sparse_linalg_out():
+    src = str(Path(tvprox.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, tvprox; sys.exit('scipy.sparse.linalg' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

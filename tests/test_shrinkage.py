@@ -86,6 +86,17 @@ def test_approx_prox_constant_unchanged():
         np.testing.assert_allclose(out, z, atol=1e-14)
 
 
+def test_approx_prox_validates_input():
+    params = ProxParams(0.1)
+    bad = ((np.array([[0.0, np.nan], [1.0, 2.0]]), "non-finite"), (np.zeros((2, 1)), "extent"),
+           (np.zeros((2,) * 4), "dimension"))
+    for z, msg in bad:
+        with pytest.raises(ValueError, match=msg):
+            approx_prox(z, params)
+    z = [[0, 1], [2, 3]]  # integer nested lists are taken as float64 arrays
+    np.testing.assert_array_equal(approx_prox(z, params), approx_prox(np.array(z, dtype=float), params))
+
+
 def test_approx_prox_hand_trace():
     # 1D [4,0,0,0], tau=0.5: threshold 1, dif [2,0,0,-2] -> [1,0,0,-1],
     # synthesis gives [3, 0.5, 0, 0.5]
