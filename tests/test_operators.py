@@ -265,8 +265,57 @@ def test_prox_g_ct_reports_stall():
     assert info["residual"] > 1e-10 and np.all(np.isfinite(x))
 
 
-def test_import_leaves_scipy_sparse_linalg_out():
+def test_prox_g_ct_rejects_non_finite_inputs():
+    geo = small_geo()
+    cases = [(radon_operator(geo), geo.sinogram_shape), (identity_operator((16, 16)), (16, 16))]
+    for op, y_shape in cases:
+        for bad in (np.nan, np.inf):
+            v, y = np.zeros((16, 16)), np.ones(y_shape)
+            v[3, 4] = bad
+            with pytest.raises(ValueError, match="v holds non-finite"):
+                prox_g_ct(v, 1e-2, y, op)
+            y[0, 1] = bad
+            with pytest.raises(ValueError, match="y holds non-finite"):
+                prox_g_ct(np.zeros((16, 16)), 1e-2, y, op)
+
+
+def test_prox_g_ct_warns_on_nan_residual():
+    # finite inputs whose right-hand side overflows: the CG residual is NaN
+    with np.errstate(over="ignore", invalid="ignore"), pytest.warns(RuntimeWarning, match="CG stalled"):
+        _, info = prox_g_ct(np.full((4, 4), 1e308), 1.0, np.zeros((4, 4)), identity_operator((4, 4)),
+                            return_info=True)
+    assert np.isnan(info["residual"]) and not info["converged"]
+
+
+def test_radon_operator_skips_the_finiteness_scan():
+    geo = small_geo()
+    op = radon_operator(geo)
+    img = np.zeros((16, 16))
+    img[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        radon_forward(img, geo)
+    assert np.isnan(op.apply(img)).any()
+    with pytest.raises(ValueError, match="does not match"):
+        op.apply(np.zeros((8, 8)))
+    with pytest.raises(ValueError, match="does not match"):
+        op.adjoint(np.zeros((16, 16)))
+
+
+def test_import_leaves_scipy_sparse_linalg_out(tmp_path):
+    # scipy.sparse loads only when a CT system matrix is first built
     src = str(Path(tvprox.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, tvprox; sys.exit('scipy.sparse.linalg' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    code = f"""
+import sys
+import tvprox
+from tvprox import cli
+assert "scipy.sparse.linalg" not in sys.modules
+assert cli.main(["denoise", "--size", "16", "--phantoms", "1", "--out", {str(tmp_path)!r}]) == 0
+assert cli.main(["prox-check"]) == 0
+assert "scipy.sparse" not in sys.modules
+from tvprox.operators import CtGeometry, system_matrix
+assert system_matrix(CtGeometry(16, 8)).shape == (8 * 24, 16 * 16)
+assert "scipy.sparse" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

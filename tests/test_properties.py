@@ -150,3 +150,10 @@ def test_fpg_prox_bit_identical_to_unbound_loop(z, tau, mode, boundary):
 def test_free_boundary_fpg_matches_taut_string_1d(z, tau):
     x = fpg_prox(z, tau, OracleConfig(max_iter=50000, tol=1e-12, boundary="free"), return_info=True)[0]
     assert np.max(np.abs(x - tautstring_prox_1d(z, tau))) <= 1e-6
+
+
+@PROPERTY
+@given(SHAPES.flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(allow_nan=False))))
+def test_l2_norm_bit_identical_to_numpy_norm(a):
+    with np.errstate(over="ignore"):
+        assert l2_norm(a) == np.linalg.norm(a)
