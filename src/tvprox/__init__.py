@@ -10,7 +10,7 @@ from .signal import dot, l2_norm, rel_change, mean, load_csv, save_csv
 from .frame import CoeffStack, w_forward, w_adjoint
 from .tv import tv, h_hat, h_hat_subgradient, check_mode
 from .shrinkage import ProxParams, shrink_aniso, shrink_iso, threshold_stack, approx_prox
-from .exact import OracleConfig, fpg_prox, tautstring_prox_1d, prox_residual
+from .exact import OracleConfig, fpg_prox, duality_gap, tautstring_prox_1d
 from .operators import (
     LinearOperator,
     CtGeometry,

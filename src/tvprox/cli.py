@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .exact import OracleConfig, fpg_prox
+from .exact import OracleConfig, duality_gap, fpg_prox
 from .experiments import ExperimentConfig, run_sweep
 from .shrinkage import ProxParams, approx_prox
 from .signal import l2_norm
@@ -149,12 +149,14 @@ def _run_prox_check(args):
           f"[{'pass' if nonexp else 'FAIL'}]")
     ok &= nonexp
 
-    exact = fpg_prox(z, tau, OracleConfig(max_iter=5000, tol=1e-12, mode=mode))
+    # ||prox - S|| <= ||fpg - S|| + ||fpg - prox|| <= ||fpg - S|| + sqrt(2 * gap)
+    fpg, info = fpg_prox(z, tau, OracleConfig(max_iter=5000, tol=1e-12, mode=mode), return_info=True)
+    gap = duality_gap(z, fpg, info["p"], tau, mode)
     bound = 4.0 * tau * z.ndim * np.sqrt(z.size)
-    dist = l2_norm(exact - s)
+    dist = l2_norm(fpg - s) + np.sqrt(2.0 * max(gap, 0.0))
     bounded = dist <= bound
-    print(f"error bound: ||prox - S||={dist:.6e} <= 4*tau*d*sqrt(n)={bound:.6e}  "
-          f"[{'pass' if bounded else 'FAIL'}]")
+    print(f"error bound: ||prox - S|| <= ||fpg - S|| + sqrt(2*gap)={dist:.6e} (gap {gap:.1e}) "
+          f"<= 4*tau*d*sqrt(n)={bound:.6e}  [{'pass' if bounded else 'FAIL'}]")
     ok &= bounded
     return 0 if ok else 3
 

@@ -2,12 +2,11 @@
 
 fpg_prox runs an accelerated projected-gradient method on the dual of the
 TV-prox problem (per-entry or per-location dual-ball constraints for the
-anisotropic / isotropic case). Each iteration makes one difference pass and
-one adjoint pass of the shared slicing kernel: the primal point of the
-extrapolated dual q = p + beta*(p - p_prev) is x + beta*(x - x_prev), so
-only x = z - tau*D^T p is synthesised. Its first iteration from p = 0 is the
-closed-form approximate prox of tvprox.shrinkage. tautstring_prox_1d is an
-exact non-iterative solver for the 1D free-boundary problem, used to
+anisotropic / isotropic case), with one difference and one adjoint pass of
+the shared slicing kernel per iteration. Its first iteration from p = 0 is
+the closed-form approximate prox of tvprox.shrinkage; duality_gap certifies
+its output with its final dual. tautstring_prox_1d is an exact
+non-iterative solver for the 1D free-boundary problem, used to
 cross-validate FPG.
 """
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .frame import _adjoint_steps, _grad, _grad_adjoint, _grad_steps, _run
 from .shrinkage import _project_ball
-from .signal import l2_norm, validate_signal
+from .signal import validate_signal
 from .tv import _tv_of_differences, check_mode
 
 
@@ -54,7 +53,9 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     p constrained to the dual unit balls. Dual step 1/(4d), zero dual
     initialization, standard momentum, no restarts. Stops when the relative
     change of the primal iterate drops below cfg.tol; hitting max_iter
-    first emits a warning with the achieved change.
+    first warns, unless return_info asks for (x, info) with "iterations",
+    "rel_change", "converged" and "p": the final projected dual iterate,
+    feasible and with x = z - tau*D^T p, for duality_gap to certify x.
 
     One adjoint per iteration: D^T is linear, so the primal point
     z - tau*D^T q of the extrapolated dual q = p + beta*(p - p_prev) is
@@ -120,8 +121,32 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
             RuntimeWarning,
         )
     if return_info:
-        return x, {"iterations": iters, "rel_change": change, "converged": converged}
+        return x, {"iterations": iters, "rel_change": change, "converged": converged, "p": p}
     return x
+
+
+def duality_gap(z, x, p, tau, mode="aniso", boundary="circular"):
+    """Duality gap P(x) - D(p) of a candidate prox output x and a dual p.
+
+    P(x) = 0.5*||x - z||^2 + tau*tv_with_boundary(x, mode, boundary) and
+    D(p) = 0.5*||z||^2 - 0.5*||z - tau*D^T p||^2. For any x and any feasible
+    p (|entries| <= 1 for aniso, per-location norms <= 1 for iso), with
+    x* = prox(z): P(x) - P(x*) <= gap and 0.5*||x - x*||^2 <= gap. Evaluated
+    in one difference and one adjoint pass as the equal sum of two terms
+    nonnegative for feasible p, 0.5*||x - (z - tau*D^T p)||^2 and
+    tau*(TV(x) - <Dx, p>), it can read slightly below zero at convergence
+    from rounding (down to about -2e-16 * (1 + P(x)) on FPG outputs).
+    """
+    z, x, p = validate_signal(z), validate_signal(x, "x"), np.asarray(p, dtype=np.float64)
+    if x.shape != z.shape or p.shape != (z.ndim,) + z.shape:
+        raise ValueError(f"shape mismatch: z {z.shape}, x {x.shape}, p {p.shape}")
+    if tau <= 0.0:
+        raise ValueError(f"tau must be > 0, got {tau}")
+    OracleConfig(mode=mode, boundary=boundary)  # checks mode and boundary
+    r = x - (z - tau * _grad_adjoint(p, boundary))  # z - tau*D^T p as fpg_prox forms x
+    g = _grad(x, boundary)
+    coupling = float(np.vdot(g, p))  # before _tv_of_differences overwrites g
+    return 0.5 * float(np.vdot(r, r)) + tau * (_tv_of_differences(g, mode) - coupling)
 
 
 def tautstring_prox_1d(z, tau):
@@ -201,52 +226,3 @@ def tautstring_prox_1d(z, tau):
                 vmax += (umax + tau) / (k - k0 + 1)
                 umax = -tau
                 kp = k
-
-
-def prox_residual(z, x, tau, mode="aniso", boundary="circular", max_iter=5000):
-    """Optimality residual of a candidate prox output.
-
-    x = prox_{tau h}(z) exactly when (z - x)/tau is a subgradient of h at x,
-    i.e. (z - x) = tau * D^T p with p dual-feasible and aligned with the
-    nonzero entries/groups of Dx. The aligned components of p are pinned and
-    the remaining free components are fitted by an accelerated projected
-    least-squares solve; the returned value is the final misfit
-    ||tau * D^T p - (z - x)||_2 (0 iff optimal, up to solver tolerance).
-    """
-    z = validate_signal(z)
-    x = validate_signal(x)
-    if z.shape != x.shape:
-        raise ValueError(f"shape mismatch: {z.shape} vs {x.shape}")
-    check_mode(mode)
-    d = z.ndim
-    g = _grad(x, boundary)
-    w = z - x
-
-    zero_tol = 1e-8 * (np.abs(g).max() + np.finfo(np.float64).tiny)
-    if mode == "aniso":
-        fixed = np.abs(g) > zero_tol
-        p_fix = np.where(fixed, np.sign(g), 0.0)
-    else:
-        norms = np.sqrt((g**2).sum(axis=0))
-        fixed = np.broadcast_to(norms > zero_tol, g.shape)
-        p_fix = np.where(fixed, g / np.maximum(norms, zero_tol), 0.0)
-
-    def clamp_free(p):
-        return np.where(fixed, p_fix, _project_ball(np.where(fixed, 0.0, p), 1.0, mode))
-
-    step = 1.0 / (4.0 * d * tau**2)
-    p = clamp_free(p_fix)
-    q = p
-    t_prev = 1.0
-    res_prev = np.inf
-    for _ in range(max_iter):
-        misfit = tau * _grad_adjoint(q, boundary) - w
-        p_new = clamp_free(q - step * tau * _grad(misfit, boundary))
-        t = (1.0 + np.sqrt(1.0 + 4.0 * t_prev**2)) / 2.0
-        q = p_new + ((t_prev - 1.0) / t) * (p_new - p)
-        p, t_prev = p_new, t
-        res = l2_norm(tau * _grad_adjoint(p, boundary) - w)
-        if abs(res_prev - res) <= 1e-15 * (1.0 + res):
-            break
-        res_prev = res
-    return l2_norm(tau * _grad_adjoint(p, boundary) - w)

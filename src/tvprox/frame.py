@@ -48,13 +48,6 @@ class CoeffStack:
     def d(self):
         return self.avg.shape[0]
 
-    @property
-    def signal_shape(self):
-        return self.avg.shape[1:]
-
-    def copy(self):
-        return CoeffStack(self.avg.copy(), self.dif.copy())
-
 
 @lru_cache(maxsize=64)
 def _axis_slices(shape):

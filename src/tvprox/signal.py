@@ -46,9 +46,13 @@ def dot(a, b):
 
 
 def l2_norm(a):
-    """Euclidean norm sqrt(dot(a, a)), bit-identical to np.linalg.norm's path."""
+    """Euclidean norm sqrt(dot(a, a)), bit-identical to np.linalg.norm's path
+    unless the squares of finite entries overflow: then it rescales by max|a|."""
     a = np.asarray(a, dtype=np.float64).ravel()
-    return math.sqrt(a.dot(a))
+    norm = math.sqrt(a.dot(a))
+    if norm == math.inf and (big := np.abs(a).max()) < math.inf:
+        return big * l2_norm(a / big)
+    return norm
 
 
 def rel_change(x_t, x_prev):

@@ -91,11 +91,11 @@ def objective(problem, cfg, x):
     return float(val)
 
 
-def _tv_prox(z, cfg, fpg_infos):
+def _tv_prox(z, cfg, fpg_solves):
     """Pluggable prox of lambda*tv at scale tau = gamma*lambda.
 
     lambda = 0 means no regularization: the prox step is skipped entirely.
-    Each FPG solve's info dict is appended to fpg_infos.
+    Each FPG solve appends (iterations, converged), not its dual, to fpg_solves.
     """
     tau = cfg.tau
     if tau == 0.0:
@@ -108,20 +108,20 @@ def _tv_prox(z, cfg, fpg_infos):
     # return_info=True: a budgeted sub-solve that stops short does not warn;
     # it is counted in the run's fpg_not_converged instead
     x, info = fpg_prox(z, tau, oracle, return_info=True)
-    fpg_infos.append(info)
+    fpg_solves.append((info["iterations"], info["converged"]))
     return x
 
 
-def _fpg_counters(cfg, fpg_infos):
+def _fpg_counters(cfg, fpg_solves):
     """RunReport.extras counters of the inner FPG solves of an exact-prox run."""
     if cfg.prox_choice != "exact":
         return {}
-    iters = [info["iterations"] for info in fpg_infos]
+    iters = [n for n, _ in fpg_solves]
     return {
         "fpg_calls": len(iters),
         "fpg_iters": sum(iters),
         "fpg_iters_max": max(iters, default=0),
-        "fpg_not_converged": sum(not info["converged"] for info in fpg_infos),
+        "fpg_not_converged": sum(not converged for _, converged in fpg_solves),
     }
 
 
@@ -154,11 +154,11 @@ def apgm(problem, cfg, x0):
     s = x0.copy()
     q_prev = 1.0
     trace = []
-    fpg_infos = []
+    fpg_solves = []
     stop_reason = "max-iter"
     for k in range(1, cfg.max_iter + 1):
         z = s - cfg.gamma * problem.grad_g(s)
-        x = _tv_prox(z, cfg, fpg_infos)
+        x = _tv_prox(z, cfg, fpg_solves)
         q = fista_momentum(q_prev)
         s = x + ((q_prev - 1.0) / q) * (x - x_prev)
         f = objective(problem, cfg, x)
@@ -175,7 +175,7 @@ def apgm(problem, cfg, x0):
         iterations=len(trace),
         stop_reason=stop_reason,
         wall_time=time.perf_counter() - t0,
-        extras=_fpg_counters(cfg, fpg_infos),
+        extras=_fpg_counters(cfg, fpg_solves),
     )
 
 
@@ -193,12 +193,12 @@ def admm(problem, cfg, x0):
     x = x0.copy()
     s = np.zeros_like(x0)
     trace = []
-    fpg_infos = []
+    fpg_solves = []
     stop_reason = "max-iter"
     primal_residual = np.inf
     for k in range(1, cfg.max_iter + 1):
         z = problem.prox_g(x - s, cfg.gamma)
-        x_new = _tv_prox(z + s, cfg, fpg_infos)
+        x_new = _tv_prox(z + s, cfg, fpg_solves)
         # Dual ascent sign matches the (x - s) / (z + s) prox arguments above:
         # the multiplier estimate grows along z - x, not x - z.
         s = s + z - x_new
@@ -218,5 +218,5 @@ def admm(problem, cfg, x0):
         stop_reason=stop_reason,
         wall_time=time.perf_counter() - t0,
         extras={"primal_residual": primal_residual, "dual_norm": l2_norm(s),
-                **_fpg_counters(cfg, fpg_infos)},
+                **_fpg_counters(cfg, fpg_solves)},
     )

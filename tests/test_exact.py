@@ -1,6 +1,6 @@
 """Exact-prox oracles: FPG on the dual, the 1D taut string, and the
-optimality residual, cross-checked against each other and against simple
-grid/bisection oracles."""
+duality gap that certifies an FPG output, cross-checked against each other
+and against simple grid/bisection oracles."""
 
 import math
 
@@ -9,8 +9,8 @@ import pytest
 
 from tvprox.exact import (
     OracleConfig,
+    duality_gap,
     fpg_prox,
-    prox_residual,
     tautstring_prox_1d,
     tv_with_boundary,
 )
@@ -205,21 +205,41 @@ def test_tv_with_boundary():
     assert tv_with_boundary(z, "aniso", "free") == 4.0
 
 
-def test_prox_residual_at_optimum():
+def test_duality_gap_at_optimum():
     rng = np.random.default_rng(48)
     z = rng.standard_normal((8, 8))
     tau = 0.3
-    x = fpg_prox(z, tau, OracleConfig(max_iter=20000, tol=1e-13))
-    assert prox_residual(z, x, tau) <= 1e-8
+    x, info = fpg_prox(z, tau, OracleConfig(max_iter=20000, tol=1e-13), return_info=True)
+    assert duality_gap(z, x, info["p"], tau) <= 1e-10
 
 
-def test_prox_residual_detects_nonoptimal():
+def test_duality_gap_detects_nonoptimal():
+    # x = z is not the prox; the converged dual p* cannot certify it
     rng = np.random.default_rng(49)
     z = rng.standard_normal((6, 6))
     assert tv(z, "aniso") > 0
-    assert prox_residual(z, z, 0.5) > 1e-3
+    _, info = fpg_prox(z, 0.5, OracleConfig(max_iter=20000, tol=1e-13), return_info=True)
+    assert duality_gap(z, z, info["p"], 0.5) > 1e-3
 
 
-def test_prox_residual_constant():
+def test_duality_gap_constant():
     z = np.full((5, 5), 1.0)
-    assert prox_residual(z, z, 0.5) == 0.0
+    x, info = fpg_prox(z, 0.5, return_info=True)
+    assert duality_gap(z, x, info["p"], 0.5) == 0.0
+
+
+def test_duality_gap_validates_inputs():
+    z = np.zeros((4, 5))
+    p = np.zeros((2, 4, 5))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        duality_gap(z, np.zeros((5, 4)), p, 0.5)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        duality_gap(z, z, np.zeros((1, 4, 5)), 0.5)
+    with pytest.raises(ValueError, match="tau"):
+        duality_gap(z, z, p, 0.0)
+    with pytest.raises(ValueError, match="mode"):
+        duality_gap(z, z, p, 0.5, mode="l1")
+    with pytest.raises(ValueError, match="boundary"):
+        duality_gap(z, z, p, 0.5, boundary="mirror")
+    with pytest.raises(ValueError, match="non-finite"):
+        duality_gap(z, np.full((4, 5), np.nan), p, 0.5)

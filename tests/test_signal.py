@@ -81,6 +81,16 @@ def test_rel_change():
         assert rel_change(a, b) == pytest.approx(want, rel=1e-14)
 
 
+def test_norms_of_huge_finite_signals_do_not_overflow():
+    # the squares overflow, the norms and the change do not
+    with np.errstate(over="ignore"):
+        assert l2_norm([1e200, 0.0]) == 1e200
+        assert l2_norm([3e200, -4e200]) == pytest.approx(5e200, rel=1e-15)
+        assert rel_change([1.1e200, 0.0], [1e200, 0.0]) == pytest.approx(0.1, rel=1e-14)
+        assert rel_change([1e200, 1e140], [1e200, 0.0]) == pytest.approx(1e-60, rel=1e-14)
+        assert l2_norm([np.inf, 1.0]) == np.inf
+
+
 def test_rel_change_zero_denominator():
     with pytest.raises(ZeroNormError):
         rel_change(np.ones(3), np.zeros(3))
