@@ -131,6 +131,8 @@ def _run_prox_check(args):
         return _config_error(f"tau must be finite and > 0, got {tau}")
     if size < 2:
         return _config_error(f"size must be >= 2, got {size}")
+    if args.seed < 0:
+        return _config_error(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     ok = True
 

@@ -174,8 +174,11 @@ def add_awgn(x, sigma, seed):
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         return x.copy()
-    rng = np.random.default_rng(seed)
-    return x + sigma * rng.standard_normal(x.shape)
+    # Built in the noise buffer: n * sigma + x is x + sigma * n bit for bit.
+    noisy = np.random.default_rng(seed).standard_normal(x.shape)
+    noisy *= sigma
+    noisy += x
+    return noisy
 
 
 def prox_g_denoise(v, gamma, y):

@@ -1,8 +1,14 @@
 """CLI: config-file merging, subcommands, exit codes, and output files."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tvprox
 from tvprox.cli import _read_config_file, build_parser, main
 from tvprox.experiments import TABLE_HEADER
 
@@ -102,6 +108,9 @@ def test_byte_identical_tables(tmp_path):
     ["prox-check", "--tau", "0"],
     ["prox-check", "--tau", "-1"],
     ["prox-check", "--size", "1"],
+    ["denoise", "--seed", "-1"],
+    ["ct", "--seed", "-1"],
+    ["prox-check", "--seed", "-1"],
 ])
 def test_bad_sweep_input_exits_2(argv, capsys):
     assert main(argv) == 2
@@ -117,3 +126,12 @@ def test_config_file_values_are_checked_like_flags(tmp_path, capsys, line):
     assert "config error:" in err
     assert line.split("=")[0] + ":" in err  # the message names the key
     assert not (tmp_path / "o").exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(tvprox.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "tvprox", "prox-check", "--size", "8"],
+                          env=env, timeout=120, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "error bound:" in proc.stdout

@@ -3,6 +3,8 @@ full trend runs live in test_acceptance)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvprox import experiments
 from tvprox.exact import OracleConfig, duality_gap, fpg_prox
@@ -36,6 +38,44 @@ def test_phantom_structure():
     assert len(np.unique(img)) <= 32  # n_disks + 2
     with pytest.raises(ValueError):
         gen_foam_phantom(8, seed=0)
+    with pytest.raises(ValueError, match="n_disks"):
+        gen_foam_phantom(16, seed=0, n_disks=-1)
+
+
+def _full_image_phantom(size, seed, n_disks=30):
+    """The phantom rasterized the direct way: every pixel tested against
+    every void, with a Generator.uniform draw per random number."""
+    rng = np.random.default_rng(seed)
+    c = (size - 1) / 2.0
+    yy, xx = np.mgrid[0:size, 0:size]
+    r_main = 0.45 * size
+    img = np.where((xx - c) ** 2 + (yy - c) ** 2 <= r_main**2, 1.0, 0.0)
+    placed = []
+    attempts = 0
+    while len(placed) < n_disks and attempts < 20 * n_disks:
+        attempts += 1
+        r = rng.uniform(0.04, 0.12) * size
+        rho = rng.uniform(0.0, r_main - r - 1.0)
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        cx = c + rho * np.cos(phi)
+        cy = c + rho * np.sin(phi)
+        value = rng.uniform(0.0, 1.0)
+        if any((cx - px) ** 2 + (cy - py) ** 2 < (r + pr) ** 2 for px, py, pr in placed):
+            continue
+        img[(xx - cx) ** 2 + (yy - cy) ** 2 <= r**2] = value
+        placed.append((cx, cy, r))
+    return img
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(size=st.integers(16, 96), seed=st.integers(0, 2**63), n_disks=st.integers(0, 40))
+def test_phantom_matches_full_image_rasterizer(size, seed, n_disks):
+    expected = _full_image_phantom(size, seed, n_disks).tobytes()
+    assert gen_foam_phantom(size, seed, n_disks).tobytes() == expected
+
+
+def test_phantom_matches_full_image_rasterizer_at_1024():
+    assert gen_foam_phantom(1024, seed=3).tobytes() == _full_image_phantom(1024, seed=3).tobytes()
 
 
 def test_psnr():
@@ -89,7 +129,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(lambda_grid=())
     for bad in (dict(lambda_grid=(-0.5,)), dict(gamma_grid=(0.1, 0.0)), dict(gamma_grid=(np.inf,)),
-                dict(image_size=15), dict(n_phantoms=0), dict(n_angles=0), dict(noise_sigma=-1.0)):
+                dict(image_size=15), dict(n_phantoms=0), dict(n_angles=0), dict(noise_sigma=-1.0),
+                dict(seed=-1)):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
     cfg = ExperimentConfig(task="ct")

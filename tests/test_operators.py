@@ -135,6 +135,11 @@ def test_awgn():
     assert e.var() == pytest.approx(0.49, rel=0.01)
     with pytest.raises(ValueError):
         add_awgn(x, -0.1, seed=0)
+    # built in place, yet bit-identical to the direct sum
+    y = np.random.default_rng(9).random((33, 17))
+    for sigma, seed in ((0.1, 500), (0.5, 1501), (3.0, 7)):
+        expected = y + sigma * np.random.default_rng(seed).standard_normal(y.shape)
+        assert add_awgn(y, sigma, seed=seed).tobytes() == expected.tobytes()
 
 
 def test_prox_g_denoise():
