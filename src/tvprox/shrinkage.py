@@ -11,13 +11,19 @@ step, from p = 0, of the FPG oracle in tvprox.exact. approx_prox analyses
 with w_forward and fuses threshold and synthesis: it projects the
 difference blocks in place and applies one difference adjoint, with no
 sub-iterations; the averaging blocks are never synthesised.
+
+The solvers bind S_tau once per solve with _bind_approx_prox, on fixed
+input, difference-stack and output buffers: each call runs the same
+arithmetic as approx_prox, in the same order, and validates nothing.
+approx_prox validates its input through w_forward.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import CoeffStack, _grad_adjoint, w_forward
+from .frame import CoeffStack, _adjoint_steps, _grad_steps, _run, w_forward
 from .tv import check_mode
 
 
@@ -104,6 +110,18 @@ def _project_ball(p, radius, mode):
     return p
 
 
+def _threshold_synthesise(z, dif, radius, mode, synthesis, out):
+    """Threshold and synthesis: z - D^T P(dif) / (2 sqrt d) into out.
+
+    dif = D z / (2 sqrt d) is projected in place at radius; synthesis are
+    the kernel calls that write D^T dif into out.
+    """
+    _project_ball(dif, radius, mode)
+    _run(synthesis)
+    out *= 1.0 / (2.0 * math.sqrt(len(dif)))
+    return np.subtract(z, out, out=out)
+
+
 def approx_prox(z, params):
     """Closed-form approximate TV proximal operator S_tau(z) = W^T T(W z).
 
@@ -114,9 +132,34 @@ def approx_prox(z, params):
     is D^T / (2 sqrt d). The averaging blocks are never synthesised and no
     thresholded stack is built; O(n d), no iterations; w_forward validates z.
     """
-    u = w_forward(z)
+    dif = w_forward(z).dif
     z = np.asarray(z, dtype=np.float64)
+    out = np.empty(z.shape)
+    scratch = np.empty(z.shape) if z.ndim > 1 else None
+    synthesis = _adjoint_steps(dif, out, scratch, "circular")
+    return _threshold_synthesise(z, dif, params.threshold(z.ndim), params.mode, synthesis, out)
+
+
+def _bind_approx_prox(z, outs, dif, scratch, params):
+    """One kernel per buffer of outs that writes S_tau of what z holds into it.
+
+    The analysis is w_forward's difference half, D z scaled after the
+    subtraction, into the stack dif; scratch is the adjoint scratch (None
+    when d = 1). Nothing is validated: the caller checks the iterates.
+    """
     d = z.ndim
-    out = _grad_adjoint(_project_ball(u.dif, params.threshold(d), params.mode))
-    out *= 1.0 / (2.0 * np.sqrt(d))
-    return np.subtract(z, out, out=out)
+    scale = 1.0 / (2.0 * math.sqrt(d))
+    radius = params.threshold(d)
+    analysis = _grad_steps(z, dif, "circular")
+
+    def bind(out):
+        synthesis = _adjoint_steps(dif, out, scratch, "circular")
+
+        def prox():
+            _run(analysis)
+            np.multiply(dif, scale, out=dif)
+            return _threshold_synthesise(z, dif, radius, params.mode, synthesis, out)
+
+        return prox
+
+    return [bind(out) for out in outs]

@@ -3,18 +3,28 @@
 Both solvers take a pluggable TV prox: the closed-form approximate operator
 or the iterative FPG oracle, applied at scale tau = gamma * lambda. They
 stop when the relative iterate change drops below stop_tol.
+
+Each solve validates x0 at entry and binds its working set once (see
+_working_set), so an approximate iteration makes only ufunc calls, in the
+order approx_prox, tv and objective would make them on fresh arrays; the
+exact prox calls this module's fpg_prox once per iteration. Iterates are
+not validated again: a non-finite one makes the objective non-finite, and
+the finiteness check raises SolverDivergence.
 """
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .exact import OracleConfig, fpg_prox
-from .shrinkage import ProxParams, approx_prox
-from .signal import ZeroNormError, l2_norm, rel_change, validate_signal
-from .tv import check_mode, tv
+from .frame import _grad_steps, _run
+from .shrinkage import ProxParams, _bind_approx_prox
+from .signal import l2_norm, validate_signal
+from .tv import _tv_of_differences, check_mode, tv
 
 
 class SolverDivergence(RuntimeError):
@@ -75,7 +85,7 @@ def fista_momentum(q_prev):
     """Accelerated momentum recurrence (1 + sqrt(1 + 4 q^2)) / 2."""
     if q_prev < 1.0:
         raise ValueError("momentum parameter must be >= 1")
-    return (1.0 + np.sqrt(1.0 + 4.0 * q_prev**2)) / 2.0
+    return (1.0 + math.sqrt(1.0 + 4.0 * q_prev**2)) / 2.0
 
 
 def objective(problem, cfg, x):
@@ -84,32 +94,70 @@ def objective(problem, cfg, x):
     A diverging iterate may overflow here; numpy's warning is silenced
     because the caller's finiteness check raises SolverDivergence instead.
     """
+    return _objective(problem, cfg, x, partial(tv, x, cfg.mode))
+
+
+def _objective(problem, cfg, x, tv_x):
+    """objective with tv(x, mode) given as the zero-argument kernel tv_x."""
     with np.errstate(over="ignore", invalid="ignore"):
         val = problem.objective_g(x)
         if cfg.lam > 0:
-            val += cfg.lam * tv(x, cfg.mode)
+            val += cfg.lam * tv_x()
     return float(val)
 
 
-def _tv_prox(z, cfg, fpg_solves):
-    """Pluggable prox of lambda*tv at scale tau = gamma*lambda.
+def _bind_tv_prox(cfg, z, xs, dif, scratch, fpg_solves):
+    """Prox of lambda*tv at scale tau = gamma*lambda, bound once per solve.
 
-    lambda = 0 means no regularization: the prox step is skipped entirely.
-    Each FPG solve appends (iterations, converged), not its dual, to fpg_solves.
+    Returns one kernel per iterate buffer of xs: calling it writes the prox
+    of what z holds into that buffer. lambda = 0 means no regularization:
+    the prox step copies z. Each FPG solve appends (iterations, converged),
+    not its dual, to fpg_solves.
     """
     tau = cfg.tau
     if tau == 0.0:
-        return np.asarray(z, dtype=np.float64).copy()
+        return [partial(np.copyto, x, z) for x in xs]
     if cfg.prox_choice == "approx":
-        return approx_prox(z, ProxParams(tau, cfg.mode))
+        return _bind_approx_prox(z, xs, dif, scratch, ProxParams(tau, cfg.mode))
     oracle = cfg.oracle or OracleConfig(mode=cfg.mode)
     if oracle.mode != cfg.mode:
         raise ValueError("oracle mode does not match solver mode")
-    # return_info=True: a budgeted sub-solve that stops short does not warn;
-    # it is counted in the run's fpg_not_converged instead
-    x, info = fpg_prox(z, tau, oracle, return_info=True)
-    fpg_solves.append((info["iterations"], info["converged"]))
-    return x
+
+    def exact(x):
+        # return_info=True: a budgeted sub-solve that stops short does not
+        # warn; it is counted in the run's fpg_not_converged instead
+        x_k, info = fpg_prox(z, tau, oracle, return_info=True)
+        fpg_solves.append((info["iterations"], info["converged"]))
+        np.copyto(x, x_k)
+
+    return [partial(exact, x) for x in xs]
+
+
+def _bind_tv(x, dif, mode):
+    """Kernel returning tv(x, mode) of what buffer x holds, through dif."""
+    steps = _grad_steps(x, dif, "circular")
+
+    def tv_x():
+        _run(steps)
+        return _tv_of_differences(dif, mode)
+
+    return tv_x
+
+
+def _working_set(cfg, x0, fpg_solves):
+    """Buffers and bound kernels of one solve, as (z, xs, prox, tvs).
+
+    z is the prox input and xs two C-contiguous iterate buffers that swap
+    each iteration, xs[0] a copy of x0. prox[i]() writes the TV prox of z
+    into xs[i] and tvs[i]() returns tv(xs[i], mode); both use one
+    difference stack, which the TV pass overwrites after the prox.
+    """
+    z = np.empty(x0.shape)
+    xs = (x0.copy(), np.empty(x0.shape))
+    dif = np.empty((x0.ndim,) + x0.shape)
+    scratch = np.empty(x0.shape) if x0.ndim > 1 else None
+    prox = _bind_tv_prox(cfg, z, xs, dif, scratch, fpg_solves)
+    return z, xs, prox, [_bind_tv(x, dif, cfg.mode) for x in xs]
 
 
 def _fpg_counters(cfg, fpg_solves):
@@ -125,11 +173,11 @@ def _fpg_counters(cfg, fpg_solves):
     }
 
 
-def _stopped(x, x_prev, tol):
-    try:
-        return rel_change(x, x_prev) <= tol
-    except ZeroNormError:
-        return False
+def _stopped(dx, x_prev, tol):
+    """rel_change(x, x_prev) <= tol, given dx = x - x_prev; never when
+    x_prev has zero norm."""
+    denom = l2_norm(x_prev)
+    return denom != 0.0 and l2_norm(dx) / denom <= tol
 
 
 def _check_finite(f, k, algorithm):
@@ -141,7 +189,9 @@ def apgm(problem, cfg, x0):
     """Accelerated proximal gradient with the selected TV prox.
 
     Per iteration: z = s - gamma*grad_g(s); x = prox(z) at tau = gamma*lam;
-    s extrapolates x with the accelerated momentum weights.
+    s extrapolates x with the accelerated momentum weights. z, s and
+    x - x_prev are formed in place, and x - x_prev serves both the
+    extrapolation and the stop test.
     """
     x0 = validate_signal(x0)
     if problem.lipschitz_L is not None and cfg.gamma > 1.0 / problem.lipschitz_L:
@@ -150,24 +200,29 @@ def apgm(problem, cfg, x0):
             RuntimeWarning,
         )
     t0 = time.perf_counter()
-    x_prev = x0.copy()
+    fpg_solves = []
+    z, xs, prox, tvs = _working_set(cfg, x0, fpg_solves)
     s = x0.copy()
+    dx = np.empty(x0.shape)
     q_prev = 1.0
     trace = []
-    fpg_solves = []
     stop_reason = "max-iter"
     for k in range(1, cfg.max_iter + 1):
-        z = s - cfg.gamma * problem.grad_g(s)
-        x = _tv_prox(z, cfg, fpg_solves)
+        # iteration k writes x into xs[k % 2]; x_prev is in the other buffer
+        x, x_prev = xs[k % 2], xs[1 - k % 2]
+        np.multiply(problem.grad_g(s), cfg.gamma, out=z)
+        np.subtract(s, z, out=z)
+        prox[k % 2]()
         q = fista_momentum(q_prev)
-        s = x + ((q_prev - 1.0) / q) * (x - x_prev)
-        f = objective(problem, cfg, x)
+        np.subtract(x, x_prev, out=dx)
+        np.multiply(dx, (q_prev - 1.0) / q, out=s)
+        s += x
+        f = _objective(problem, cfg, x, tvs[k % 2])
         _check_finite(f, k, "apgm")
         trace.append(f)
-        if _stopped(x, x_prev, cfg.stop_tol):
+        if _stopped(dx, x_prev, cfg.stop_tol):
             stop_reason = "tolerance-met"
             break
-        x_prev = x
         q_prev = q
     return RunReport(
         final_x=x,
@@ -184,39 +239,41 @@ def admm(problem, cfg, x0):
 
     Per iteration: z = prox_{gamma g}(x - s); x = prox_tv(z + s) at
     tau = gamma*lam; s += x - z. Uses the freshly computed z in the
-    x-update.
+    x-update. x - s, z + s and the dual s are formed in place; the primal
+    residual ||x - z|| is taken once, of the last iteration.
     """
     x0 = validate_signal(x0)
     if problem.prox_g is None:
         raise ValueError("admm requires problem.prox_g")
     t0 = time.perf_counter()
-    x = x0.copy()
-    s = np.zeros_like(x0)
-    trace = []
     fpg_solves = []
+    v, xs, prox, tvs = _working_set(cfg, x0, fpg_solves)  # v: z + s, the TV prox input
+    s = np.zeros(x0.shape)
+    w = np.empty(x0.shape)  # x - s, the prox_g input
+    dx = np.empty(x0.shape)
+    trace = []
     stop_reason = "max-iter"
-    primal_residual = np.inf
     for k in range(1, cfg.max_iter + 1):
-        z = problem.prox_g(x - s, cfg.gamma)
-        x_new = _tv_prox(z + s, cfg, fpg_solves)
+        x, x_new = xs[1 - k % 2], xs[k % 2]
+        z = problem.prox_g(np.subtract(x, s, out=w), cfg.gamma)
+        np.add(z, s, out=v)
+        prox[k % 2]()
         # Dual ascent sign matches the (x - s) / (z + s) prox arguments above:
         # the multiplier estimate grows along z - x, not x - z.
-        s = s + z - x_new
-        f = objective(problem, cfg, x_new)
+        s += z
+        s -= x_new
+        f = _objective(problem, cfg, x_new, tvs[k % 2])
         _check_finite(f, k, "admm")
         trace.append(f)
-        primal_residual = l2_norm(x_new - z)
-        if _stopped(x_new, x, cfg.stop_tol):
-            x = x_new
+        if _stopped(np.subtract(x_new, x, out=dx), x, cfg.stop_tol):
             stop_reason = "tolerance-met"
             break
-        x = x_new
     return RunReport(
-        final_x=x,
+        final_x=x_new,
         objective_trace=np.array(trace),
         iterations=len(trace),
         stop_reason=stop_reason,
         wall_time=time.perf_counter() - t0,
-        extras={"primal_residual": primal_residual, "dual_norm": l2_norm(s),
+        extras={"primal_residual": l2_norm(x_new - z), "dual_norm": l2_norm(s),
                 **_fpg_counters(cfg, fpg_solves)},
     )

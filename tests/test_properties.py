@@ -1,5 +1,5 @@
-"""Property tests of the frame, the approximate prox and the FPG oracle on
-drawn shapes.
+"""Property tests of the frame, the approximate prox, the FPG oracle and the
+solvers' bound approximate-prox loops on drawn shapes.
 
 Shapes have d = 1..3 axes with every extent in 2..9, so extent-2 axes,
 where the slicing kernel's boundary slab is half the axis, are drawn too.
@@ -17,7 +17,9 @@ from hypothesis.extra import numpy as hnp
 from tvprox.exact import OracleConfig, duality_gap, fpg_prox, tautstring_prox_1d, tv_with_boundary
 from tvprox.frame import CoeffStack, _grad, _grad_adjoint, stack_norm, w_adjoint, w_forward
 from tvprox.shrinkage import ProxParams, _project_ball, approx_prox
-from tvprox.signal import dot, l2_norm
+from tvprox.operators import prox_g_denoise
+from tvprox.signal import ZeroNormError, dot, l2_norm, rel_change
+from tvprox.solvers import Problem, SolverConfig, admm, apgm, objective
 from tvprox.tv import MODES, tv
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
@@ -141,6 +143,96 @@ def test_fpg_prox_bit_identical_to_unbound_loop(z, tau, mode, boundary):
     got, info = fpg_prox(z, tau, cfg, return_info=True)
     assert np.array_equal(got, want)
     assert info["iterations"] == iters
+
+
+def _per_call_prox(z, cfg):
+    return approx_prox(z, ProxParams(cfg.tau, cfg.mode)) if cfg.tau > 0 else z.copy()
+
+
+def _per_call_stopped(x, x_prev, tol):
+    try:
+        return rel_change(x, x_prev) <= tol
+    except ZeroNormError:
+        return False
+
+
+def per_call_apgm(problem, cfg, x0):
+    # apgm's approximate-prox loop with approx_prox, objective (so tv) and
+    # rel_change called per iteration on fresh arrays: the same arithmetic
+    # in the same order, so the results must be bit-identical
+    x_prev, s, q_prev, trace, stop = x0.copy(), x0.copy(), 1.0, [], "max-iter"
+    for _ in range(cfg.max_iter):
+        z = s - cfg.gamma * problem.grad_g(s)
+        x = _per_call_prox(z, cfg)
+        q = (1.0 + np.sqrt(1.0 + 4.0 * q_prev**2)) / 2.0
+        s = x + ((q_prev - 1.0) / q) * (x - x_prev)
+        trace.append(objective(problem, cfg, x))
+        if _per_call_stopped(x, x_prev, cfg.stop_tol):
+            stop = "tolerance-met"
+            break
+        x_prev, q_prev = x, q
+    return x, np.array(trace), stop, None
+
+
+def per_call_admm(problem, cfg, x0):
+    # admm's approximate-prox loop, per call as above, with the primal
+    # residual taken on every iteration
+    x, s, trace, stop = x0.copy(), np.zeros_like(x0), [], "max-iter"
+    for _ in range(cfg.max_iter):
+        z = problem.prox_g(x - s, cfg.gamma)
+        x_new = _per_call_prox(z + s, cfg)
+        s = s + z - x_new
+        trace.append(objective(problem, cfg, x_new))
+        residual = l2_norm(x_new - z)
+        done = _per_call_stopped(x_new, x, cfg.stop_tol)
+        x = x_new
+        if done:
+            stop = "tolerance-met"
+            break
+    return x, np.array(trace), stop, residual
+
+
+@st.composite
+def solver_runs(draw):
+    """(y, x0, cfg, None) for a denoising run, with a budget and tolerance
+    that mostly stop it by tolerance or mostly at max_iter. The TV prox
+    keeps the mean, so the data's mean of at least 150 in size keeps the
+    iterates off the zero vector, where the relative-change stop never
+    fires. The examples below give the stop reason in place of None."""
+    shape = draw(SHAPES)
+    y = draw(_values(shape)) + draw(st.sampled_from((-250.0, 250.0)))
+    x0 = np.zeros(shape) if draw(st.booleans()) else y.copy()
+    budget = draw(st.sampled_from((dict(stop_tol=1e-3, max_iter=20000),
+                                   dict(stop_tol=1e-300, max_iter=draw(st.integers(1, 40))))))
+    lam = draw(st.sampled_from((0.0, 0.5, 3.0)))
+    cfg = SolverConfig(gamma=draw(st.floats(0.05, 1.0)), lam=lam, mode=draw(st.sampled_from(MODES)), **budget)
+    return y, x0, cfg, None
+
+
+@settings(PROPERTY, max_examples=60)
+@given(solver_runs(), st.sampled_from(("apgm", "admm")))
+# extent-2 axes and both stops, with and without regularization
+@example((np.array([3.0, -1.0]), np.zeros(2), SolverConfig(gamma=0.5, lam=0.5, stop_tol=1e-3), "tolerance-met"), "apgm")
+@example((np.arange(12.0).reshape(3, 2, 2) % 7, np.zeros((3, 2, 2)),
+          SolverConfig(gamma=0.9, lam=3.0, mode="iso", stop_tol=1e-300, max_iter=25), "max-iter"), "admm")
+@example((np.arange(18.0).reshape(2, 9) % 5, np.ones((2, 9)),
+          SolverConfig(gamma=0.3, lam=0.0, stop_tol=1e-3), "tolerance-met"), "admm")
+@example((np.arange(8.0).reshape(2, 2, 2) ** 2, np.zeros((2, 2, 2)),
+          SolverConfig(gamma=0.7, lam=0.5, mode="iso", stop_tol=1e-300, max_iter=30), "max-iter"), "apgm")
+def test_bound_solvers_bit_identical_to_per_call_loops(run, solver):
+    y, x0, cfg, stop = run
+    problem = Problem(grad_g=lambda x: x - y, objective_g=lambda x: 0.5 * float(((y - x) ** 2).sum()),
+                      prox_g=lambda v, gamma: prox_g_denoise(v, gamma, y), lipschitz_L=1.0)
+    reference = per_call_apgm if solver == "apgm" else per_call_admm
+    want_x, want_trace, want_stop, want_residual = reference(problem, cfg, x0)
+    report = (apgm if solver == "apgm" else admm)(problem, cfg, x0)
+    assert stop in (None, want_stop)
+    assert np.array_equal(report.final_x, want_x)
+    assert np.array_equal(report.objective_trace, want_trace)
+    assert report.iterations == len(want_trace)
+    assert report.stop_reason == want_stop
+    if solver == "admm":
+        assert report.extras["primal_residual"] == want_residual
 
 
 @settings(PROPERTY, max_examples=60)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from tvprox.exact import OracleConfig
+from tvprox.frame import w_forward
 from tvprox.operators import add_awgn, prox_g_denoise
+from tvprox.shrinkage import ProxParams, approx_prox
 from tvprox.signal import l2_norm
 from tvprox.solvers import (
     Problem,
@@ -213,3 +215,40 @@ def test_exact_runs_report_inner_fpg_counters():
     approx = SolverConfig(gamma=0.5, lam=0.4, max_iter=2)
     assert apgm(prob, approx, y.copy()).extras == {}
     assert "fpg_calls" not in admm(prob, approx, y.copy()).extras
+
+
+def _nan_at_call(fn, bad_call):
+    """fn, except that call number bad_call (from 1) returns NaNs of its shape."""
+    calls = [0]
+
+    def wrapped(*args):
+        calls[0] += 1
+        out = fn(*args)
+        return np.full_like(out, np.nan) if calls[0] == bad_call else out
+
+    return wrapped
+
+
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+def test_non_finite_iterate_raises_solver_divergence(mode):
+    # the iterates are validated once, at entry; a non-finite iterate later
+    # surfaces through the objective's finiteness check, not as a ValueError
+    rng = np.random.default_rng(69)
+    y = rng.standard_normal((6, 6))
+    cfg = SolverConfig(gamma=0.5, lam=0.3, mode=mode, stop_tol=1e-300, max_iter=10)
+    prob = denoise_problem(y)
+    bad_grad = Problem(grad_g=_nan_at_call(prob.grad_g, 3), objective_g=prob.objective_g, lipschitz_L=1.0)
+    with pytest.raises(SolverDivergence, match="iteration 3"):
+        apgm(bad_grad, cfg, y.copy())
+    bad_prox = Problem(grad_g=prob.grad_g, objective_g=prob.objective_g, prox_g=_nan_at_call(prob.prox_g, 3))
+    with pytest.raises(SolverDivergence, match="iteration 3"):
+        admm(bad_prox, cfg, y.copy())
+    x0 = y.copy()
+    x0[2, 3] = np.nan
+    for solve in (apgm, admm):
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(prob, cfg, x0)
+    # the public kernels still validate when called directly
+    for call in (lambda: approx_prox(x0, ProxParams(0.1, mode)), lambda: tv(x0, mode), lambda: w_forward(x0)):
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
