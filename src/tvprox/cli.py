@@ -152,7 +152,7 @@ def _run_prox_check(args):
     ok &= nonexp
 
     # ||prox - S|| <= ||fpg - S|| + ||fpg - prox|| <= ||fpg - S|| + sqrt(2 * gap)
-    fpg, info = fpg_prox(z, tau, OracleConfig(max_iter=5000, tol=1e-12, mode=mode), return_info=True)
+    fpg, info = fpg_prox(z, tau, OracleConfig(max_iter=5000, gap_tol=1e-11, mode=mode), return_info=True)
     gap = duality_gap(z, fpg, info["p"], tau, mode)
     bound = 4.0 * tau * z.ndim * np.sqrt(z.size)
     dist = l2_norm(fpg - s) + np.sqrt(2.0 * max(gap, 0.0))

@@ -18,24 +18,31 @@ import numpy as np
 
 from .frame import _adjoint_steps, _grad, _grad_adjoint, _grad_steps, _run
 from .shrinkage import _project_ball
-from .signal import validate_signal
+from .signal import check_count, check_tolerance, validate_signal
 from .tv import _tv_of_differences, check_mode
 
 
 @dataclass
 class OracleConfig:
-    """Iteration budget and stopping tolerance of the dual FPG oracle."""
+    """Iteration budget and stopping rule of the dual FPG oracle.
+
+    By default fpg_prox stops on the relative change of its primal iterate
+    (tol). Setting gap_tol switches it to a certified mode: momentum
+    restarts, and a stop when the duality gap relative to the primal
+    objective is at most gap_tol; tol is then unused.
+    """
 
     max_iter: int = 500
     tol: float = 1e-10
     mode: str = "aniso"
     boundary: str = "circular"
+    gap_tol: float | None = None
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be > 0")
+        check_count("max_iter", self.max_iter)
+        check_tolerance("tol", self.tol)
+        if self.gap_tol is not None:
+            check_tolerance("gap_tol", self.gap_tol)
         check_mode(self.mode)
         if self.boundary not in ("circular", "free"):
             raise ValueError(f"boundary must be 'circular' or 'free', got {self.boundary!r}")
@@ -51,11 +58,21 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
 
     Minimizes 0.5*||x - z||^2 + tau*tv(x, mode) with x = z - tau*D^T p and
     p constrained to the dual unit balls. Dual step 1/(4d), zero dual
-    initialization, standard momentum, no restarts. Stops when the relative
-    change of the primal iterate drops below cfg.tol; hitting max_iter
-    first warns, unless return_info asks for (x, info) with "iterations",
-    "rel_change", "converged" and "p": the final projected dual iterate,
-    feasible and with x = z - tau*D^T p, for duality_gap to certify x.
+    initialization, standard momentum. Two stopping rules:
+
+    - cfg.gap_tol None (budgeted): no restarts; stop when the relative
+      change of the primal iterate drops below cfg.tol.
+    - cfg.gap_tol set (certified): restart the momentum whenever
+      <q - p+, p+ - p> > 0 (the gradient scheme of O'Donoghue and Candes,
+      2015), and every 50 iterations and at max_iter stop when the duality
+      gap is at most gap_tol times the primal objective P(x).
+
+    Hitting max_iter first warns, unless return_info asks for (x, info)
+    with "iterations", "converged", "p" and either "rel_change" or, when
+    certified, "gap" (the relative gap of the last check). p is the final
+    projected dual iterate, feasible and with x = z - tau*D^T p bit for
+    bit, for duality_gap to certify x. That identity makes the gap
+    tau*(TV(x) - <Dx, p>), one difference pass into the spare dual buffer.
 
     One adjoint per iteration: D^T is linear, so the primal point
     z - tau*D^T q of the extrapolated dual q = p + beta*(p - p_prev) is
@@ -71,6 +88,7 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     d = z.ndim
     step = 1.0 / (4.0 * d * tau)
     boundary, mode = cfg.boundary, cfg.mode
+    certify = cfg.gap_tol is not None
 
     p = np.zeros((d,) + z.shape, dtype=np.float64)
     q = np.zeros_like(p)
@@ -81,11 +99,16 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     dtp = np.empty_like(z)
     scratch = np.empty_like(z)
     # Iteration k writes D dx into the buffer g holds (g on even k, p on
-    # odd k), swaps it into p and reads D^T p from the same buffer.
+    # odd k), swaps it into p and reads D^T p from the same buffer. After
+    # its swaps x and the spare dual g sit in the buffers x_prev and p
+    # start in (even k) or x and g start in (odd k): gap_steps[k % 2]
+    # writes D x into g.
     steps = [(_grad_steps(dx, buf, boundary), _adjoint_steps(buf, dtp, scratch, boundary)) for buf in (g, p)]
+    if certify:
+        gap_steps = [_grad_steps(x_prev, p, boundary), _grad_steps(x, g, boundary)]
     t_prev = 1.0
     beta = 0.0
-    change = np.inf
+    change = gap = np.inf
     iters = 0
     for k in range(cfg.max_iter):
         # Projected dual step at q; its primal point is x + beta*(x - x_prev).
@@ -98,8 +121,12 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
         _project_ball(g, 1.0, mode)
         t = (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev)) / 2.0
         beta = (t_prev - 1.0) / t
-        np.subtract(g, p, out=q)
-        q *= beta
+        np.subtract(g, p, out=p)  # p+ - p; the old dual is not read again
+        if certify:  # restart when <q - p+, p+ - p> > 0
+            np.subtract(q, g, out=q)
+            if np.vdot(q, p) > 0.0:
+                t, beta = 1.0, 0.0
+        np.multiply(p, beta, out=q)
         q += g
         p, g, t_prev = g, p, t
         x, x_prev = x_prev, x
@@ -108,21 +135,42 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
         np.subtract(z, dtp, out=x)
         np.subtract(x, x_prev, out=dx)
         iters = k + 1
+        if certify:
+            if iters % 50 == 0 or iters == cfg.max_iter:
+                gap = _relative_gap(gap_steps[k % 2], g, p, dtp, tau, mode)
+                if gap <= cfg.gap_tol:
+                    break
+            continue
         if k > 0:
             num = math.sqrt(np.vdot(dx, dx))
             denom = math.sqrt(np.vdot(x_prev, x_prev))
             change = num / denom if denom > 0 else num
         if change <= cfg.tol:
             break
-    converged = change <= cfg.tol
+    converged = gap <= cfg.gap_tol if certify else change <= cfg.tol
     if not converged and not return_info:
-        warnings.warn(
-            f"fpg_prox: max_iter={cfg.max_iter} reached, achieved relative change {change:.3e}",
-            RuntimeWarning,
-        )
+        achieved = f"relative gap {gap:.3e}" if certify else f"relative change {change:.3e}"
+        warnings.warn(f"fpg_prox: max_iter={cfg.max_iter} reached, achieved {achieved}", RuntimeWarning)
     if return_info:
-        return x, {"iterations": iters, "rel_change": change, "converged": converged, "p": p}
+        stat = {"gap": gap} if certify else {"rel_change": change}
+        return x, {"iterations": iters, **stat, "converged": converged, "p": p}
     return x
+
+
+def _relative_gap(grad_steps, dif, p, dtp, tau, mode):
+    """fpg_prox's duality gap over the primal objective P(x), where
+    x = z - dtp and dtp = tau*D^T p bit for bit.
+
+    grad_steps write D x into dif, which the TV pass then overwrites. For
+    such an x the gap is tau*(TV(x) - <Dx, p>) and P(x) is
+    0.5*||dtp||^2 + tau*TV(x); the gap stays absolute where P(x) = 0.
+    """
+    _run(grad_steps)
+    coupling = float(np.vdot(dif, p))  # before _tv_of_differences overwrites dif
+    tv_x = _tv_of_differences(dif, mode)
+    gap = tau * (tv_x - coupling)
+    primal = 0.5 * float(np.vdot(dtp, dtp)) + tau * tv_x
+    return gap / primal if primal > 0 else gap
 
 
 def duality_gap(z, x, p, tau, mode="aniso", boundary="circular"):

@@ -23,7 +23,7 @@ from .operators import (
     prox_g_denoise,
     radon_operator,
 )
-from .signal import save_csv
+from .signal import check_count, check_tolerance, save_csv
 from .solvers import Problem, RunReport, SolverConfig, SolverDivergence, admm, apgm, objective
 from .tv import check_mode
 
@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_angles < 1:
             raise ValueError(f"number of angles must be >= 1, got {self.n_angles}")
+        check_tolerance("stop_tol", self.stop_tol)
+        check_count("max_iter", self.max_iter)
         if self.noise_sigma is None:
             self.noise_sigma = 0.1 if self.task == "denoise" else 0.5
         if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
@@ -199,11 +201,17 @@ def _baseline(cfg, problem, lam, y, budget=None):
     """Exact-TV reference solution for one (lambda, phantom) and its objective.
 
     Tight mode (budget=None) controls tolerances so cost_accuracy against it
-    is nonnegative; a finite budget caps FPG sub-iterations instead.
+    is nonnegative; a finite budget caps FPG sub-iterations instead. The
+    tight denoise reference is certified: FPG with momentum restarts stops
+    once its duality gap is at most 1e-11 of the objective (cap 20000), so
+    f* is within that factor of the optimum.
     """
     if cfg.task == "denoise":
         # The denoising problem *is* a TV prox evaluation; solve it directly.
-        oracle = OracleConfig(max_iter=budget or 20000, tol=1e-13, mode=cfg.mode)
+        if budget is None:
+            oracle = OracleConfig(max_iter=20000, gap_tol=1e-11, mode=cfg.mode)
+        else:
+            oracle = OracleConfig(max_iter=budget, tol=1e-13, mode=cfg.mode)
         x_star = fpg_prox(y, lam, oracle, return_info=True)[0] if lam > 0 else y.copy()
     else:
         oracle = OracleConfig(max_iter=budget or 300, tol=1e-11, mode=cfg.mode)

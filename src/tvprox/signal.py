@@ -6,6 +6,7 @@ contract at public entry points; the reductions below assume it holds.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -30,6 +31,18 @@ def validate_signal(x, name="signal"):
     if not np.isfinite(a).all():
         raise ValueError(f"{name}: non-finite values are not admitted")
     return a
+
+
+def check_tolerance(name, value):
+    """A stopping tolerance: a finite number > 0 (NaN would never stop)."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def check_count(name, value):
+    """An iteration budget: an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _check_same_shape(a, b):

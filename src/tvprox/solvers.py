@@ -23,7 +23,7 @@ import numpy as np
 from .exact import OracleConfig, fpg_prox
 from .frame import _grad_steps, _run
 from .shrinkage import ProxParams, _bind_approx_prox
-from .signal import l2_norm, validate_signal
+from .signal import check_count, check_tolerance, l2_norm, validate_signal
 from .tv import _tv_of_differences, check_mode, tv
 
 
@@ -56,10 +56,8 @@ class SolverConfig:
             raise ValueError("gamma must be finite and > 0")
         if not np.isfinite(self.lam) or self.lam < 0:
             raise ValueError("lambda must be finite and >= 0")
-        if self.stop_tol <= 0:
-            raise ValueError("stop_tol must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        check_tolerance("stop_tol", self.stop_tol)
+        check_count("max_iter", self.max_iter)
         check_mode(self.mode)
         if self.prox_choice not in ("approx", "exact"):
             raise ValueError(f"prox_choice must be 'approx' or 'exact', got {self.prox_choice!r}")
@@ -94,15 +92,19 @@ def objective(problem, cfg, x):
     A diverging iterate may overflow here; numpy's warning is silenced
     because the caller's finiteness check raises SolverDivergence instead.
     """
-    return _objective(problem, cfg, x, partial(tv, x, cfg.mode))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _objective(problem, cfg, x, partial(tv, x, cfg.mode))
 
 
 def _objective(problem, cfg, x, tv_x):
-    """objective with tv(x, mode) given as the zero-argument kernel tv_x."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = problem.objective_g(x)
-        if cfg.lam > 0:
-            val += cfg.lam * tv_x()
+    """objective with tv(x, mode) given as the zero-argument kernel tv_x.
+
+    Runs under the caller's errstate: objective() and each solve's loop
+    enter np.errstate(over="ignore", invalid="ignore") once.
+    """
+    val = problem.objective_g(x)
+    if cfg.lam > 0:
+        val += cfg.lam * tv_x()
     return float(val)
 
 
@@ -207,23 +209,24 @@ def apgm(problem, cfg, x0):
     q_prev = 1.0
     trace = []
     stop_reason = "max-iter"
-    for k in range(1, cfg.max_iter + 1):
-        # iteration k writes x into xs[k % 2]; x_prev is in the other buffer
-        x, x_prev = xs[k % 2], xs[1 - k % 2]
-        np.multiply(problem.grad_g(s), cfg.gamma, out=z)
-        np.subtract(s, z, out=z)
-        prox[k % 2]()
-        q = fista_momentum(q_prev)
-        np.subtract(x, x_prev, out=dx)
-        np.multiply(dx, (q_prev - 1.0) / q, out=s)
-        s += x
-        f = _objective(problem, cfg, x, tvs[k % 2])
-        _check_finite(f, k, "apgm")
-        trace.append(f)
-        if _stopped(dx, x_prev, cfg.stop_tol):
-            stop_reason = "tolerance-met"
-            break
-        q_prev = q
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cfg.max_iter + 1):
+            # iteration k writes x into xs[k % 2]; x_prev is in the other buffer
+            x, x_prev = xs[k % 2], xs[1 - k % 2]
+            np.multiply(problem.grad_g(s), cfg.gamma, out=z)
+            np.subtract(s, z, out=z)
+            prox[k % 2]()
+            q = fista_momentum(q_prev)
+            np.subtract(x, x_prev, out=dx)
+            np.multiply(dx, (q_prev - 1.0) / q, out=s)
+            s += x
+            f = _objective(problem, cfg, x, tvs[k % 2])
+            _check_finite(f, k, "apgm")
+            trace.append(f)
+            if _stopped(dx, x_prev, cfg.stop_tol):
+                stop_reason = "tolerance-met"
+                break
+            q_prev = q
     return RunReport(
         final_x=x,
         objective_trace=np.array(trace),
@@ -253,21 +256,22 @@ def admm(problem, cfg, x0):
     dx = np.empty(x0.shape)
     trace = []
     stop_reason = "max-iter"
-    for k in range(1, cfg.max_iter + 1):
-        x, x_new = xs[1 - k % 2], xs[k % 2]
-        z = problem.prox_g(np.subtract(x, s, out=w), cfg.gamma)
-        np.add(z, s, out=v)
-        prox[k % 2]()
-        # Dual ascent sign matches the (x - s) / (z + s) prox arguments above:
-        # the multiplier estimate grows along z - x, not x - z.
-        s += z
-        s -= x_new
-        f = _objective(problem, cfg, x_new, tvs[k % 2])
-        _check_finite(f, k, "admm")
-        trace.append(f)
-        if _stopped(np.subtract(x_new, x, out=dx), x, cfg.stop_tol):
-            stop_reason = "tolerance-met"
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cfg.max_iter + 1):
+            x, x_new = xs[1 - k % 2], xs[k % 2]
+            z = problem.prox_g(np.subtract(x, s, out=w), cfg.gamma)
+            np.add(z, s, out=v)
+            prox[k % 2]()
+            # Dual ascent sign matches the (x - s) / (z + s) prox arguments above:
+            # the multiplier estimate grows along z - x, not x - z.
+            s += z
+            s -= x_new
+            f = _objective(problem, cfg, x_new, tvs[k % 2])
+            _check_finite(f, k, "admm")
+            trace.append(f)
+            if _stopped(np.subtract(x_new, x, out=dx), x, cfg.stop_tol):
+                stop_reason = "tolerance-met"
+                break
     return RunReport(
         final_x=x_new,
         objective_trace=np.array(trace),

@@ -199,6 +199,53 @@ def test_oracle_agreement_fpg_vs_tautstring():
         assert np.max(np.abs(fpg_prox(z, tau, cfg) - tautstring_prox_1d(z, tau))) <= 1e-6
 
 
+def certified(**kwargs):
+    return OracleConfig(**{"max_iter": 20000, "gap_tol": 1e-11, **kwargs})
+
+
+def test_certified_fpg_agrees_with_tautstring():
+    # 0.5||x - x*||^2 <= P(x) - P(x*) <= gap: the certified relative gap
+    # bounds the distance to the exact taut-string prox
+    rng = np.random.default_rng(51)
+    for _ in range(20):
+        z = rng.standard_normal(64)
+        tau = rng.uniform(0.05, 0.8)
+        x, info = fpg_prox(z, tau, certified(boundary="free"), return_info=True)
+        assert info["converged"] and info["gap"] <= 1e-11
+        primal = objective_1d_free(x, z, tau)
+        dist2 = 0.5 * l2_norm(x - tautstring_prox_1d(z, tau)) ** 2
+        assert dist2 <= info["gap"] * primal + 1e-14 * (1.0 + primal)
+
+
+@pytest.mark.parametrize("boundary", ["circular", "free"])
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+def test_certified_gap_matches_duality_gap(mode, boundary):
+    # the in-loop gap is duality_gap of the returned (x, p), relative to P(x)
+    rng = np.random.default_rng(52)
+    for shape, tau in (((40,), 0.3), ((12, 13), 0.2), ((5, 6, 7), 0.1)):
+        z = rng.standard_normal(shape)
+        x, info = fpg_prox(z, tau, certified(mode=mode, boundary=boundary), return_info=True)
+        primal = 0.5 * l2_norm(x - z) ** 2 + tau * tv_with_boundary(x, mode, boundary)
+        gap = duality_gap(z, x, info["p"], tau, mode, boundary)
+        assert info["gap"] * primal == pytest.approx(gap, rel=1e-6, abs=1e-15 * primal)
+        assert info["converged"] == (info["gap"] <= 1e-11)
+        assert info["iterations"] % 50 == 0 or info["iterations"] == 20000
+
+
+def test_unreachable_tolerances_use_the_whole_budget():
+    # neither stop rule ends the loop early; the certified one still checks
+    # its gap at the cap, which is not a multiple of 50
+    rng = np.random.default_rng(53)
+    z = rng.standard_normal((9, 11))
+    for cfg, stat in ((OracleConfig(max_iter=73, tol=1e-300), "rel_change"),
+                      (OracleConfig(max_iter=73, gap_tol=1e-300), "gap")):
+        x, info = fpg_prox(z, 0.4, cfg, return_info=True)
+        assert info["iterations"] == 73 and not info["converged"]
+        assert 0.0 < info[stat] < np.inf
+        with pytest.warns(RuntimeWarning, match="max_iter=73"):
+            fpg_prox(z, 0.4, cfg)
+
+
 def test_tv_with_boundary():
     z = np.array([4.0, 0.0, 0.0, 0.0])
     assert tv_with_boundary(z, "aniso", "circular") == tv(z, "aniso") == 8.0

@@ -250,3 +250,22 @@ def test_tight_denoise_baselines_are_certified(monkeypatch):
         f_star = 0.5 * float(((x - z) ** 2).sum()) + tau * tv(x, oracle.mode)
         gap = duality_gap(z, x, info["p"], tau, oracle.mode, oracle.boundary)
         assert gap <= 1e-6 * f_star
+
+
+def test_tight_denoise_baselines_stop_on_their_gap(monkeypatch):
+    # criterion 08's sweep: the certified FPG stops on a relative gap of
+    # 1e-11 within 1500 iterations (700-800 in practice), not at the cap
+    infos = []
+
+    def recording_fpg_prox(z, tau, cfg=None, return_info=False):
+        x, info = fpg_prox(z, tau, cfg, return_info=True)
+        infos.append(info)
+        return (x, info) if return_info else x
+
+    monkeypatch.setattr(experiments, "fpg_prox", recording_fpg_prox)
+    run_sweep(ExperimentConfig(task="denoise", image_size=32, n_phantoms=3, seed=0,
+                               lambda_grid=(0.5,), gamma_grid=(1e-1, 1e-2, 1e-3), solver="apgm"))
+    assert len(infos) == 3
+    for info in infos:
+        assert info["converged"] and info["gap"] <= 1e-11
+        assert info["iterations"] <= 1500

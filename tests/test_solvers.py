@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tvprox.exact import OracleConfig
+from tvprox.experiments import ExperimentConfig
 from tvprox.frame import w_forward
 from tvprox.operators import add_awgn, prox_g_denoise
 from tvprox.shrinkage import ProxParams, approx_prox
@@ -54,6 +55,23 @@ def test_solver_config_validation():
                 dict(stop_tol=0.0), dict(prox_choice="other")):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+
+
+_SETTINGS = {OracleConfig: ("tol", "gap_tol", "max_iter"), SolverConfig: ("stop_tol", "max_iter"),
+             ExperimentConfig: ("stop_tol", "max_iter")}
+
+
+@pytest.mark.parametrize("make, name, value", [
+    (make, name, value)
+    for make, names in _SETTINGS.items() for name in names
+    for value in ((2.5, 0, np.float64(100.0), True) if name == "max_iter" else (np.nan, np.inf, 0.0, -1e-9))
+])
+def test_settings_must_be_finite_and_integral(make, name, value):
+    # a NaN tolerance never stops a loop and a fractional budget is a typo;
+    # both fail at construction, while well-formed numpy scalars pass
+    with pytest.raises(ValueError, match=name):
+        make(**{name: value})
+    make(**{name: np.int64(7) if name == "max_iter" else np.float64(1e-9)})
 
 
 def test_objective_components():
