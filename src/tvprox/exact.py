@@ -18,7 +18,7 @@ import numpy as np
 
 from .frame import _adjoint_steps, _grad, _grad_adjoint, _grad_steps, _run
 from .shrinkage import _project_ball
-from .signal import check_count, check_tolerance, validate_signal
+from .signal import check_count, check_positive, validate_signal
 from .tv import _tv_of_differences, check_mode
 
 
@@ -40,9 +40,9 @@ class OracleConfig:
 
     def __post_init__(self):
         check_count("max_iter", self.max_iter)
-        check_tolerance("tol", self.tol)
+        check_positive("tol", self.tol)
         if self.gap_tol is not None:
-            check_tolerance("gap_tol", self.gap_tol)
+            check_positive("gap_tol", self.gap_tol)
         check_mode(self.mode)
         if self.boundary not in ("circular", "free"):
             raise ValueError(f"boundary must be 'circular' or 'free', got {self.boundary!r}")
@@ -76,14 +76,22 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
 
     One adjoint per iteration: D^T is linear, so the primal point
     z - tau*D^T q of the extrapolated dual q = p + beta*(p - p_prev) is
-    x + beta*(x - x_prev), and only x = z - tau*D^T p is formed. All
-    buffers are allocated once per call and updated in place, and the
-    views of the difference pair are built once per call: one step list
-    per buffer of the (p, g) swap, so an iteration makes only ufunc calls.
+    x + beta*(x - x_prev), and only x = z - tau*D^T p is formed.
+
+    The working set is the dual stacks p, q and g and the signal-sized x,
+    x_prev and dx: 3d + 3 arrays of the signal's size, allocated once per
+    call and updated in place, so an iteration allocates nothing. Each
+    buffer is reused while it is dead. dx holds x - x_prev, is
+    extrapolated in place to the primal point of q and, once the
+    difference pass has read it, holds tau*D^T p until x is formed and the
+    gap checked. The iso projection works in dx and x_prev (the latter is
+    dead once dx is extrapolated), and the adjoint's scratch is block 0 of
+    the spare dual. The views of the difference pair are built once per
+    call, one step list per buffer of the (p, g) swap, so an iteration
+    makes only ufunc calls.
     """
     z = validate_signal(z)
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    check_positive("tau", tau)
     cfg = cfg or OracleConfig()
     d = z.ndim
     step = 1.0 / (4.0 * d * tau)
@@ -95,15 +103,17 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     g = np.empty_like(p)
     x = z.copy()
     x_prev = np.empty_like(z)
-    dx = np.zeros_like(z)  # x - x_prev, extrapolated in place to the primal point of q
-    dtp = np.empty_like(z)
-    scratch = np.empty_like(z)
+    dx = np.zeros_like(z)
     # Iteration k writes D dx into the buffer g holds (g on even k, p on
-    # odd k), swaps it into p and reads D^T p from the same buffer. After
+    # odd k), swaps it into p and reads D^T p from the same buffer into dx,
+    # through block 0 of the other dual buffer, by then the spare g. After
     # its swaps x and the spare dual g sit in the buffers x_prev and p
     # start in (even k) or x and g start in (odd k): gap_steps[k % 2]
     # writes D x into g.
-    steps = [(_grad_steps(dx, buf, boundary), _adjoint_steps(buf, dtp, scratch, boundary)) for buf in (g, p)]
+    steps = [
+        (_grad_steps(dx, buf, boundary), _adjoint_steps(buf, dx, spare[0], boundary))
+        for buf, spare in ((g, p), (p, g))
+    ]
     if certify:
         gap_steps = [_grad_steps(x_prev, p, boundary), _grad_steps(x, g, boundary)]
     t_prev = 1.0
@@ -118,7 +128,7 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
         _run(grad_steps)
         g *= step
         g += q
-        _project_ball(g, 1.0, mode)
+        _project_ball(g, 1.0, mode, dx, x_prev)
         t = (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev)) / 2.0
         beta = (t_prev - 1.0) / t
         np.subtract(g, p, out=p)  # p+ - p; the old dual is not read again
@@ -131,15 +141,15 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
         p, g, t_prev = g, p, t
         x, x_prev = x_prev, x
         _run(adjoint_steps)
-        dtp *= tau
-        np.subtract(z, dtp, out=x)
-        np.subtract(x, x_prev, out=dx)
+        dx *= tau  # tau*D^T p
+        np.subtract(z, dx, out=x)
         iters = k + 1
+        if certify and (iters % 50 == 0 or iters == cfg.max_iter):
+            gap = _relative_gap(gap_steps[k % 2], g, p, dx, tau, mode)
+            if gap <= cfg.gap_tol:
+                break
+        np.subtract(x, x_prev, out=dx)
         if certify:
-            if iters % 50 == 0 or iters == cfg.max_iter:
-                gap = _relative_gap(gap_steps[k % 2], g, p, dtp, tau, mode)
-                if gap <= cfg.gap_tol:
-                    break
             continue
         if k > 0:
             num = math.sqrt(np.vdot(dx, dx))
@@ -188,8 +198,7 @@ def duality_gap(z, x, p, tau, mode="aniso", boundary="circular"):
     z, x, p = validate_signal(z), validate_signal(x, "x"), np.asarray(p, dtype=np.float64)
     if x.shape != z.shape or p.shape != (z.ndim,) + z.shape:
         raise ValueError(f"shape mismatch: z {z.shape}, x {x.shape}, p {p.shape}")
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    check_positive("tau", tau)
     OracleConfig(mode=mode, boundary=boundary)  # checks mode and boundary
     r = x - (z - tau * _grad_adjoint(p, boundary))  # z - tau*D^T p as fpg_prox forms x
     g = _grad(x, boundary)
@@ -207,8 +216,7 @@ def tautstring_prox_1d(z, tau):
     z = validate_signal(z)
     if z.ndim != 1:
         raise ValueError("tautstring_prox_1d expects a 1D signal")
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    check_positive("tau", tau)
     y = z
     n = y.size
     x = np.empty(n, dtype=np.float64)

@@ -23,7 +23,7 @@ from .operators import (
     prox_g_denoise,
     radon_operator,
 )
-from .signal import check_count, check_tolerance, save_csv
+from .signal import check_count, check_positive, save_csv
 from .solvers import Problem, RunReport, SolverConfig, SolverDivergence, admm, apgm, objective
 from .tv import check_mode
 
@@ -72,7 +72,7 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_angles < 1:
             raise ValueError(f"number of angles must be >= 1, got {self.n_angles}")
-        check_tolerance("stop_tol", self.stop_tol)
+        check_positive("stop_tol", self.stop_tol)
         check_count("max_iter", self.max_iter)
         if self.noise_sigma is None:
             self.noise_sigma = 0.1 if self.task == "denoise" else 0.5

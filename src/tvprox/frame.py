@@ -100,8 +100,11 @@ def _adjoint_steps(p, out, scratch, boundary):
     subtraction plus a fix of its first slab (and, for free, its last);
     axis 0 writes `out` directly and every later axis goes through
     `scratch` and is added to `out`. `out` and `scratch` are C-contiguous
-    arrays of the signal shape; `scratch` is unused when d = 1. Copy and
-    negation are multiplications by 1 and -1, which are exact.
+    arrays of the signal shape; `scratch` is unused when d = 1. `scratch`
+    may be p[0], which the axis-0 calls read before any later axis writes
+    it (the calls then use up p), or a block of a stack whose contents are
+    dead; it must not alias `out` or p[1:]. Copy and negation are
+    multiplications by 1 and -1, which are exact.
     """
     pf = p.reshape(len(p), -1)
     steps = []

@@ -14,12 +14,13 @@ every matvec.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal import l2_norm, validate_signal
+from .signal import check_positive, l2_norm, validate_signal
 
 
 @dataclass
@@ -170,8 +171,8 @@ def lipschitz_power_iter(op, iters=100, tol=1e-6, seed=0):
 def add_awgn(x, sigma, seed):
     """Add i.i.d. Gaussian noise of standard deviation sigma, seeded."""
     x = np.asarray(x, dtype=np.float64)
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     if sigma == 0.0:
         return x.copy()
     # Built in the noise buffer: n * sigma + x is x + sigma * n bit for bit.
@@ -187,8 +188,7 @@ def prox_g_denoise(v, gamma, y):
     y = np.asarray(y, dtype=np.float64)
     if v.shape != y.shape:
         raise ValueError(f"shape mismatch: {v.shape} vs {y.shape}")
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    check_positive("gamma", gamma)
     return (v + gamma * y) / (1.0 + gamma)
 
 
@@ -196,12 +196,12 @@ def prox_g_ct(v, gamma, y, op, cg_tol=1e-10, cg_max=200, return_info=False):
     """Prox of gamma * (1/2)||Ax - y||^2: solve (I + gamma A^T A) x = v + gamma A^T y
     by conjugate gradient warm-started at v, with scipy cg's operations in order
     (bit-identical): stop before a step once ||r|| < cg_tol ||b|| or after cg_max
-    steps; x = b = 0 if ||b|| = 0. Raises ValueError on a non-finite v or y; warns
-    unless the true relative residual is <= cg_tol (so a NaN residual warns too).
+    steps; x = b = 0 if ||b|| = 0. Raises ValueError on a non-finite or
+    nonpositive gamma and on a non-finite v or y; warns unless the true
+    relative residual is <= cg_tol (so a NaN residual warns too).
     return_info=True returns (x, {"iterations", "residual", "converged"})."""
     v = np.asarray(v, dtype=np.float64)
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    check_positive("gamma", gamma)
     for name, a in (("v", v), ("y", y)):
         if not np.isfinite(a).all():
             raise ValueError(f"prox_g_ct: {name} holds non-finite values")

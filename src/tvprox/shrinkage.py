@@ -92,16 +92,22 @@ def threshold_stack(u, lam, mode):
     return CoeffStack(u.avg.copy(), dif)
 
 
-def _project_ball(p, radius, mode):
+def _project_ball(p, radius, mode, norms=None, tmp=None):
     """Project a stack of d difference blocks, in place, onto the dual
     feasible set: each entry onto [-radius, radius] (aniso) or each
     per-location d-vector onto the radius-ball (iso). t - P(t) is the
-    matching soft threshold."""
+    matching soft threshold.
+
+    iso works in two arrays of the signal shape: the per-location norms
+    and the square of each later block. norms and tmp, when given, are
+    caller buffers whose contents are dead (neither may alias p); when
+    not, they are allocated. The arithmetic is the same either way.
+    """
     if mode == "aniso":
         return p.clip(-radius, radius, out=p)  # the clip ufunc without np.clip's wrapper
-    norms = np.multiply(p[0], p[0])
+    norms = np.multiply(p[0], p[0], out=norms)
     for pj in p[1:]:
-        norms += pj * pj
+        norms += np.multiply(pj, pj, out=tmp)
     np.sqrt(norms, out=norms)
     np.maximum(norms, radius, out=norms)
     if radius != 1.0:
@@ -113,10 +119,11 @@ def _project_ball(p, radius, mode):
 def _threshold_synthesise(z, dif, radius, mode, synthesis, out):
     """Threshold and synthesis: z - D^T P(dif) / (2 sqrt d) into out.
 
-    dif = D z / (2 sqrt d) is projected in place at radius; synthesis are
-    the kernel calls that write D^T dif into out.
+    dif = D z / (2 sqrt d) is projected in place at radius, with out,
+    dead until synthesis, holding the iso norms; synthesis are the kernel
+    calls that write D^T dif into out, through the scratch dif[0].
     """
-    _project_ball(dif, radius, mode)
+    _project_ball(dif, radius, mode, norms=out)
     _run(synthesis)
     out *= 1.0 / (2.0 * math.sqrt(len(dif)))
     return np.subtract(z, out, out=out)
@@ -135,17 +142,16 @@ def approx_prox(z, params):
     dif = w_forward(z).dif
     z = np.asarray(z, dtype=np.float64)
     out = np.empty(z.shape)
-    scratch = np.empty(z.shape) if z.ndim > 1 else None
-    synthesis = _adjoint_steps(dif, out, scratch, "circular")
+    synthesis = _adjoint_steps(dif, out, dif[0], "circular")
     return _threshold_synthesise(z, dif, params.threshold(z.ndim), params.mode, synthesis, out)
 
 
-def _bind_approx_prox(z, outs, dif, scratch, params):
+def _bind_approx_prox(z, outs, dif, params):
     """One kernel per buffer of outs that writes S_tau of what z holds into it.
 
     The analysis is w_forward's difference half, D z scaled after the
-    subtraction, into the stack dif; scratch is the adjoint scratch (None
-    when d = 1). Nothing is validated: the caller checks the iterates.
+    subtraction, into the stack dif, which the synthesis then uses up as
+    its scratch. Nothing is validated: the caller checks the iterates.
     """
     d = z.ndim
     scale = 1.0 / (2.0 * math.sqrt(d))
@@ -153,7 +159,7 @@ def _bind_approx_prox(z, outs, dif, scratch, params):
     analysis = _grad_steps(z, dif, "circular")
 
     def bind(out):
-        synthesis = _adjoint_steps(dif, out, scratch, "circular")
+        synthesis = _adjoint_steps(dif, out, dif[0], "circular")
 
         def prox():
             _run(analysis)

@@ -1,8 +1,8 @@
 """Dense d-dimensional signal container conventions and basic reductions.
 
 Signals are plain float64 numpy arrays in row-major order, 1 <= ndim <= 3,
-every extent >= 2, all values finite. ``validate_signal`` enforces the
-contract at public entry points; the reductions below assume it holds.
+every extent >= 2, all values real and finite. ``validate_signal`` enforces
+the contract at public entry points; the reductions below assume it holds.
 """
 
 import math
@@ -20,10 +20,13 @@ class ZeroNormError(ValueError):
 def validate_signal(x, name="signal"):
     """Check the signal contract and return the array as float64.
 
-    Raises ValueError on wrong dimensionality, extents < 2, or
-    non-finite values.
+    Raises ValueError on complex input, wrong dimensionality, extents < 2,
+    or non-finite values. Integer and bool input is cast.
     """
-    a = np.asarray(x, dtype=np.float64)
+    a = np.asarray(x)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name}: complex values are not admitted")
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim < 1 or a.ndim > MAX_NDIM:
         raise ValueError(f"{name}: dimension must be in 1..{MAX_NDIM}, got {a.ndim}")
     if any(e < 2 for e in a.shape):
@@ -33,8 +36,9 @@ def validate_signal(x, name="signal"):
     return a
 
 
-def check_tolerance(name, value):
-    """A stopping tolerance: a finite number > 0 (NaN would never stop)."""
+def check_positive(name, value):
+    """A stopping tolerance or a prox scale: a finite number > 0 (a NaN
+    tolerance would never stop; a NaN or inf scale makes the output NaN)."""
     if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 

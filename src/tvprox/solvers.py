@@ -23,7 +23,7 @@ import numpy as np
 from .exact import OracleConfig, fpg_prox
 from .frame import _grad_steps, _run
 from .shrinkage import ProxParams, _bind_approx_prox
-from .signal import check_count, check_tolerance, l2_norm, validate_signal
+from .signal import check_count, check_positive, l2_norm, validate_signal
 from .tv import _tv_of_differences, check_mode, tv
 
 
@@ -56,7 +56,7 @@ class SolverConfig:
             raise ValueError("gamma must be finite and > 0")
         if not np.isfinite(self.lam) or self.lam < 0:
             raise ValueError("lambda must be finite and >= 0")
-        check_tolerance("stop_tol", self.stop_tol)
+        check_positive("stop_tol", self.stop_tol)
         check_count("max_iter", self.max_iter)
         check_mode(self.mode)
         if self.prox_choice not in ("approx", "exact"):
@@ -108,7 +108,7 @@ def _objective(problem, cfg, x, tv_x):
     return float(val)
 
 
-def _bind_tv_prox(cfg, z, xs, dif, scratch, fpg_solves):
+def _bind_tv_prox(cfg, z, xs, dif, fpg_solves):
     """Prox of lambda*tv at scale tau = gamma*lambda, bound once per solve.
 
     Returns one kernel per iterate buffer of xs: calling it writes the prox
@@ -120,7 +120,7 @@ def _bind_tv_prox(cfg, z, xs, dif, scratch, fpg_solves):
     if tau == 0.0:
         return [partial(np.copyto, x, z) for x in xs]
     if cfg.prox_choice == "approx":
-        return _bind_approx_prox(z, xs, dif, scratch, ProxParams(tau, cfg.mode))
+        return _bind_approx_prox(z, xs, dif, ProxParams(tau, cfg.mode))
     oracle = cfg.oracle or OracleConfig(mode=cfg.mode)
     if oracle.mode != cfg.mode:
         raise ValueError("oracle mode does not match solver mode")
@@ -152,13 +152,13 @@ def _working_set(cfg, x0, fpg_solves):
     z is the prox input and xs two C-contiguous iterate buffers that swap
     each iteration, xs[0] a copy of x0. prox[i]() writes the TV prox of z
     into xs[i] and tvs[i]() returns tv(xs[i], mode); both use one
-    difference stack, which the TV pass overwrites after the prox.
+    difference stack, which the approximate prox uses up (its first block
+    is the synthesis scratch) and the TV pass overwrites after it.
     """
     z = np.empty(x0.shape)
     xs = (x0.copy(), np.empty(x0.shape))
     dif = np.empty((x0.ndim,) + x0.shape)
-    scratch = np.empty(x0.shape) if x0.ndim > 1 else None
-    prox = _bind_tv_prox(cfg, z, xs, dif, scratch, fpg_solves)
+    prox = _bind_tv_prox(cfg, z, xs, dif, fpg_solves)
     return z, xs, prox, [_bind_tv(x, dif, cfg.mode) for x in xs]
 
 

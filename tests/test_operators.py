@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import tvprox
+from tvprox.exact import duality_gap, fpg_prox, tautstring_prox_1d
 from tvprox.operators import (
     CtGeometry,
     LinearOperator,
@@ -140,6 +141,25 @@ def test_awgn():
     for sigma, seed in ((0.1, 500), (0.5, 1501), (3.0, 7)):
         expected = y + sigma * np.random.default_rng(seed).standard_normal(y.shape)
         assert add_awgn(y, sigma, seed=seed).tobytes() == expected.tobytes()
+
+
+_V = np.arange(16.0).reshape(4, 4) % 3
+SCALED_CALLS = {
+    "fpg_prox": lambda s: fpg_prox(_V, s),
+    "duality_gap": lambda s: duality_gap(_V, _V, np.zeros((2, 4, 4)), s),
+    "tautstring_prox_1d": lambda s: tautstring_prox_1d(_V[0], s),
+    "prox_g_denoise": lambda s: prox_g_denoise(_V, s, _V),
+    "prox_g_ct": lambda s: prox_g_ct(_V, s, _V, identity_operator((4, 4))),
+    "add_awgn": lambda s: add_awgn(_V, s, seed=0),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("call", SCALED_CALLS, ids=str)
+def test_non_finite_scales_are_rejected(call, value):
+    # tau, gamma or sigma; NaN and inf used to return all-NaN arrays
+    with pytest.raises(ValueError, match="finite"):
+        SCALED_CALLS[call](value)
 
 
 def test_prox_g_denoise():

@@ -3,7 +3,9 @@ solvers' bound approximate-prox loops on drawn shapes.
 
 Shapes have d = 1..3 axes with every extent in 2..9, so extent-2 axes,
 where the slicing kernel's boundary slab is half the axis, are drawn too.
-Runs are derandomized, so every run checks the same examples.
+Runs are derandomized, so every run checks the same examples. The FPG
+loop's bit-identity reference also runs on a fixed grid of shapes, modes,
+boundaries, stop rules and budgets.
 """
 
 import math
@@ -20,7 +22,7 @@ from tvprox.shrinkage import ProxParams, _project_ball, approx_prox
 from tvprox.operators import prox_g_denoise
 from tvprox.signal import ZeroNormError, dot, l2_norm, rel_change
 from tvprox.solvers import Problem, SolverConfig, admm, apgm, objective
-from tvprox.tv import MODES, tv
+from tvprox.tv import MODES, _tv_of_differences, tv
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -91,10 +93,13 @@ def test_distance_to_exact_prox_bound(z, tau, mode):
 
 def unbound_fpg_reference(z, tau, cfg):
     # fpg_prox's loop with the difference pair called unbound on every
-    # iteration (fresh views, a fresh adjoint scratch array): the same
-    # arithmetic in the same order, so the results must be bit-identical
+    # iteration, on its own buffers: fresh views, a fresh adjoint scratch,
+    # a separate tau*D^T p array and an allocating projection, with the
+    # certified gap transcribed from _relative_gap. The same arithmetic in
+    # the same order, so every output must be bit-identical.
     d = z.ndim
     step = 1.0 / (4.0 * d * tau)
+    certify = cfg.gap_tol is not None
     p = np.zeros((d,) + z.shape)
     q = np.zeros_like(p)
     g = np.empty_like(p)
@@ -102,7 +107,7 @@ def unbound_fpg_reference(z, tau, cfg):
     x_prev = np.empty_like(z)
     dx = np.zeros_like(z)
     dtp = np.empty_like(z)
-    t_prev, beta, change = 1.0, 0.0, np.inf
+    t_prev, beta, change, gap = 1.0, 0.0, np.inf, np.inf
     for k in range(cfg.max_iter):
         dx *= beta
         dx += x
@@ -112,8 +117,12 @@ def unbound_fpg_reference(z, tau, cfg):
         _project_ball(g, 1.0, cfg.mode)
         t = (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev)) / 2.0
         beta = (t_prev - 1.0) / t
-        np.subtract(g, p, out=q)
-        q *= beta
+        np.subtract(g, p, out=p)
+        if certify:
+            np.subtract(q, g, out=q)
+            if np.vdot(q, p) > 0.0:
+                t, beta = 1.0, 0.0
+        np.multiply(p, beta, out=q)
         q += g
         p, g, t_prev = g, p, t
         x, x_prev = x_prev, x
@@ -121,28 +130,60 @@ def unbound_fpg_reference(z, tau, cfg):
         dtp *= tau
         np.subtract(z, dtp, out=x)
         np.subtract(x, x_prev, out=dx)
+        if certify:
+            if (k + 1) % 50 == 0 or k + 1 == cfg.max_iter:
+                dif = _grad(x, cfg.boundary)
+                coupling = float(np.vdot(dif, p))
+                tv_x = _tv_of_differences(dif, cfg.mode)
+                primal = 0.5 * float(np.vdot(dtp, dtp)) + tau * tv_x
+                gap = tau * (tv_x - coupling)
+                gap = gap / primal if primal > 0 else gap
+                if gap <= cfg.gap_tol:
+                    break
+            continue
         if k > 0:
             num = math.sqrt(np.vdot(dx, dx))
             denom = math.sqrt(np.vdot(x_prev, x_prev))
             change = num / denom if denom > 0 else num
         if change <= cfg.tol:
             break
-    return x, k + 1
+    stat = {"gap": gap} if certify else {"rel_change": change}
+    return x, {"iterations": k + 1, "p": p, **stat}
+
+
+def assert_fpg_matches_unbound_loop(z, tau, cfg):
+    want = unbound_fpg_reference(z, tau, cfg)
+    got = fpg_prox(z, tau, cfg, return_info=True)
+    assert np.array_equal(got[0], want[0])
+    assert got[1]["iterations"] == want[1]["iterations"]
+    assert np.array_equal(got[1]["p"], want[1]["p"])
+    stat = "gap" if cfg.gap_tol is not None else "rel_change"
+    assert got[1][stat] == want[1][stat]
 
 
 @settings(PROPERTY, max_examples=60)
-@given(SIGNALS, TAUS, st.sampled_from(MODES), st.sampled_from(("circular", "free")))
+@given(SIGNALS, TAUS, st.sampled_from(MODES), st.sampled_from(("circular", "free")), st.sampled_from((None, 1e-6)))
 # extent-2 axes, where the first, last and penultimate slabs coincide in pairs
-@example(np.array([3.0, -1.0]), 0.5, "aniso", "free")
-@example(np.arange(18.0).reshape(2, 9) % 5, 0.3, "iso", "free")
-@example(np.arange(12.0).reshape(3, 2, 2) % 7, 0.2, "iso", "circular")
-@example(np.arange(8.0).reshape(2, 2, 2) ** 2, 0.7, "aniso", "circular")
-def test_fpg_prox_bit_identical_to_unbound_loop(z, tau, mode, boundary):
-    cfg = OracleConfig(max_iter=300, tol=1e-10, mode=mode, boundary=boundary)
-    want, iters = unbound_fpg_reference(z, tau, cfg)
-    got, info = fpg_prox(z, tau, cfg, return_info=True)
-    assert np.array_equal(got, want)
-    assert info["iterations"] == iters
+@example(np.array([3.0, -1.0]), 0.5, "aniso", "free", None)
+@example(np.arange(18.0).reshape(2, 9) % 5, 0.3, "iso", "free", None)
+@example(np.arange(12.0).reshape(3, 2, 2) % 7, 0.2, "iso", "circular", 1e-6)
+@example(np.arange(8.0).reshape(2, 2, 2) ** 2, 0.7, "aniso", "circular", 1e-6)
+def test_fpg_prox_bit_identical_to_unbound_loop(z, tau, mode, boundary, gap_tol):
+    cfg = OracleConfig(max_iter=300, tol=1e-10, mode=mode, boundary=boundary, gap_tol=gap_tol)
+    assert_fpg_matches_unbound_loop(z, tau, cfg)
+
+
+@pytest.mark.parametrize("gap_tol", [None, 1e-7])
+@pytest.mark.parametrize("boundary", ["circular", "free"])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("shape", [(29,), (6, 7), (3, 4, 5)])
+def test_fpg_prox_bit_identical_to_unbound_loop_grid(shape, mode, boundary, gap_tol):
+    # budgets that are not multiples of the 50-iteration gap check, so the
+    # certified runs also end on the check at max_iter
+    z = np.random.default_rng(sum(shape)).standard_normal(shape)
+    for max_iter, tau in ((37, 0.4), (123, 0.05), (173, 0.9)):
+        cfg = OracleConfig(max_iter=max_iter, tol=1e-7, mode=mode, boundary=boundary, gap_tol=gap_tol)
+        assert_fpg_matches_unbound_loop(z, tau, cfg)
 
 
 def _per_call_prox(z, cfg):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tvprox.shrinkage import ProxParams, approx_prox
 from tvprox.signal import (
     ZeroNormError,
     dot,
@@ -113,6 +114,16 @@ def test_validate_signal_contract():
         validate_signal(np.array([1.0, np.nan]))
     out = validate_signal(np.arange(4, dtype=np.int64))
     assert out.dtype == np.float64
+    assert validate_signal(np.array([True, False])).dtype == np.float64
+
+
+def test_complex_signals_are_rejected():
+    # casting to float64 would drop the imaginary part with only a warning
+    z = np.arange(6.0).reshape(2, 3)
+    with pytest.raises(ValueError, match="complex"):
+        validate_signal(z + 0j)
+    with pytest.raises(ValueError, match="complex"):
+        approx_prox(z + 1j, ProxParams(0.1))
 
 
 def test_csv_round_trip(tmp_path):
