@@ -6,7 +6,7 @@ string), APGM/ADMM solvers with pluggable prox, and measurement models for
 denoising and sparse-view CT benchmarks.
 """
 
-from .signal import dot, l2_norm, rel_change, mean, load_csv, save_csv
+from .signal import l2_norm, load_csv, save_csv
 from .frame import CoeffStack, w_forward, w_adjoint
 from .tv import tv, h_hat, h_hat_subgradient, check_mode
 from .shrinkage import ProxParams, shrink_aniso, shrink_iso, threshold_stack, approx_prox

@@ -48,11 +48,6 @@ class OracleConfig:
             raise ValueError(f"boundary must be 'circular' or 'free', got {self.boundary!r}")
 
 
-def tv_with_boundary(x, mode, boundary):
-    """TV value under a chosen boundary convention (circular matches tv())."""
-    return _tv_of_differences(_grad(np.asarray(x, dtype=np.float64), boundary), mode)
-
-
 def fpg_prox(z, tau, cfg=None, return_info=False):
     """TV proximal operator via fast projected gradient on the dual.
 
@@ -186,7 +181,7 @@ def _relative_gap(grad_steps, dif, p, dtp, tau, mode):
 def duality_gap(z, x, p, tau, mode="aniso", boundary="circular"):
     """Duality gap P(x) - D(p) of a candidate prox output x and a dual p.
 
-    P(x) = 0.5*||x - z||^2 + tau*tv_with_boundary(x, mode, boundary) and
+    P(x) = 0.5*||x - z||^2 + tau*TV(x), with TV taken under `boundary`, and
     D(p) = 0.5*||z||^2 - 0.5*||z - tau*D^T p||^2. For any x and any feasible
     p (|entries| <= 1 for aniso, per-location norms <= 1 for iso), with
     x* = prox(z): P(x) - P(x*) <= gap and 0.5*||x - x*||^2 <= gap. Evaluated

@@ -50,7 +50,6 @@ class ExperimentConfig:
     fpg50_baseline: bool = False  # also emit table_fpg50.csv (budgeted baseline)
     timing: bool = False  # real wall seconds in table.csv (breaks byte determinism)
     output_dir: str = None
-    write_images: bool = True
 
     def __post_init__(self):
         if self.task not in ("denoise", "ct"):
@@ -285,10 +284,9 @@ def _run_cell(cfg, lam, gamma, i, data, problem, refs):
         path = lambda kind, ext: os.path.join(
             cfg.output_dir, f"{kind}_{cfg.task}_{cfg.solver}_lam{lam:g}_gam{gamma:g}_ph{i}.{ext}")
         _write_trace(path("trace", "csv"), report)
-        if cfg.write_images:
-            write_pgm(path("recon", "pgm"), x)
-            write_pgm(path("diff", "pgm"), x - x_star)
-            save_csv(path("recon", "csv"), x)
+        write_pgm(path("recon", "pgm"), x)
+        write_pgm(path("diff", "pgm"), x - x_star)
+        save_csv(path("recon", "csv"), x)
     cell = {
         "lam": lam, "gamma": gamma, "phantom": i,
         "stop_reason": report.stop_reason, "iterations": report.iterations,

@@ -181,7 +181,3 @@ def w_adjoint(u):
     out *= scale
     return out
 
-
-def stack_norm(u):
-    """l2 norm of all 2d blocks of a coefficient stack."""
-    return float(np.sqrt(np.sum(u.avg**2) + np.sum(u.dif**2)))

@@ -4,7 +4,7 @@ The CT projector splats each pixel center onto the two nearest detector
 bins with linear weights (detector spacing = pixel size). The weights are
 assembled once into a sparse matrix, cached with its CSR transpose, so the
 adjoint is exact and every view conserves the total projected mass exactly.
-The CT data prox is an in-place conjugate gradient, stopped once ||r|| < cg_tol ||b||.
+The CT data prox is an in-place conjugate gradient, stopped once ||r|| < CG_TOL ||b||.
 
 The public ``radon_forward`` validates its image and ``radon_adjoint`` checks
 the sinogram's shape; the ``radon_operator`` closures check shapes only, and
@@ -15,12 +15,15 @@ every matvec.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal import check_positive, l2_norm, validate_signal
+from .signal import check_count, check_positive, l2_norm, validate_signal
+
+CG_TOL = 1e-10  # relative residual at which prox_g_ct stops its CG
 
 
 @dataclass
@@ -49,28 +52,23 @@ def identity_operator(shape):
     )
 
 
-def _default_detectors(n_pixels):
-    m = int(np.ceil(n_pixels * np.sqrt(2.0)))
-    if (m - n_pixels) % 2:
-        m += 1  # same parity as the image side: 0-degree rays hit bin centers
-    return m
-
-
 @dataclass(eq=False)
 class CtGeometry:
-    """Parallel-beam geometry: square image, equispaced angles over [0, pi)."""
+    """Parallel-beam geometry: square image, equispaced angles over [0, pi), unit pixels
+    and ceil(n_pixels sqrt 2) unit bins, rounded up to n_pixels' parity: 0-degree rays hit bin centers."""
 
     n_pixels: int
     n_angles: int
     angles: np.ndarray = None
-    n_detectors: int = None
-    pixel_size: float = 1.0
+    n_detectors: int = field(init=False)
     _matrix: sp.csr_matrix = field(default=None, repr=False)
     _matrix_t: sp.csr_matrix = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.n_angles < 1:
-            raise ValueError("n_angles must be >= 1")
+        n = self.n_pixels
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+            raise ValueError(f"n_pixels must be an integer >= 2, got {n!r}")
+        check_count("n_angles", self.n_angles)
         if self.angles is None:
             self.angles = np.arange(self.n_angles) * np.pi / self.n_angles
         self.angles = np.asarray(self.angles, dtype=np.float64)
@@ -78,8 +76,8 @@ class CtGeometry:
             raise ValueError("angles length must equal n_angles")
         if np.any(np.diff(self.angles) <= 0) or self.angles[0] < 0 or self.angles[-1] >= np.pi:
             raise ValueError("angles must be strictly increasing within [0, pi)")
-        if self.n_detectors is None:
-            self.n_detectors = _default_detectors(self.n_pixels)
+        m = int(np.ceil(n * np.sqrt(2.0)))
+        self.n_detectors = m + (m - n) % 2
 
     @property
     def sinogram_shape(self):
@@ -94,7 +92,7 @@ def system_matrix(geo):
     import scipy.sparse as sp
 
     n, m = geo.n_pixels, geo.n_detectors
-    c = (np.arange(n) - (n - 1) / 2.0) * geo.pixel_size
+    c = np.arange(n) - (n - 1) / 2.0
     ys, xs = np.meshgrid(c, c, indexing="ij")
     xs = xs.ravel()
     ys = ys.ravel()
@@ -103,7 +101,7 @@ def system_matrix(geo):
     rows, cols, vals = [], [], []
     for k, theta in enumerate(geo.angles):
         t = xs * np.cos(theta) + ys * np.sin(theta)
-        u = t / geo.pixel_size + (m - 1) / 2.0
+        u = t + (m - 1) / 2.0
         m0 = np.floor(u).astype(np.int64)
         w1 = u - m0
         for bins, w in ((m0, 1.0 - w1), (m0 + 1, w1)):
@@ -192,13 +190,13 @@ def prox_g_denoise(v, gamma, y):
     return (v + gamma * y) / (1.0 + gamma)
 
 
-def prox_g_ct(v, gamma, y, op, cg_tol=1e-10, cg_max=200, return_info=False):
+def prox_g_ct(v, gamma, y, op, cg_max=200, return_info=False):
     """Prox of gamma * (1/2)||Ax - y||^2: solve (I + gamma A^T A) x = v + gamma A^T y
     by conjugate gradient warm-started at v, with scipy cg's operations in order
-    (bit-identical): stop before a step once ||r|| < cg_tol ||b|| or after cg_max
+    (bit-identical): stop before a step once ||r|| < CG_TOL ||b|| or after cg_max
     steps; x = b = 0 if ||b|| = 0. Raises ValueError on a non-finite or
     nonpositive gamma and on a non-finite v or y; warns unless the true
-    relative residual is <= cg_tol (so a NaN residual warns too).
+    relative residual is <= CG_TOL (so a NaN residual warns too).
     return_info=True returns (x, {"iterations", "residual", "converged"})."""
     v = np.asarray(v, dtype=np.float64)
     check_positive("gamma", gamma)
@@ -215,7 +213,7 @@ def prox_g_ct(v, gamma, y, op, cg_tol=1e-10, cg_max=200, return_info=False):
     if b_norm:
         x = v.flatten()
         r = b - matvec(x) if x.any() else b.copy()
-        while steps < cg_max and not np.linalg.norm(r) < cg_tol * b_norm:
+        while steps < cg_max and not np.linalg.norm(r) < CG_TOL * b_norm:
             rho = np.dot(r, r)
             if steps:
                 p *= rho / rho_prev
@@ -229,9 +227,9 @@ def prox_g_ct(v, gamma, y, op, cg_tol=1e-10, cg_max=200, return_info=False):
             rho_prev = rho
             steps += 1
     achieved = l2_norm(matvec(x) - b) / max(float(b_norm), np.finfo(np.float64).tiny)
-    if not achieved <= cg_tol:
+    if not achieved <= CG_TOL:
         warnings.warn(f"prox_g_ct: CG stalled at relative residual {achieved:.3e}", RuntimeWarning)
     x = x.reshape(op.in_shape)
     if return_info:
-        return x, {"iterations": steps, "residual": achieved, "converged": achieved <= cg_tol}
+        return x, {"iterations": steps, "residual": achieved, "converged": achieved <= CG_TOL}
     return x

@@ -48,8 +48,8 @@ class ProxParams:
 
 
 def _check_threshold(lam):
-    if lam < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"threshold must be finite and >= 0, got {lam}")
 
 
 def shrink_aniso(t, lam):

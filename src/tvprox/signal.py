@@ -1,8 +1,8 @@
-"""Dense d-dimensional signal container conventions and basic reductions.
+"""Dense d-dimensional signal conventions, argument checks, norm and text I/O.
 
 Signals are plain float64 numpy arrays in row-major order, 1 <= ndim <= 3,
 every extent >= 2, all values real and finite. ``validate_signal`` enforces
-the contract at public entry points; the reductions below assume it holds.
+the contract at public entry points.
 """
 
 import math
@@ -11,10 +11,6 @@ import numbers
 import numpy as np
 
 MAX_NDIM = 3
-
-
-class ZeroNormError(ValueError):
-    """Denominator signal has zero l2 norm."""
 
 
 def validate_signal(x, name="signal"):
@@ -49,48 +45,14 @@ def check_count(name, value):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _check_same_shape(a, b):
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def dot(a, b):
-    """Euclidean inner product of two same-shape signals."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check_same_shape(a, b)
-    return float(np.dot(a.ravel(), b.ravel()))
-
-
 def l2_norm(a):
-    """Euclidean norm sqrt(dot(a, a)), bit-identical to np.linalg.norm's path
+    """Euclidean norm sqrt(<a, a>), bit-identical to np.linalg.norm's path
     unless the squares of finite entries overflow: then it rescales by max|a|."""
     a = np.asarray(a, dtype=np.float64).ravel()
     norm = math.sqrt(a.dot(a))
     if norm == math.inf and (big := np.abs(a).max()) < math.inf:
         return big * l2_norm(a / big)
     return norm
-
-
-def rel_change(x_t, x_prev):
-    """Relative iterate change ||x_t - x_prev|| / ||x_prev||.
-
-    Raises ZeroNormError when ||x_prev|| = 0; the caller decides how to
-    treat that case.
-    """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    x_prev = np.asarray(x_prev, dtype=np.float64)
-    _check_same_shape(x_t, x_prev)
-    denom = l2_norm(x_prev)
-    if denom == 0.0:
-        raise ZeroNormError("rel_change: previous iterate has zero norm")
-    return l2_norm(x_t - x_prev) / denom
-
-
-def mean(a):
-    """Arithmetic mean of all entries."""
-    a = np.asarray(a, dtype=np.float64)
-    return float(a.mean())
 
 
 def save_csv(path, x):

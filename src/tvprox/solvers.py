@@ -176,8 +176,8 @@ def _fpg_counters(cfg, fpg_solves):
 
 
 def _stopped(dx, x_prev, tol):
-    """rel_change(x, x_prev) <= tol, given dx = x - x_prev; never when
-    x_prev has zero norm."""
+    """The relative change ||dx|| / ||x_prev|| <= tol, given dx = x - x_prev;
+    never when x_prev has zero norm."""
     denom = l2_norm(x_prev)
     return denom != 0.0 and l2_norm(dx) / denom <= tol
 

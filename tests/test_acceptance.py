@@ -11,7 +11,7 @@ from tvprox.experiments import ExperimentConfig, run_sweep
 from tvprox.frame import CoeffStack, w_adjoint, w_forward
 from tvprox.operators import identity_operator, lipschitz_power_iter, radon_operator, CtGeometry
 from tvprox.shrinkage import ProxParams, approx_prox
-from tvprox.signal import dot, l2_norm
+from tvprox.signal import l2_norm
 from tvprox.tv import h_hat_subgradient, tv
 
 SHAPES = {1: (16,), 2: (12, 12), 3: (8, 8, 8)}
@@ -92,7 +92,7 @@ def test_criterion_05_eps_subgradient():
         mode = ("aniso", "iso")[rng.integers(2)]
         s = approx_prox(z, ProxParams(tau, mode))
         lhs = tv(y, mode)
-        rhs = tv(s, mode) + dot(z - s, y - s) / tau - 4.0 * tau * n * d * d
+        rhs = tv(s, mode) + np.vdot(z - s, y - s) / tau - 4.0 * tau * n * d * d
         worst = max(worst, rhs - lhs)
     report(5, worst <= 1e-8, f"max inequality violation = {worst:.3e}")
 
@@ -178,7 +178,7 @@ def test_criterion_11_adjoint_and_power_iteration():
         x = rng.standard_normal(op.in_shape)
         r = rng.standard_normal(op.out_shape)
         ax = op.apply(x)
-        gap = abs(dot(ax, r) - dot(x, op.adjoint(r))) / max(1.0, l2_norm(ax) * l2_norm(r))
+        gap = abs(np.vdot(ax, r) - np.vdot(x, op.adjoint(r))) / max(1.0, l2_norm(ax) * l2_norm(r))
         worst = max(worst, gap)
     lip = lipschitz_power_iter(identity_operator((8, 8)), iters=300, tol=1e-12)
     ok = worst <= 1e-8 and abs(lip - 1.0) <= 1e-9
@@ -188,8 +188,8 @@ def test_criterion_11_adjoint_and_power_iteration():
 def test_criterion_12_determinism(tmp_path):
     kwargs = dict(task="denoise", image_size=32, n_phantoms=3, seed=0,
                   lambda_grid=(0.5,), gamma_grid=(1e-1, 1e-2, 1e-3), solver="apgm")
-    run_sweep(ExperimentConfig(output_dir=str(tmp_path / "r1"), write_images=False, **kwargs))
-    run_sweep(ExperimentConfig(output_dir=str(tmp_path / "r2"), write_images=False, **kwargs))
+    run_sweep(ExperimentConfig(output_dir=str(tmp_path / "r1"), **kwargs))
+    run_sweep(ExperimentConfig(output_dir=str(tmp_path / "r2"), **kwargs))
     b1 = (tmp_path / "r1" / "table.csv").read_bytes()
     b2 = (tmp_path / "r2" / "table.csv").read_bytes()
     report(12, b1 == b2, f"table.csv bytes equal = {b1 == b2}")

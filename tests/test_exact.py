@@ -12,10 +12,10 @@ from tvprox.exact import (
     duality_gap,
     fpg_prox,
     tautstring_prox_1d,
-    tv_with_boundary,
 )
-from tvprox.signal import dot, l2_norm
-from tvprox.tv import tv
+from tvprox.frame import _grad
+from tvprox.signal import l2_norm
+from tvprox.tv import _tv_of_differences, tv
 
 
 def objective_1d_free(x, z, tau):
@@ -146,7 +146,7 @@ def test_fpg_firm_nonexpansiveness():
         z2 = rng.standard_normal((6, 6))
         p1 = fpg_prox(z1, 0.2, cfg)
         p2 = fpg_prox(z2, 0.2, cfg)
-        assert l2_norm(p1 - p2) ** 2 <= dot(z1 - z2, p1 - p2) + 1e-8
+        assert l2_norm(p1 - p2) ** 2 <= np.vdot(z1 - z2, p1 - p2) + 1e-8
 
 
 def test_fpg_small_tau_stays_close():
@@ -225,7 +225,7 @@ def test_certified_gap_matches_duality_gap(mode, boundary):
     for shape, tau in (((40,), 0.3), ((12, 13), 0.2), ((5, 6, 7), 0.1)):
         z = rng.standard_normal(shape)
         x, info = fpg_prox(z, tau, certified(mode=mode, boundary=boundary), return_info=True)
-        primal = 0.5 * l2_norm(x - z) ** 2 + tau * tv_with_boundary(x, mode, boundary)
+        primal = 0.5 * l2_norm(x - z) ** 2 + tau * _tv_of_differences(_grad(x, boundary), mode)
         gap = duality_gap(z, x, info["p"], tau, mode, boundary)
         assert info["gap"] * primal == pytest.approx(gap, rel=1e-6, abs=1e-15 * primal)
         assert info["converged"] == (info["gap"] <= 1e-11)
@@ -247,9 +247,10 @@ def test_unreachable_tolerances_use_the_whole_budget():
 
 
 def test_tv_with_boundary():
+    # the TV that duality_gap charges: circular matches tv(), free drops the wrap
     z = np.array([4.0, 0.0, 0.0, 0.0])
-    assert tv_with_boundary(z, "aniso", "circular") == tv(z, "aniso") == 8.0
-    assert tv_with_boundary(z, "aniso", "free") == 4.0
+    assert _tv_of_differences(_grad(z, "circular"), "aniso") == tv(z, "aniso") == 8.0
+    assert _tv_of_differences(_grad(z, "free"), "aniso") == 4.0
 
 
 def test_duality_gap_at_optimum():

@@ -26,7 +26,7 @@ from tvprox.operators import (
     radon_operator,
     system_matrix,
 )
-from tvprox.signal import dot, l2_norm
+from tvprox.signal import l2_norm
 
 
 def small_geo(n=16, angles=9):
@@ -34,15 +34,22 @@ def small_geo(n=16, angles=9):
 
 
 def test_geometry_validation():
-    with pytest.raises(ValueError):
-        CtGeometry(n_pixels=16, n_angles=0)
+    # sizes fail here, not at the first projection
+    for n_pixels in (0, 1, 2.5, True):
+        with pytest.raises(ValueError, match="n_pixels"):
+            CtGeometry(n_pixels=n_pixels, n_angles=3)
+    for n_angles in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="n_angles"):
+            CtGeometry(n_pixels=16, n_angles=n_angles)
     with pytest.raises(ValueError):
         CtGeometry(n_pixels=16, n_angles=2, angles=np.array([0.5, 0.2]))
     with pytest.raises(ValueError):
         CtGeometry(n_pixels=16, n_angles=1, angles=np.array([np.pi]))
     geo = small_geo()
     assert geo.angles[0] == 0.0
-    assert geo.sinogram_shape == (9, geo.n_detectors)
+    assert geo.sinogram_shape == (9, geo.n_detectors) == (9, 24)
+    assert CtGeometry(n_pixels=2, n_angles=1).n_detectors == 4  # ceil(2 sqrt 2) = 3, to the parity of 2
+    assert CtGeometry(n_pixels=np.int64(15), n_angles=np.int64(4)).n_detectors == 23
 
 
 def test_zero_image_zero_sinogram():
@@ -91,8 +98,8 @@ def test_radon_adjoint_dot_test():
         x = rng.standard_normal((16, 16))
         r = rng.standard_normal(geo.sinogram_shape)
         ax = radon_forward(x, geo)
-        lhs = dot(ax, r)
-        rhs = dot(x, radon_adjoint(r, geo))
+        lhs = np.vdot(ax, r)
+        rhs = np.vdot(x, radon_adjoint(r, geo))
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, l2_norm(ax) * l2_norm(r))
 
 
@@ -217,7 +224,7 @@ def test_grad_g_finite_difference_consistency():
         direction /= l2_norm(direction)
         eps = 1e-6
         fd = (g(x + eps * direction) - g(x - eps * direction)) / (2 * eps)
-        assert fd == pytest.approx(dot(grad, direction), rel=1e-5)
+        assert fd == pytest.approx(np.vdot(grad, direction), rel=1e-5)
 
 
 def test_system_matrix_cached():
@@ -239,8 +246,9 @@ def test_radon_adjoint_is_matrix_transpose_bitwise():
             assert np.array_equal(radon_adjoint(s, geo), want)
 
 
-def scipy_prox_g_ct(v, gamma, y, op, cg_tol=1e-10, cg_max=200):
-    """Oracle: the data prox solved by scipy.sparse.linalg.cg, warm-started at v."""
+def scipy_prox_g_ct(v, gamma, y, op):
+    """Oracle: the data prox solved by scipy.sparse.linalg.cg, warm-started at v,
+    with prox_g_ct's relative tolerance and default budget."""
     rhs = v + gamma * op.adjoint(y)
     n = rhs.size
 
@@ -248,7 +256,7 @@ def scipy_prox_g_ct(v, gamma, y, op, cg_tol=1e-10, cg_max=200):
         return u + gamma * op.adjoint(op.apply(u.reshape(op.in_shape))).ravel()
 
     lin = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    x, _ = spla.cg(lin, rhs.ravel(), x0=v.ravel(), rtol=cg_tol, atol=0.0, maxiter=cg_max)
+    x, _ = spla.cg(lin, rhs.ravel(), x0=v.ravel(), rtol=1e-10, atol=0.0, maxiter=200)
     return x.reshape(op.in_shape)
 
 

@@ -1,5 +1,6 @@
-"""Property tests of the frame, the approximate prox, the FPG oracle and the
-solvers' bound approximate-prox loops on drawn shapes.
+"""Property tests of the frame, the approximate prox (among them the paper's
+theorem that it is a proximal map), the FPG oracle and the solvers' bound
+approximate-prox loops on drawn shapes.
 
 Shapes have d = 1..3 axes with every extent in 2..9, so extent-2 axes,
 where the slicing kernel's boundary slab is half the axis, are drawn too.
@@ -16,13 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tvprox.exact import OracleConfig, duality_gap, fpg_prox, tautstring_prox_1d, tv_with_boundary
-from tvprox.frame import CoeffStack, _grad, _grad_adjoint, stack_norm, w_adjoint, w_forward
-from tvprox.shrinkage import ProxParams, _project_ball, approx_prox
+from tvprox.exact import OracleConfig, duality_gap, fpg_prox, tautstring_prox_1d
+from tvprox.frame import CoeffStack, _grad, _grad_adjoint, w_adjoint, w_forward
+from tvprox.shrinkage import ProxParams, _project_ball, approx_prox, threshold_stack
 from tvprox.operators import prox_g_denoise
-from tvprox.signal import ZeroNormError, dot, l2_norm, rel_change
+from tvprox.signal import l2_norm
 from tvprox.solvers import Problem, SolverConfig, admm, apgm, objective
-from tvprox.tv import MODES, _tv_of_differences, tv
+from tvprox.tv import MODES, _tv_of_differences, h_hat, tv
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -62,9 +63,9 @@ def test_wtw_identity(z):
 def test_frame_dot_test(case):
     z, u = case
     w = w_forward(z)
-    lhs = dot(w.avg, u.avg) + dot(w.dif, u.dif)
-    rhs = dot(z, w_adjoint(u))
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, l2_norm(z) * stack_norm(u))
+    lhs = np.vdot(w.avg, u.avg) + np.vdot(w.dif, u.dif)
+    rhs = np.vdot(z, w_adjoint(u))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, l2_norm(z) * l2_norm([u.avg, u.dif]))
 
 
 @PROPERTY
@@ -82,6 +83,65 @@ def test_approx_prox_nonexpansive(pair, tau, mode):
     gap = l2_norm(approx_prox(z1, p) - approx_prox(z2, p))
     # absolute slack for round-off when z1 and z2 (nearly) coincide
     assert gap <= (1.0 + 1e-12) * l2_norm(z1 - z2) + 1e-12 * max(1.0, l2_norm(z1), l2_norm(z2))
+
+
+# The paper's first theorem: S_tau = W^T T W is the prox of a convex
+# function. With e(u) = tau*h_hat(T u) + 0.5||u - T u||^2 the Moreau envelope
+# of tau*h_hat (T = threshold_stack at 2 tau sqrt(d), the prox of tau*h_hat),
+# psi(z) = 0.5||z||^2 - e(W z) has gradient z - W^T (W z - T W z) = S_tau(z),
+# since W^T W = I. A 1-Lipschitz gradient of a convex function is a proximal
+# map (Moreau, Bull. SMF 1965), so the checks are: S_tau is the gradient of
+# psi, psi is convex, and S_tau is firmly nonexpansive.
+THEOREM_TAUS = st.floats(-2.0, math.log10(3.0)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def theorem_cases(draw):
+    """(z1, z2, tau, mode) with z1 and z2 scaled down by up to 1e-4, so that
+    many differences fall below the threshold, where S_tau is linear."""
+    z1, z2 = draw(signal_pairs())
+    scale = 10.0 ** draw(st.floats(-4.0, 0.0))
+    return z1 * scale, z2 * scale, draw(THEOREM_TAUS), draw(st.sampled_from(MODES))
+
+
+def _psi(z, tau, mode):
+    u = w_forward(z)
+    t = threshold_stack(u, 2.0 * tau * math.sqrt(z.ndim), mode)
+    residual = u.dif - t.dif  # T passes the averaging blocks unchanged
+    return 0.5 * np.vdot(z, z) - (tau * h_hat(t, mode) + 0.5 * np.vdot(residual, residual))
+
+
+@PROPERTY
+@given(theorem_cases())
+def test_approx_prox_is_the_gradient_of_psi(case):
+    z, v, tau, mode = case
+    if v.any():  # a unit direction; scaled by max|v| first, so that tiny v does not underflow
+        v = v / np.abs(v).max()
+        v /= l2_norm(v)
+    # psi is piecewise quadratic with a 1-Lipschitz gradient, so the central
+    # difference is off by at most h/2 plus round-off
+    h = 1e-7 * max(1.0, l2_norm(z))
+    fd = (_psi(z + h * v, tau, mode) - _psi(z - h * v, tau, mode)) / (2.0 * h)
+    assert abs(fd - np.vdot(approx_prox(z, ProxParams(tau, mode)), v)) <= h / 2 + 1e-8 * max(1.0, l2_norm(z))
+
+
+@PROPERTY
+@given(theorem_cases())
+def test_psi_is_convex(case):
+    z1, z2, tau, mode = case
+    s1 = approx_prox(z1, ProxParams(tau, mode))
+    slack = _psi(z2, tau, mode) - _psi(z1, tau, mode) - np.vdot(s1, z2 - z1)
+    assert slack >= -1e-12 * max(1.0, l2_norm(z1) ** 2, l2_norm(z2) ** 2)
+
+
+@PROPERTY
+@given(theorem_cases())
+def test_approx_prox_firmly_nonexpansive(case):
+    z1, z2, tau, mode = case
+    p = ProxParams(tau, mode)
+    ds = approx_prox(z1, p) - approx_prox(z2, p)
+    slack = np.vdot(ds, z1 - z2) - l2_norm(ds) ** 2
+    assert slack >= -1e-12 * max(1.0, l2_norm(z1), l2_norm(z2)) * l2_norm(z1 - z2)
 
 
 @settings(PROPERTY, max_examples=40)
@@ -191,15 +251,14 @@ def _per_call_prox(z, cfg):
 
 
 def _per_call_stopped(x, x_prev, tol):
-    try:
-        return rel_change(x, x_prev) <= tol
-    except ZeroNormError:
-        return False
+    # the relative change ||x - x_prev|| / ||x_prev||, formed on a fresh difference
+    denom = l2_norm(x_prev)
+    return denom != 0.0 and l2_norm(x - x_prev) / denom <= tol
 
 
 def per_call_apgm(problem, cfg, x0):
     # apgm's approximate-prox loop with approx_prox, objective (so tv) and
-    # rel_change called per iteration on fresh arrays: the same arithmetic
+    # the relative change called per iteration on fresh arrays: the same arithmetic
     # in the same order, so the results must be bit-identical
     x_prev, s, q_prev, trace, stop = x0.copy(), x0.copy(), 1.0, [], "max-iter"
     for _ in range(cfg.max_iter):
@@ -316,7 +375,7 @@ def test_duality_gap_bounds_distance_to_taut_string_1d(z, tau, budget):
     cfg = OracleConfig(max_iter=budget, tol=1e-300, boundary="free")
     x, info = fpg_prox(z, tau, cfg, return_info=True)
     gap = duality_gap(z, x, info["p"], tau, "aniso", "free")
-    primal = 0.5 * l2_norm(x - z) ** 2 + tau * tv_with_boundary(x, "aniso", "free")
+    primal = 0.5 * l2_norm(x - z) ** 2 + tau * _tv_of_differences(_grad(x, "free"), "aniso")
     assert 0.5 * l2_norm(x - tautstring_prox_1d(z, tau)) ** 2 <= gap + 1e-12 * (1.0 + abs(primal))
 
 

@@ -1,0 +1,45 @@
+"""The package exports no dead surface: every name tvprox/__init__.py imports
+is used inside the package or kept on purpose.
+
+The check reads the sources with ast, so names that appear only in
+docstrings, or local names that shadow an export, do not count as uses.
+"""
+
+import ast
+from pathlib import Path
+
+import tvprox
+
+# Exports that no other part of the package runs, and why they stay.
+KEEP = (
+    ("w_adjoint", "the paper's synthesis W^T in S_tau = W^T T W; oracle of the fused prox"),
+    ("threshold_stack", "the paper's T, the prox of tau*h_hat; oracle of the fused prox"),
+    ("h_hat", "the lifted TV whose Moreau envelope makes S_tau a prox"),
+    ("h_hat_subgradient", "the paper's eps-subgradient bound"),
+    ("tautstring_prox_1d", "exact 1D reference that cross-validates FPG"),
+    ("identity_operator", "the A = I operator of denoising checks"),
+    ("load_csv", "the reader of the recon_*.csv artifacts"),
+)
+
+
+def _relative_imports(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
+
+
+def test_every_export_is_used_or_kept():
+    trees = {path.stem: ast.parse(path.read_text()) for path in Path(tvprox.__file__).parent.glob("*.py")}
+    # {name: defining module} of the package-relative imports in __init__
+    exports = {alias.asname or alias.name: node.module
+               for node in _relative_imports(trees.pop("__init__")) for alias in node.names}
+    imported = {alias.name for tree in trees.values() for node in _relative_imports(tree) for alias in node.names}
+    names = {stem: {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} for stem, tree in trees.items()}
+
+    def used(name):
+        return name in imported or name in names[exports[name]]
+
+    keep = {name for name, _ in KEEP}
+    assert keep <= exports.keys()
+    dead = sorted(name for name in exports if name not in keep and not used(name))
+    assert not dead, f"exported but used nowhere in the package: {dead}"
+    stale = sorted(name for name in keep if used(name))
+    assert not stale, f"kept exports that the package now uses: {stale}"

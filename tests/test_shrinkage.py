@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tvprox.exact import OracleConfig, fpg_prox
-from tvprox.frame import CoeffStack, stack_norm, w_adjoint, w_forward
+from tvprox.frame import CoeffStack, w_adjoint, w_forward
 from tvprox.shrinkage import (
     ProxParams,
     approx_prox,
@@ -13,7 +13,7 @@ from tvprox.shrinkage import (
     shrink_iso,
     threshold_stack,
 )
-from tvprox.signal import l2_norm, mean
+from tvprox.signal import l2_norm
 from tvprox.tv import tv
 
 SHAPES = {1: (12,), 2: (6, 6), 3: (4, 4, 4)}
@@ -29,19 +29,27 @@ def test_prox_params_validation():
         ProxParams(1.0, "bogus")
 
 
+# a NaN or inf threshold would turn every output entry into NaN
+BAD_THRESHOLDS = (-0.1, np.nan, np.inf)
+
+
 def test_shrink_aniso_scalars():
     assert shrink_aniso(3.0, 1.0) == 2.0
     assert shrink_aniso(0.5, 1.0) == 0.0
     assert shrink_aniso(-3.0, 1.0) == -2.0
     assert shrink_aniso(0.0, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        shrink_aniso(1.0, -0.1)
+    for lam in BAD_THRESHOLDS:
+        with pytest.raises(ValueError, match="threshold"):
+            shrink_aniso(1.0, lam)
 
 
 def test_shrink_iso_vectors():
     np.testing.assert_allclose(shrink_iso(np.array([3.0, 4.0]), 1.0), [2.4, 3.2], rtol=1e-14)
     np.testing.assert_array_equal(shrink_iso(np.array([0.3, 0.4]), 1.0), [0.0, 0.0])
     np.testing.assert_array_equal(shrink_iso(np.zeros(2), 1.0), [0.0, 0.0])
+    for lam in BAD_THRESHOLDS:
+        with pytest.raises(ValueError, match="threshold"):
+            shrink_iso(np.ones((2, 3)), lam)
 
 
 def test_shrink_iso_reduces_to_aniso_in_1d():
@@ -77,6 +85,9 @@ def test_threshold_stack_avg_passthrough():
         np.testing.assert_array_equal(out.avg, u.avg)
     out = threshold_stack(u, 0.0, "aniso")
     np.testing.assert_array_equal(out.dif, u.dif)
+    for lam in BAD_THRESHOLDS:
+        with pytest.raises(ValueError, match="threshold"):
+            threshold_stack(u, lam, "iso")
 
 
 def test_approx_prox_constant_unchanged():
@@ -160,7 +171,7 @@ def test_mean_preservation():
         z = rng.standard_normal(SHAPES[d])
         tau = 10.0 ** rng.uniform(-3, 0.5)
         s = approx_prox(z, ProxParams(tau, "iso"))
-        assert abs(mean(s) - mean(z)) <= 1e-12
+        assert abs(s.mean() - z.mean()) <= 1e-12
 
 
 def test_error_bound_corollary():

@@ -1,56 +1,11 @@
-"""nd-signal reductions against naive loop oracles."""
+"""Signal contract, norm, the solvers' relative-change stop and CSV I/O."""
 
 import numpy as np
 import pytest
 
 from tvprox.shrinkage import ProxParams, approx_prox
-from tvprox.signal import (
-    ZeroNormError,
-    dot,
-    l2_norm,
-    load_csv,
-    mean,
-    rel_change,
-    save_csv,
-    validate_signal,
-)
-
-
-def naive_dot(a, b):
-    # independent oracle: explicit pairwise accumulation
-    total = 0.0
-    for x, y in zip(np.ravel(a), np.ravel(b)):
-        total += x * y
-    return total
-
-
-def test_dot_examples():
-    assert dot([1.0, 2.0], [3.0, 4.0]) == 11.0
-    x = np.arange(5.0)
-    assert dot(x, np.zeros(5)) == 0.0
-
-
-def test_dot_matches_naive_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = rng.standard_normal(8)
-        b = rng.standard_normal(8)
-        assert abs(dot(a, b) - naive_dot(a, b)) <= 1e-12
-
-
-def test_dot_symmetric_bilinear():
-    rng = np.random.default_rng(1)
-    for _ in range(30):
-        a, b, c = (rng.standard_normal(6) for _ in range(3))
-        al, be = rng.standard_normal(2)
-        assert dot(a, b) == pytest.approx(dot(b, a), rel=1e-12)
-        assert dot(al * a + be * b, c) == pytest.approx(
-            al * dot(a, c) + be * dot(b, c), rel=1e-12, abs=1e-12)
-
-
-def test_dot_shape_mismatch():
-    with pytest.raises(ValueError):
-        dot(np.zeros(3), np.zeros(4))
+from tvprox.signal import l2_norm, load_csv, save_csv, validate_signal
+from tvprox.solvers import _stopped
 
 
 def test_l2_norm_examples():
@@ -58,7 +13,7 @@ def test_l2_norm_examples():
     assert l2_norm(np.zeros((4, 4))) == 0.0
     rng = np.random.default_rng(2)
     a = rng.standard_normal(17)
-    assert l2_norm(a) == pytest.approx(np.sqrt(dot(a, a)), rel=1e-14)
+    assert l2_norm(a) == pytest.approx(np.sqrt(np.vdot(a, a)), rel=1e-14)
 
 
 def test_l2_norm_separates_points():
@@ -71,38 +26,33 @@ def test_l2_norm_separates_points():
 
 
 def test_rel_change():
-    x = np.array([1.0, 2.0, 3.0])
-    assert rel_change(x, x) == 0.0
-    assert rel_change([2.0, 0.0], [1.0, 0.0]) == 1.0
+    # the solvers stop once ||x - x_prev|| / ||x_prev|| <= tol
     rng = np.random.default_rng(4)
     for _ in range(20):
         a = rng.standard_normal(7)
         b = rng.standard_normal(7)
         want = np.linalg.norm(a - b) / np.linalg.norm(b)
-        assert rel_change(a, b) == pytest.approx(want, rel=1e-14)
+        assert _stopped(a - b, b, want * (1 + 1e-14))
+        assert not _stopped(a - b, b, want * (1 - 1e-14))
+    x = np.array([1.0, 2.0, 3.0])
+    assert _stopped(x - x, x, 1e-300)
 
 
 def test_norms_of_huge_finite_signals_do_not_overflow():
-    # the squares overflow, the norms and the change do not
+    # the squares overflow, the norms and the relative change do not
     with np.errstate(over="ignore"):
         assert l2_norm([1e200, 0.0]) == 1e200
         assert l2_norm([3e200, -4e200]) == pytest.approx(5e200, rel=1e-15)
-        assert rel_change([1.1e200, 0.0], [1e200, 0.0]) == pytest.approx(0.1, rel=1e-14)
-        assert rel_change([1e200, 1e140], [1e200, 0.0]) == pytest.approx(1e-60, rel=1e-14)
         assert l2_norm([np.inf, 1.0]) == np.inf
+        x_prev = np.array([1e200, 0.0])
+        assert _stopped(np.array([1.1e200, 0.0]) - x_prev, x_prev, 0.1 * (1 + 1e-14))
+        assert not _stopped(np.array([1e200, 1e140]) - x_prev, x_prev, 1e-60 * (1 - 1e-14))
 
 
 def test_rel_change_zero_denominator():
-    with pytest.raises(ZeroNormError):
-        rel_change(np.ones(3), np.zeros(3))
-
-
-def test_mean():
-    assert mean([1.0, 1.0, 1.0, 1.0]) == 1.0
-    assert mean([0.0, 2.0]) == 1.0
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal(11)
-    assert mean(a) == pytest.approx(sum(a) / a.size, rel=1e-14, abs=1e-14)
+    # never stops against a zero previous iterate
+    assert not _stopped(np.ones(3), np.zeros(3), 1e300)
+    assert not _stopped(np.zeros(3), np.zeros(3), 1e300)
 
 
 def test_validate_signal_contract():
