@@ -4,15 +4,17 @@ Exit codes: 0 success, 2 configuration error, 3 solver abort.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from .exact import OracleConfig, duality_gap, fpg_prox
-from .experiments import ExperimentConfig, run_sweep
+from .experiments import SOLVERS, TASKS, ExperimentConfig, run_sweep
 from .shrinkage import ProxParams, approx_prox
-from .signal import l2_norm
-from .tv import tv
+from .signal import check_choice, check_count, l2_norm
+from .solvers import PROX_CHOICES
+from .tv import MODES, tv
 
 
 def _parse_floats(text):
@@ -39,20 +41,23 @@ def _read_config_file(path):
 _SWEEP_OPTIONS = {
     "lambda": ("lambda_grid", {"type": _parse_floats, "help": "comma-separated regularization grid"}),
     "gamma": ("gamma_grid", {"type": _parse_floats, "help": "comma-separated step-size/penalty grid"}),
-    "mode": ("mode", {"choices": ("aniso", "iso")}),
-    "solver": ("solver", {"choices": ("apgm", "admm")}),
-    "prox": ("prox", {"choices": ("approx", "exact"), "help": "exact also emits the budgeted-FPG baseline table"}),
+    "mode": ("mode", {"choices": MODES}),
+    "solver": ("solver", {"choices": SOLVERS}),
+    "prox": ("prox", {"choices": PROX_CHOICES, "help": "exact also emits the budgeted-FPG baseline table"}),
     "size": ("image_size", {"type": int}),
     "seed": ("seed", {"type": int}),
     "angles": ("n_angles", {"type": int}),
     "phantoms": ("n_phantoms", {"type": int}),
     "sigma": ("noise_sigma", {"type": float}),
     "out": ("output_dir", {"help": "output directory"}),
-    "paper_scale": ("paper_scale", {"action": "store_true"}),
+    "paper_scale": ("paper_scale", {"action": "store_true", "help": "10 phantoms, 45 angles unless set"}),
     "timing": ("timing", {"action": "store_true",
                           "help": "record real wall seconds in table.csv (not byte-reproducible)"}),
 }
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+# Presets under the explicit options: the CT sweep's, and --paper-scale's
+_CT_DEFAULTS = {"gamma_grid": (1e-2, 1e-3, 1e-4), "solver": "admm"}
+_PAPER_SCALE = {"n_phantoms": 10, "n_angles": 45}
 
 
 def _add_sweep_flags(p):
@@ -65,26 +70,20 @@ def _add_sweep_flags(p):
 
 def _config_value(name, kwargs, raw):
     """A config-file value, converted and checked as its flag would be."""
-    if kwargs.get("action") == "store_true":
-        if raw.lower() not in _BOOLEANS:
-            raise ValueError(f"{name}: expected one of {', '.join(_BOOLEANS)}, got {raw!r}")
-        return _BOOLEANS[raw.lower()]
     try:
+        if kwargs.get("action") == "store_true":
+            return _BOOLEANS[check_choice("value", raw.lower(), tuple(_BOOLEANS))]
         value = kwargs.get("type", str)(raw)
+        return check_choice("value", value, kwargs["choices"]) if "choices" in kwargs else value
     except ValueError as err:
         raise ValueError(f"{name}: {err}") from None
-    if "choices" in kwargs and value not in kwargs["choices"]:
-        raise ValueError(f"{name}: expected one of {', '.join(kwargs['choices'])}, got {raw!r}")
-    return value
 
 
 def _merged_options(args):
     opts = {}
     if args.config:
         for key, raw in _read_config_file(args.config).items():
-            if key not in _SWEEP_OPTIONS:
-                raise ValueError(f"unknown config key {key!r}")
-            dest, kwargs = _SWEEP_OPTIONS[key]
+            dest, kwargs = _SWEEP_OPTIONS[check_choice("config key", key, tuple(_SWEEP_OPTIONS))]
             opts[dest] = _config_value(key, kwargs, raw)
     for dest, _ in _SWEEP_OPTIONS.values():
         if getattr(args, dest) is not None:
@@ -93,14 +92,12 @@ def _merged_options(args):
 
 
 def _build_config(task, opts):
-    # unset options keep ExperimentConfig's defaults; CT defaults to ADMM on a finer gamma grid
     fields = {k: v for k, v in opts.items() if k not in ("prox", "paper_scale")}
-    if task == "ct":
-        fields = {"gamma_grid": (1e-2, 1e-3, 1e-4), "solver": "admm", **fields}
-    cfg = ExperimentConfig(task=task, fpg50_baseline=opts.get("prox") == "exact", **fields)
     if opts.get("paper_scale"):
-        cfg.paper_scale()
-    return cfg
+        fields = {**_PAPER_SCALE, **fields}
+    if task == "ct":
+        fields = {**_CT_DEFAULTS, **fields}
+    return ExperimentConfig(task=task, fpg50_baseline=opts.get("prox") == "exact", **fields)
 
 
 def _config_error(err):
@@ -111,6 +108,8 @@ def _config_error(err):
 def _run_task(task, args):
     try:
         cfg = _build_config(task, _merged_options(args))
+        if cfg.output_dir:
+            os.makedirs(cfg.output_dir, exist_ok=True)
     except (ValueError, OSError) as err:
         return _config_error(err)
     result = run_sweep(cfg)
@@ -127,17 +126,16 @@ def _run_task(task, args):
 def _run_prox_check(args):
     """Spot-check the operator's contracts on random signals."""
     size, mode, tau = args.size, args.mode, args.tau
-    if not (np.isfinite(tau) and tau > 0):
-        return _config_error(f"tau must be finite and > 0, got {tau}")
-    if size < 2:
-        return _config_error(f"size must be >= 2, got {size}")
-    if args.seed < 0:
-        return _config_error(f"seed must be >= 0, got {args.seed}")
+    try:
+        params = ProxParams(tau, mode)
+        check_count("size", size, least=2)
+        check_count("seed", args.seed, least=0)
+    except ValueError as err:
+        return _config_error(err)
     rng = np.random.default_rng(args.seed)
     ok = True
 
     z = rng.standard_normal((size, size))
-    params = ProxParams(tau, mode)
     s = approx_prox(z, params)
 
     descent = tv(s, mode) <= tv(z, mode) + 1e-10
@@ -167,7 +165,7 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="tvprox", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for task in ("denoise", "ct"):
+    for task in TASKS:
         p = sub.add_parser(task, help=f"{task} accuracy-vs-tau sweep")
         _add_sweep_flags(p)
 
@@ -175,7 +173,7 @@ def build_parser():
     p.add_argument("--size", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tau", type=float, default=1e-2)
-    p.add_argument("--mode", choices=("aniso", "iso"), default="aniso")
+    p.add_argument("--mode", choices=MODES, default="aniso")
     return parser
 
 

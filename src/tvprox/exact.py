@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import _adjoint_steps, _grad, _grad_adjoint, _grad_steps, _run
+from .frame import BOUNDARIES, _adjoint_steps, _grad, _grad_adjoint, _grad_steps, _run
 from .shrinkage import _project_ball
-from .signal import check_count, check_positive, validate_signal
+from .signal import check_choice, check_count, check_positive, validate_signal
 from .tv import _tv_of_differences, check_mode
 
 
@@ -44,8 +44,7 @@ class OracleConfig:
         if self.gap_tol is not None:
             check_positive("gap_tol", self.gap_tol)
         check_mode(self.mode)
-        if self.boundary not in ("circular", "free"):
-            raise ValueError(f"boundary must be 'circular' or 'free', got {self.boundary!r}")
+        check_choice("boundary", self.boundary, BOUNDARIES)
 
 
 def fpg_prox(z, tau, cfg=None, return_info=False):
@@ -194,7 +193,8 @@ def duality_gap(z, x, p, tau, mode="aniso", boundary="circular"):
     if x.shape != z.shape or p.shape != (z.ndim,) + z.shape:
         raise ValueError(f"shape mismatch: z {z.shape}, x {x.shape}, p {p.shape}")
     check_positive("tau", tau)
-    OracleConfig(mode=mode, boundary=boundary)  # checks mode and boundary
+    check_mode(mode)
+    check_choice("boundary", boundary, BOUNDARIES)
     r = x - (z - tau * _grad_adjoint(p, boundary))  # z - tau*D^T p as fpg_prox forms x
     g = _grad(x, boundary)
     coupling = float(np.vdot(g, p))  # before _tv_of_differences overwrites g

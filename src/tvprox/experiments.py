@@ -23,65 +23,52 @@ from .operators import (
     prox_g_denoise,
     radon_operator,
 )
-from .signal import check_count, check_positive, save_csv
+from .signal import check_choice, check_count, check_nonnegative, check_positive, save_csv
 from .solvers import Problem, RunReport, SolverConfig, SolverDivergence, admm, apgm, objective
 from .tv import check_mode
 
 TABLE_HEADER = "lambda,gamma,cost_acc,psnr_tv,psnr_gt,iters,seconds"
+TASKS = ("denoise", "ct")
+SOLVERS = ("apgm", "admm")
 
 
 @dataclass
 class ExperimentConfig:
-    """Sweep definition. Desk-scale defaults keep a full sweep under CI
-    budgets; paper_scale raises the phantom count and CT angles."""
+    """Sweep definition, checked at construction. Desk-scale defaults keep
+    a full sweep under CI budgets. Every cell solves with SolverConfig's
+    stop rule (stop_tol 5e-6, max_iter 20000)."""
 
-    task: str = "denoise"  # "denoise" | "ct"
+    task: str = "denoise"  # one of TASKS
     image_size: int = 32
     n_phantoms: int = 3
     seed: int = 0
     mode: str = "aniso"
     lambda_grid: tuple = (0.5,)
     gamma_grid: tuple = (1e-1, 1e-2, 1e-3)  # ct+apgm: fractions of 1/L
-    solver: str = "apgm"
+    solver: str = "apgm"  # one of SOLVERS
     n_angles: int = 15
     noise_sigma: float = None  # default 0.1 (denoise) / 0.5 (ct sinogram)
-    stop_tol: float = 5e-6
-    max_iter: int = 20000
     fpg50_baseline: bool = False  # also emit table_fpg50.csv (budgeted baseline)
     timing: bool = False  # real wall seconds in table.csv (breaks byte determinism)
     output_dir: str = None
 
     def __post_init__(self):
-        if self.task not in ("denoise", "ct"):
-            raise ValueError(f"task must be 'denoise' or 'ct', got {self.task!r}")
-        if self.solver not in ("apgm", "admm"):
-            raise ValueError(f"solver must be 'apgm' or 'admm', got {self.solver!r}")
+        check_choice("task", self.task, TASKS)
+        check_choice("solver", self.solver, SOLVERS)
         check_mode(self.mode)
         if not self.lambda_grid or not len(self.gamma_grid):
             raise ValueError("lambda_grid and gamma_grid must be non-empty")
-        if not all(np.isfinite(v) and v >= 0 for v in self.lambda_grid):
-            raise ValueError(f"lambda values must be finite and >= 0, got {self.lambda_grid}")
-        if not all(np.isfinite(v) and v > 0 for v in self.gamma_grid):
-            raise ValueError(f"gamma values must be finite and > 0, got {self.gamma_grid}")
-        if self.image_size < 16:
-            raise ValueError(f"image size must be >= 16, got {self.image_size}")
-        if self.n_phantoms < 1:
-            raise ValueError(f"number of phantoms must be >= 1, got {self.n_phantoms}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.n_angles < 1:
-            raise ValueError(f"number of angles must be >= 1, got {self.n_angles}")
-        check_positive("stop_tol", self.stop_tol)
-        check_count("max_iter", self.max_iter)
+        for i, lam in enumerate(self.lambda_grid):
+            check_nonnegative(f"lambda_grid[{i}]", lam)
+        for i, gamma in enumerate(self.gamma_grid):
+            check_positive(f"gamma_grid[{i}]", gamma)
+        check_count("image_size", self.image_size, least=16)
+        check_count("n_phantoms", self.n_phantoms)
+        check_count("seed", self.seed, least=0)
+        check_count("n_angles", self.n_angles)
         if self.noise_sigma is None:
             self.noise_sigma = 0.1 if self.task == "denoise" else 0.5
-        if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
-            raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
-
-    def paper_scale(self):
-        self.n_phantoms = 10
-        self.n_angles = 45
-        return self
+        check_nonnegative("noise_sigma", self.noise_sigma)
 
 
 @dataclass
@@ -116,10 +103,8 @@ def gen_foam_phantom(size, seed, n_disks=30):
     along one axis, a margin of 2r + 1 in the squared distance that rounding
     cannot close, so testing every pixel would select the same ones.
     """
-    if size < 16:
-        raise ValueError("size must be >= 16")
-    if n_disks < 0:
-        raise ValueError(f"n_disks must be >= 0, got {n_disks}")
+    check_count("size", size, least=16)
+    check_count("n_disks", n_disks, least=0)
     rng = np.random.default_rng(seed)
     c = (size - 1) / 2.0
     yy, xx = np.ogrid[0:size, 0:size]
@@ -220,8 +205,8 @@ def _baseline(cfg, problem, lam, y, budget=None):
             mode=cfg.mode,
             prox_choice="exact",
             oracle=oracle,
-            stop_tol=min(cfg.stop_tol, 1e-7),
-            max_iter=max(cfg.max_iter, 20000),
+            stop_tol=1e-7,
+            max_iter=20000,
         )
         x_star = apgm(problem, ref_cfg, np.zeros((cfg.image_size, cfg.image_size))).final_x
     return x_star, objective(problem, SolverConfig(gamma=1.0, lam=lam, mode=cfg.mode), x_star)
@@ -267,8 +252,6 @@ def _run_cell(cfg, lam, gamma, i, data, problem, refs):
         lam=lam,
         mode=cfg.mode,
         prox_choice="approx",
-        stop_tol=cfg.stop_tol,
-        max_iter=cfg.max_iter,
     )
     x0 = y.copy() if cfg.task == "denoise" else np.zeros_like(gt)
     solve = apgm if cfg.solver == "apgm" else admm

@@ -26,6 +26,8 @@ import numpy as np
 
 from .signal import validate_signal
 
+BOUNDARIES = ("circular", "free")
+
 
 @dataclass(frozen=True)
 class CoeffStack:
@@ -128,27 +130,23 @@ def _run(steps):
         ufunc(a, b, out=out)
 
 
-def _grad(x, boundary="circular", out=None):
+def _grad(x, boundary="circular"):
     """Forward differences D x stacked over axes, shape (d, *x.shape).
 
-    See _grad_steps for the stencil. Writes into `out` (C-contiguous) when
-    given.
+    See _grad_steps for the stencil.
     """
-    if out is None:
-        out = np.empty((x.ndim,) + x.shape)
+    out = np.empty((x.ndim,) + x.shape)
     _run(_grad_steps(x, out, boundary))
     return out
 
 
-def _grad_adjoint(p, boundary="circular", out=None):
+def _grad_adjoint(p, boundary="circular"):
     """Exact adjoint of _grad: sum over axes of p[j]_i - p[j]_{i-1}.
 
-    See _adjoint_steps for the stencil. Writes into `out` (C-contiguous)
-    when given.
+    See _adjoint_steps for the stencil.
     """
     shape = p.shape[1:]
-    if out is None:
-        out = np.empty(shape)
+    out = np.empty(shape)
     scratch = np.empty(shape) if len(shape) > 1 else None
     _run(_adjoint_steps(p, out, scratch, boundary))
     return out

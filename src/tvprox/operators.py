@@ -14,14 +14,12 @@ every matvec.
 
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal import check_count, check_positive, l2_norm, validate_signal
+from .signal import check_count, check_nonnegative, check_positive, l2_norm, validate_signal
 
 CG_TOL = 1e-10  # relative residual at which prox_g_ct stops its CG
 
@@ -55,27 +53,21 @@ def identity_operator(shape):
 @dataclass(eq=False)
 class CtGeometry:
     """Parallel-beam geometry: square image, equispaced angles over [0, pi), unit pixels
-    and ceil(n_pixels sqrt 2) unit bins, rounded up to n_pixels' parity: 0-degree rays hit bin centers."""
+    and ceil(n_pixels sqrt 2) unit bins, rounded up to n_pixels' parity: 0-degree rays hit bin centers.
+    Only n_pixels (>= 2) and n_angles are set; the rest, system_matrix's cache too, is derived."""
 
     n_pixels: int
     n_angles: int
-    angles: np.ndarray = None
+    angles: np.ndarray = field(init=False)
     n_detectors: int = field(init=False)
-    _matrix: sp.csr_matrix = field(default=None, repr=False)
-    _matrix_t: sp.csr_matrix = field(default=None, repr=False)
+    _matrix: sp.csr_matrix = field(default=None, init=False, repr=False)
+    _matrix_t: sp.csr_matrix = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = self.n_pixels
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
-            raise ValueError(f"n_pixels must be an integer >= 2, got {n!r}")
+        check_count("n_pixels", n, least=2)
         check_count("n_angles", self.n_angles)
-        if self.angles is None:
-            self.angles = np.arange(self.n_angles) * np.pi / self.n_angles
-        self.angles = np.asarray(self.angles, dtype=np.float64)
-        if self.angles.size != self.n_angles:
-            raise ValueError("angles length must equal n_angles")
-        if np.any(np.diff(self.angles) <= 0) or self.angles[0] < 0 or self.angles[-1] >= np.pi:
-            raise ValueError("angles must be strictly increasing within [0, pi)")
+        self.angles = np.arange(self.n_angles) * np.pi / self.n_angles
         m = int(np.ceil(n * np.sqrt(2.0)))
         self.n_detectors = m + (m - n) % 2
 
@@ -148,6 +140,8 @@ def radon_operator(geo):
 
 def lipschitz_power_iter(op, iters=100, tol=1e-6, seed=0):
     """Largest eigenvalue of A^T A by seeded power iteration on A^T A."""
+    check_count("iters", iters)
+    check_positive("tol", tol)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op.in_shape)
     v /= l2_norm(v)
@@ -169,8 +163,7 @@ def lipschitz_power_iter(op, iters=100, tol=1e-6, seed=0):
 def add_awgn(x, sigma, seed):
     """Add i.i.d. Gaussian noise of standard deviation sigma, seeded."""
     x = np.asarray(x, dtype=np.float64)
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    check_nonnegative("sigma", sigma)
     if sigma == 0.0:
         return x.copy()
     # Built in the noise buffer: n * sigma + x is x + sigma * n bit for bit.
@@ -195,11 +188,13 @@ def prox_g_ct(v, gamma, y, op, cg_max=200, return_info=False):
     by conjugate gradient warm-started at v, with scipy cg's operations in order
     (bit-identical): stop before a step once ||r|| < CG_TOL ||b|| or after cg_max
     steps; x = b = 0 if ||b|| = 0. Raises ValueError on a non-finite or
-    nonpositive gamma and on a non-finite v or y; warns unless the true
-    relative residual is <= CG_TOL (so a NaN residual warns too).
+    nonpositive gamma, a cg_max that is not an integer >= 1, and a non-finite
+    v or y; warns unless the true relative residual is <= CG_TOL (so a NaN
+    residual warns too).
     return_info=True returns (x, {"iterations", "residual", "converged"})."""
     v = np.asarray(v, dtype=np.float64)
     check_positive("gamma", gamma)
+    check_count("cg_max", cg_max)
     for name, a in (("v", v), ("y", y)):
         if not np.isfinite(a).all():
             raise ValueError(f"prox_g_ct: {name} holds non-finite values")

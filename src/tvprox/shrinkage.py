@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import CoeffStack, _adjoint_steps, _grad_steps, _run, w_forward
+from .signal import check_nonnegative, check_positive
 from .tv import check_mode
 
 
@@ -39,17 +40,11 @@ class ProxParams:
     mode: str = "aniso"
 
     def __post_init__(self):
-        if not np.isfinite(self.tau) or self.tau <= 0.0:
-            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+        check_positive("tau", self.tau)
         check_mode(self.mode)
 
     def threshold(self, d):
-        return 2.0 * self.tau * np.sqrt(d)
-
-
-def _check_threshold(lam):
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"threshold must be finite and >= 0, got {lam}")
+        return 2.0 * self.tau * math.sqrt(d)
 
 
 def shrink_aniso(t, lam):
@@ -57,7 +52,7 @@ def shrink_aniso(t, lam):
 
     Vectorizes over numpy arrays elementwise.
     """
-    _check_threshold(lam)
+    check_nonnegative("threshold", lam)
     t = np.asarray(t, dtype=np.float64)
     out = np.maximum(np.abs(t) - lam, 0.0) * np.sign(t)
     return float(out) if out.ndim == 0 else out
@@ -68,7 +63,7 @@ def shrink_iso(v, lam):
     v holds one d-vector along its first axis; trailing axes vectorize
     over locations.
     """
-    _check_threshold(lam)
+    check_nonnegative("threshold", lam)
     v = np.asarray(v, dtype=np.float64)
     norms = np.sqrt((v**2).sum(axis=0))
     safe = np.where(norms > 0.0, norms, 1.0)
@@ -83,7 +78,7 @@ def threshold_stack(u, lam, mode):
     This is the exact proximal map of the lifted functional tau*h_hat at
     threshold lam = 2*tau*sqrt(d).
     """
-    _check_threshold(lam)
+    check_nonnegative("threshold", lam)
     check_mode(mode)
     if mode == "aniso":
         dif = shrink_aniso(u.dif, lam)
@@ -109,9 +104,11 @@ def _project_ball(p, radius, mode, norms=None, tmp=None):
     for pj in p[1:]:
         norms += np.multiply(pj, pj, out=tmp)
     np.sqrt(norms, out=norms)
-    np.maximum(norms, radius, out=norms)
+    # divided before the max, so an overflowed radius (inf) gives 0, not
+    # inf / inf; division is monotone, so the result is the same otherwise
     if radius != 1.0:
         norms /= radius
+    np.maximum(norms, 1.0, out=norms)
     p /= norms
     return p
 

@@ -3,10 +3,14 @@
 Signals are plain float64 numpy arrays in row-major order, 1 <= ndim <= 3,
 every extent >= 2, all values real and finite. ``validate_signal`` enforces
 the contract at public entry points.
+
+Settings follow one contract too: every scale, tolerance, count and choice
+is checked by a check_* function here, so each rule is written once.
 """
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -33,25 +37,42 @@ def validate_signal(x, name="signal"):
 
 
 def check_positive(name, value):
-    """A stopping tolerance or a prox scale: a finite number > 0 (a NaN
+    """A stopping tolerance or a scale: a finite number > 0 (a NaN
     tolerance would never stop; a NaN or inf scale makes the output NaN)."""
     if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def check_count(name, value):
-    """An iteration budget: an integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def check_nonnegative(name, value):
+    """A weight, noise level or threshold: a finite number >= 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def check_count(name, value, least=1):
+    """An iteration budget, size or seed: an integer >= least, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_choice(name, value, choices):
+    """One of a fixed tuple of settings; returns it."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+    return value
 
 
 def l2_norm(a):
     """Euclidean norm sqrt(<a, a>), bit-identical to np.linalg.norm's path
-    unless the squares of finite entries overflow: then it rescales by max|a|."""
+    unless the squares of finite entries overflow, or their sum of a nonzero
+    array falls below the normal range: then it rescales by max|a|."""
     a = np.asarray(a, dtype=np.float64).ravel()
-    norm = math.sqrt(a.dot(a))
-    if norm == math.inf and (big := np.abs(a).max()) < math.inf:
-        return big * l2_norm(a / big)
+    squares = a.dot(a)
+    norm = math.sqrt(squares)
+    if norm == math.inf or squares < sys.float_info.min:
+        big = np.abs(a).max(initial=0.0)
+        if 0.0 < big < math.inf:
+            return big * l2_norm(a / big)
     return norm
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .exact import OracleConfig, fpg_prox
 from .frame import _grad_steps, _run
 from .shrinkage import ProxParams, _bind_approx_prox
-from .signal import check_count, check_positive, l2_norm, validate_signal
+from .signal import check_choice, check_count, check_nonnegative, check_positive, l2_norm, validate_signal
 from .tv import _tv_of_differences, check_mode, tv
 
 
@@ -41,26 +41,32 @@ class Problem:
     lipschitz_L: float | None = None
 
 
+PROX_CHOICES = ("approx", "exact")
+
+
 @dataclass
 class SolverConfig:
+    """Step size, TV weight and stop rule of one solve. The exact prox runs
+    oracle (default OracleConfig(mode=mode)), which must solve the TV the
+    objective scores: the same mode, circular boundaries."""
+
     gamma: float = 1.0
     lam: float = 0.0
     mode: str = "aniso"
-    prox_choice: str = "approx"  # "approx" | "exact"
+    prox_choice: str = "approx"  # one of PROX_CHOICES
     oracle: OracleConfig = None
     stop_tol: float = 5e-6
     max_iter: int = 20000
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma <= 0:
-            raise ValueError("gamma must be finite and > 0")
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise ValueError("lambda must be finite and >= 0")
+        check_positive("gamma", self.gamma)
+        check_nonnegative("lam", self.lam)
         check_positive("stop_tol", self.stop_tol)
         check_count("max_iter", self.max_iter)
         check_mode(self.mode)
-        if self.prox_choice not in ("approx", "exact"):
-            raise ValueError(f"prox_choice must be 'approx' or 'exact', got {self.prox_choice!r}")
+        check_choice("prox_choice", self.prox_choice, PROX_CHOICES)
+        if self.oracle is not None and (self.oracle.mode, self.oracle.boundary) != (self.mode, "circular"):
+            raise ValueError(f"oracle must solve mode {self.mode!r} with circular boundaries, got {self.oracle}")
 
     @property
     def tau(self):
@@ -122,8 +128,6 @@ def _bind_tv_prox(cfg, z, xs, dif, fpg_solves):
     if cfg.prox_choice == "approx":
         return _bind_approx_prox(z, xs, dif, ProxParams(tau, cfg.mode))
     oracle = cfg.oracle or OracleConfig(mode=cfg.mode)
-    if oracle.mode != cfg.mode:
-        raise ValueError("oracle mode does not match solver mode")
 
     def exact(x):
         # return_info=True: a budgeted sub-solve that stops short does not

@@ -10,15 +10,13 @@ h_hat(w_forward(z), mode) == tv(z, mode).
 import numpy as np
 
 from .frame import CoeffStack, _grad
-from .signal import validate_signal
+from .signal import check_choice, validate_signal
 
 MODES = ("aniso", "iso")
 
 
 def check_mode(mode):
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return mode
+    return check_choice("mode", mode, MODES)
 
 
 def tv(x, mode):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tvprox
-from tvprox.cli import _read_config_file, build_parser, main
+from tvprox.cli import _build_config, _merged_options, _read_config_file, build_parser, main
 from tvprox.experiments import TABLE_HEADER
 
 
@@ -87,6 +87,13 @@ def test_prox_check_reports(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+def test_prox_check_finishes_at_huge_tau(mode, capsys):
+    # the threshold overflows to inf; the error bound is then vacuous
+    assert main(["prox-check", "--size", "8", "--tau", "1e308", "--mode", mode]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_byte_identical_tables(tmp_path):
     args = ["denoise", "--size", "16", "--phantoms", "1", "--seed", "4",
             "--lambda", "0.5", "--gamma", "1e-1"]
@@ -111,10 +118,29 @@ def test_byte_identical_tables(tmp_path):
     ["denoise", "--seed", "-1"],
     ["ct", "--seed", "-1"],
     ["prox-check", "--seed", "-1"],
+    ["denoise", "--out", __file__],  # an existing file, not a directory
 ])
 def test_bad_sweep_input_exits_2(argv, capsys):
     assert main(argv) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, phantoms, angles", [
+    (["ct", "--paper-scale"], 10, 45),
+    (["ct", "--angles", "30", "--phantoms", "2", "--paper-scale"], 2, 30),
+    (["denoise", "--paper-scale", "--phantoms", "1"], 1, 45),
+    (["ct"], 3, 15),
+])
+def test_paper_scale_presets_yield_to_explicit_flags(argv, phantoms, angles):
+    cfg = _build_config(argv[0], _merged_options(build_parser().parse_args(argv)))
+    assert (cfg.n_phantoms, cfg.n_angles) == (phantoms, angles)
+
+
+def test_paper_scale_in_config_file_yields_to_its_other_keys(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("paper_scale=yes\nangles=30\n")
+    cfg = _build_config("ct", _merged_options(build_parser().parse_args(["ct", "--config", str(path)])))
+    assert (cfg.n_phantoms, cfg.n_angles) == (10, 30)
 
 
 @pytest.mark.parametrize("line", ["prox=exatc", "paper_scale=on", "size=x"])

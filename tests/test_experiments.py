@@ -38,8 +38,9 @@ def test_phantom_structure():
     assert len(np.unique(img)) <= 32  # n_disks + 2
     with pytest.raises(ValueError):
         gen_foam_phantom(8, seed=0)
-    with pytest.raises(ValueError, match="n_disks"):
-        gen_foam_phantom(16, seed=0, n_disks=-1)
+    for n_disks in (-1, 2.5):
+        with pytest.raises(ValueError, match="n_disks"):
+            gen_foam_phantom(16, seed=0, n_disks=n_disks)
 
 
 def _full_image_phantom(size, seed, n_disks=30):
@@ -130,13 +131,12 @@ def test_config_validation():
         ExperimentConfig(lambda_grid=())
     for bad in (dict(lambda_grid=(-0.5,)), dict(gamma_grid=(0.1, 0.0)), dict(gamma_grid=(np.inf,)),
                 dict(image_size=15), dict(n_phantoms=0), dict(n_angles=0), dict(noise_sigma=-1.0),
-                dict(seed=-1)):
+                dict(seed=-1), dict(n_phantoms=1.5), dict(seed=0.5), dict(image_size=20.5),
+                dict(n_angles=2.5), dict(lambda_grid=("a",)), dict(gamma_grid=("a",)), dict(noise_sigma="a"),
+                dict(mode="tv")):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
-    cfg = ExperimentConfig(task="ct")
-    assert cfg.noise_sigma == 0.5
-    cfg.paper_scale()
-    assert cfg.n_phantoms == 10 and cfg.n_angles == 45
+    assert ExperimentConfig(task="ct").noise_sigma == 0.5
 
 
 def test_sweep_lambda_zero_is_exact(tmp_path):
@@ -220,7 +220,7 @@ def test_ct_sweep_builds_one_operator(monkeypatch):
 def test_sweep_marks_failed_rows():
     # an absurd step size makes APGM diverge on the denoising problem
     cfg = ExperimentConfig(task="denoise", image_size=16, n_phantoms=1, seed=0,
-                           lambda_grid=(0.5,), gamma_grid=(50.0,), max_iter=3000)
+                           lambda_grid=(0.5,), gamma_grid=(50.0,))
     import warnings
 
     with warnings.catch_warnings():

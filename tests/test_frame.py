@@ -192,14 +192,3 @@ def test_grad_pair_dot_test(boundary):
             lhs = np.vdot(_grad(x, boundary), p)
             rhs = np.vdot(x, _grad_adjoint(p, boundary))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, l2_norm(x) * l2_norm(p))
-
-
-def test_grad_pair_writes_into_buffers():
-    rng = np.random.default_rng(19)
-    x = rng.standard_normal((5, 6))
-    g = np.full((2, 5, 6), np.nan)
-    assert _grad(x, "free", out=g) is g
-    np.testing.assert_array_equal(g, _grad(x, "free"))
-    out = np.full((5, 6), np.nan)
-    assert _grad_adjoint(g, "free", out=out) is out
-    np.testing.assert_array_equal(out, _grad_adjoint(g, "free"))

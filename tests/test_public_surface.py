@@ -1,7 +1,9 @@
 """The package exports no dead surface: every name tvprox/__init__.py imports
-is used inside the package or kept on purpose.
+is used inside the package or kept on purpose. And every setting is checked
+through tvprox.signal's checkers: no other module writes its own finite,
+integer or choice check.
 
-The check reads the sources with ast, so names that appear only in
+The checks read the sources with ast, so names that appear only in
 docstrings, or local names that shadow an export, do not count as uses.
 """
 
@@ -43,3 +45,22 @@ def test_every_export_is_used_or_kept():
     assert not dead, f"exported but used nowhere in the package: {dead}"
     stale = sorted(name for name in keep if used(name))
     assert not stale, f"kept exports that the package now uses: {stale}"
+
+
+# The messages of signal's check_positive / check_nonnegative, check_count
+# and check_choice.
+CHECK_MESSAGES = ("must be finite", "must be an integer", "must be one of")
+
+
+def test_setting_checks_are_written_only_in_signal():
+    for path in Path(tvprox.__file__).parent.glob("*.py"):
+        if path.stem == "signal":
+            continue
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and node.body
+                      and isinstance(node.body[0], ast.Expr)}
+        texts = [node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings]
+        own = [text for text in texts if any(message in text for message in CHECK_MESSAGES)]
+        assert not own, f"{path.name} writes its own setting check: {own}"

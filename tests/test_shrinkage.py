@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tvprox.exact import OracleConfig, fpg_prox
-from tvprox.frame import CoeffStack, w_adjoint, w_forward
+from tvprox.frame import CoeffStack, _grad, _grad_adjoint, w_adjoint, w_forward
 from tvprox.shrinkage import (
     ProxParams,
     approx_prox,
@@ -27,6 +27,18 @@ def test_prox_params_validation():
             ProxParams(tau)
     with pytest.raises(ValueError):
         ProxParams(1.0, "bogus")
+
+
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+def test_huge_tau_projects_nothing(mode):
+    # the threshold 2*tau*sqrt(d) overflows to inf here; every point then
+    # lies in the dual ball, so S_tau(z) = z - D^T D z / (4d) in both modes
+    rng = np.random.default_rng(24)
+    for d, shape in SHAPES.items():
+        z = rng.standard_normal(shape)
+        want = z - _grad_adjoint(_grad(z)) / (4.0 * d)
+        for tau in (1e308, float(np.finfo(np.float64).max)):
+            np.testing.assert_allclose(approx_prox(z, ProxParams(tau, mode)), want, rtol=0, atol=1e-12)
 
 
 # a NaN or inf threshold would turn every output entry into NaN

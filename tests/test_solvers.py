@@ -2,14 +2,15 @@
 protocol, and long-run oracles on tiny problems."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from tvprox.exact import OracleConfig
-from tvprox.experiments import ExperimentConfig
+from tvprox.experiments import ExperimentConfig, gen_foam_phantom
 from tvprox.frame import w_forward
-from tvprox.operators import add_awgn, prox_g_denoise
+from tvprox.operators import add_awgn, identity_operator, lipschitz_power_iter, prox_g_ct, prox_g_denoise
 from tvprox.shrinkage import ProxParams, approx_prox
 from tvprox.signal import l2_norm
 from tvprox.solvers import (
@@ -57,21 +58,39 @@ def test_solver_config_validation():
             SolverConfig(**bad)
 
 
-_SETTINGS = {OracleConfig: ("tol", "gap_tol", "max_iter"), SolverConfig: ("stop_tol", "max_iter"),
-             ExperimentConfig: ("stop_tol", "max_iter")}
+_TOLS = (np.nan, np.inf, 0.0, -1e-9)
+_BUDGETS = (2.5, 0, np.float64(100.0), True)
+# constructor -> {setting: (a well-formed value, invalid values)}
+_SETTINGS = {
+    OracleConfig: {"tol": (np.float64(1e-9), _TOLS), "gap_tol": (np.float64(1e-9), _TOLS),
+                   "max_iter": (np.int64(7), _BUDGETS)},
+    SolverConfig: {"stop_tol": (np.float64(1e-9), _TOLS), "max_iter": (np.int64(7), _BUDGETS),
+                   "gamma": (np.float64(0.5), ("a", np.nan)), "lam": (np.float64(0.0), ("a", -np.inf)),
+                   # the exact prox must solve the TV the objective scores
+                   "oracle": (OracleConfig(), (OracleConfig(mode="iso"), OracleConfig(boundary="free")))},
+    ProxParams: {"tau": (np.float64(1e-9), ("a", np.inf))},
+    ExperimentConfig: {"n_phantoms": (np.int64(2), (1.5,)), "seed": (np.int64(0), (0.5,)),
+                       "image_size": (np.int64(16), (20.5,)), "n_angles": (np.int64(4), (2.5,)),
+                       "lambda_grid": ((np.float64(0.0),), (("a",),))},
+    partial(gen_foam_phantom, 16, 0): {"n_disks": (np.int64(3), (2.5,))},
+    partial(lipschitz_power_iter, identity_operator((4, 4))): {"iters": (np.int64(3), (2.5, 0)),
+                                                               "tol": (np.float64(1e-3), (np.nan, 0.0))},
+    partial(prox_g_ct, np.zeros((4, 4)), 0.5, np.zeros((4, 4)), identity_operator((4, 4))):
+        {"cg_max": (np.int64(3), (2.5, 0))},
+}
 
 
 @pytest.mark.parametrize("make, name, value", [
     (make, name, value)
-    for make, names in _SETTINGS.items() for name in names
-    for value in ((2.5, 0, np.float64(100.0), True) if name == "max_iter" else (np.nan, np.inf, 0.0, -1e-9))
+    for make, settings in _SETTINGS.items() for name, (_, bad) in settings.items() for value in bad
 ])
 def test_settings_must_be_finite_and_integral(make, name, value):
-    # a NaN tolerance never stops a loop and a fractional budget is a typo;
-    # both fail at construction, while well-formed numpy scalars pass
+    # a NaN tolerance never stops a loop, a fractional count is a typo and a
+    # string scale is a mix-up; all fail at construction with a ValueError
+    # naming the setting, while well-formed numpy scalars pass
     with pytest.raises(ValueError, match=name):
         make(**{name: value})
-    make(**{name: np.int64(7) if name == "max_iter" else np.float64(1e-9)})
+    make(**{name: _SETTINGS[make][name][0]})
 
 
 def test_objective_components():
