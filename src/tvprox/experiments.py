@@ -134,8 +134,8 @@ def gen_foam_phantom(size, seed, n_disks=30):
     return img
 
 
-def psnr(reference, x, peak=1.0):
-    """Peak signal-to-noise ratio in dB; +inf when the inputs are identical."""
+def psnr(reference, x):
+    """Peak signal-to-noise ratio in dB for a unit peak; +inf when the inputs are identical."""
     reference = np.asarray(reference, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if reference.shape != x.shape:
@@ -143,7 +143,7 @@ def psnr(reference, x, peak=1.0):
     mse = float(((x - reference) ** 2).mean())
     if mse == 0.0:
         return np.inf
-    return 10.0 * np.log10(peak**2 / mse)
+    return 10.0 * np.log10(1.0 / mse)
 
 
 def cost_accuracy(f_hat, f_star):

@@ -4,16 +4,20 @@ The CT projector splats each pixel center onto the two nearest detector
 bins with linear weights (detector spacing = pixel size). The weights are
 assembled once into a sparse matrix, cached with its CSR transpose, so the
 adjoint is exact and every view conserves the total projected mass exactly.
-The CT data prox is an in-place conjugate gradient, stopped once ||r|| < CG_TOL ||b||.
+The CT data prox is an in-place conjugate gradient, stopped once ||r|| < CG_TOL ||b||,
+with one r.r per step. Its right-hand side needs A^T y, which the operator memoises
+for the last sinogram ``y`` it saw: a later call reuses it only while ``y`` holds
+the same bits (a sinogram changed in place, or another phantom's, recomputes it).
 
 The public ``radon_forward`` validates its image and ``radon_adjoint`` checks
 the sinogram's shape; the ``radon_operator`` closures check shapes only, and
 ``prox_g_ct`` checks its inputs for finiteness once at entry instead of on
-every matvec.
+every matvec (``y`` once per new sinogram).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -37,6 +41,8 @@ class LinearOperator:
     in_shape: tuple
     out_shape: tuple
     lipschitz_bound: float | None = None
+    # (y, adjoint(y)) copies of prox_g_ct's last sinogram: see _adjoint_of_data.
+    _data_adjoint: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def identity_operator(shape):
@@ -138,7 +144,7 @@ def radon_operator(geo):
     )
 
 
-def lipschitz_power_iter(op, iters=100, tol=1e-6, seed=0):
+def lipschitz_power_iter(op, iters, tol, seed=0):
     """Largest eigenvalue of A^T A by seeded power iteration on A^T A."""
     check_count("iters", iters)
     check_positive("tol", tol)
@@ -183,45 +189,61 @@ def prox_g_denoise(v, gamma, y):
     return (v + gamma * y) / (1.0 + gamma)
 
 
+def _adjoint_of_data(op, y):
+    """op.adjoint(y), memoised on op for the last y: reused only while y holds the
+    same bits (compared as integers, so -0.0 is not 0.0). A miss checks y for
+    finiteness; a hit skips it, as y equals an array that passed the check."""
+    y = np.asarray(y, dtype=np.float64)
+    memo = op._data_adjoint
+    if memo is not None and np.array_equal(memo[0].view(np.uint64), y.view(np.uint64)):
+        return memo[1]
+    if not np.isfinite(y).all():
+        raise ValueError("prox_g_ct: y holds non-finite values")
+    op._data_adjoint = y.copy(), op.adjoint(y).copy()
+    return op._data_adjoint[1]
+
+
 def prox_g_ct(v, gamma, y, op, cg_max=200, return_info=False):
     """Prox of gamma * (1/2)||Ax - y||^2: solve (I + gamma A^T A) x = v + gamma A^T y
     by conjugate gradient warm-started at v, with scipy cg's operations in order
     (bit-identical): stop before a step once ||r|| < CG_TOL ||b|| or after cg_max
-    steps; x = b = 0 if ||b|| = 0. Raises ValueError on a non-finite or
-    nonpositive gamma, a cg_max that is not an integer >= 1, and a non-finite
-    v or y; warns unless the true relative residual is <= CG_TOL (so a NaN
-    residual warns too).
+    steps; x = b = 0 if ||b|| = 0. Each step takes one rho = r.r, which serves both
+    the stop test (sqrt(rho) is numpy's 1-D norm, bit for bit) and the step. A^T y
+    is memoised on op while y keeps its bits (_adjoint_of_data), so an ADMM solve
+    makes it once.
+    Raises ValueError on a non-finite or nonpositive gamma, a cg_max that is not an
+    integer >= 1, and a non-finite v or y; warns unless the true relative residual
+    is <= CG_TOL (so a NaN residual warns too).
     return_info=True returns (x, {"iterations", "residual", "converged"})."""
     v = np.asarray(v, dtype=np.float64)
     check_positive("gamma", gamma)
     check_count("cg_max", cg_max)
-    for name, a in (("v", v), ("y", y)):
-        if not np.isfinite(a).all():
-            raise ValueError(f"prox_g_ct: {name} holds non-finite values")
-    b = (v + gamma * op.adjoint(y)).ravel()
+    if not np.isfinite(v).all():
+        raise ValueError("prox_g_ct: v holds non-finite values")
+    b = (v + gamma * _adjoint_of_data(op, y)).ravel()
 
     def matvec(u):
         return u + gamma * op.adjoint(op.apply(u.reshape(op.in_shape))).ravel()
 
     x, steps = b, 0  # the solution when ||b|| = 0
-    b_norm = np.linalg.norm(b)
+    b_norm = math.sqrt(b.dot(b))
     if b_norm:
         x = v.flatten()
         r = b - matvec(x) if x.any() else b.copy()
-        while steps < cg_max and not np.linalg.norm(r) < CG_TOL * b_norm:
-            rho = np.dot(r, r)
+        rho = r.dot(r)
+        while steps < cg_max and not math.sqrt(rho) < CG_TOL * b_norm:
             if steps:
                 p *= rho / rho_prev
                 p += r
             else:
                 p = r.copy()
             q = matvec(p)
-            alpha = rho / np.dot(p, q)
+            alpha = rho / p.dot(q)
             x += alpha * p
             r -= alpha * q
-            rho_prev = rho
+            rho_prev, rho = rho, r.dot(r)
             steps += 1
-    achieved = l2_norm(matvec(x) - b) / max(float(b_norm), np.finfo(np.float64).tiny)
+    achieved = l2_norm(matvec(x) - b) / max(b_norm, np.finfo(np.float64).tiny)
     if not achieved <= CG_TOL:
         warnings.warn(f"prox_g_ct: CG stalled at relative residual {achieved:.3e}", RuntimeWarning)
     x = x.reshape(op.in_shape)

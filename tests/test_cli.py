@@ -83,15 +83,22 @@ def test_prox_check_reports(capsys):
     out = capsys.readouterr().out
     assert "descent:" in out and "[pass]" in out
     assert "nonexpansive:" in out
-    assert "error bound:" in out
+    assert _error_bound_line(out).endswith("[pass]")
     assert "FAIL" not in out
+
+
+def _error_bound_line(out):
+    (line,) = [s for s in out.splitlines() if s.startswith("error bound:")]
+    return line
 
 
 @pytest.mark.parametrize("mode", ["aniso", "iso"])
 def test_prox_check_finishes_at_huge_tau(mode, capsys):
-    # the threshold overflows to inf; the error bound is then vacuous
+    # the threshold overflows to inf; the error bound is then vacuous, neither pass nor FAIL
     assert main(["prox-check", "--size", "8", "--tau", "1e308", "--mode", mode]) == 0
-    assert "FAIL" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert _error_bound_line(out).endswith("[vacuous]")
 
 
 def test_byte_identical_tables(tmp_path):

@@ -84,7 +84,7 @@ def test_psnr():
     assert psnr(x, x) == np.inf
     ref = np.zeros((1, 1))
     val = np.full((1, 1), 0.1)
-    assert psnr(ref, val, peak=1.0) == pytest.approx(20.0, abs=1e-10)
+    assert psnr(ref, val) == pytest.approx(20.0, abs=1e-10)
     rng = np.random.default_rng(70)
     a = rng.random((8, 8))
     b = rng.random((8, 8))

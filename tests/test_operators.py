@@ -257,19 +257,67 @@ def scipy_prox_g_ct(v, gamma, y, op):
 
 
 def test_prox_g_ct_bitwise_equals_scipy_cg():
+    # first call (A^T y computed), repeat with a new v (A^T y reused), and a
+    # call after y changed in place (recomputed): all match scipy bit for bit
     rng = np.random.default_rng(59)
     cases = [(radon_operator(CtGeometry(n_pixels=n, n_angles=a)), n) for n, a in CT_SIZES]
     cases.append((identity_operator((8, 8)), 8))
     for op, n in cases:
         for gamma in (1e-2, 1e-3, 1e-4):
-            v = rng.standard_normal((n, n))
             y = rng.standard_normal(op.out_shape)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                x, info = prox_g_ct(v, gamma, y, op, return_info=True)
-            assert np.array_equal(x, scipy_prox_g_ct(v, gamma, y, op))
-            assert info["converged"] and info["residual"] <= 1e-10
-            assert 1 <= info["iterations"] <= 200
+            for change_y in (False, False, True):
+                if change_y:
+                    y[0, 1] += 0.5
+                v = rng.standard_normal((n, n))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    x, info = prox_g_ct(v, gamma, y, op, return_info=True)
+                assert np.array_equal(x, scipy_prox_g_ct(v, gamma, y, op))
+                assert info["converged"] and info["residual"] <= 1e-10
+                assert 1 <= info["iterations"] <= 200
+
+
+def test_prox_g_ct_keeps_sinograms_apart():
+    # two phantoms' sinograms alternating on one shared operator
+    rng = np.random.default_rng(61)
+    op = radon_operator(small_geo())
+    v = rng.standard_normal((16, 16))
+    ys = [rng.standard_normal(op.out_shape) for _ in range(2)]
+    want = [prox_g_ct(v, 1e-2, y, radon_operator(small_geo())) for y in ys]
+    for k in (0, 1, 0, 1, 1, 0):
+        assert np.array_equal(prox_g_ct(v, 1e-2, ys[k], op), want[k])
+    # a sinogram of -0.0 == 0.0 is still another one: reusing A^T 0 would turn
+    # b = -0.0 + -0.0 into 0.0
+    ident, neg = identity_operator((4, 4)), np.full((4, 4), -0.0)
+    prox_g_ct(neg, 1.0, np.zeros((4, 4)), ident)
+    assert prox_g_ct(neg, 1.0, neg, ident).tobytes() == neg.tobytes()
+
+
+def test_prox_g_ct_checks_a_sinogram_made_nan_after_a_hit():
+    rng = np.random.default_rng(62)
+    op = radon_operator(small_geo())
+    v = rng.standard_normal((16, 16))
+    y = rng.standard_normal(op.out_shape)
+    prox_g_ct(v, 1e-2, y, op)
+    prox_g_ct(v, 1e-2, y, op)
+    y[2, 3] = np.nan
+    with pytest.raises(ValueError, match="y holds non-finite"):
+        prox_g_ct(v, 1e-2, y, op)
+
+
+def test_prox_g_ct_applies_the_adjoint_to_y_once():
+    # a repeat with the same y skips A^T y: iterations + 2 adjoints (the
+    # initial residual, one per step, the final residual) instead of + 3
+    rng = np.random.default_rng(63)
+    geo = small_geo()
+    calls = []
+    op = radon_operator(geo)
+    op.adjoint = lambda r: calls.append(1) or radon_adjoint(r, geo)
+    y = rng.standard_normal(geo.sinogram_shape)
+    for extra in (3, 2, 2):
+        calls.clear()
+        _, info = prox_g_ct(rng.standard_normal((16, 16)), 1e-2, y, op, return_info=True)
+        assert len(calls) == info["iterations"] + extra
 
 
 def test_prox_g_ct_zero_rhs_returns_zeros():

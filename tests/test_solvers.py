@@ -73,8 +73,8 @@ _SETTINGS = {
                        "image_size": (np.int64(16), (20.5,)), "n_angles": (np.int64(4), (2.5,)),
                        "lambda_grid": ((np.float64(0.0),), (("a",),))},
     partial(gen_foam_phantom, 16, 0): {"n_disks": (np.int64(3), (2.5,))},
-    partial(lipschitz_power_iter, identity_operator((4, 4))): {"iters": (np.int64(3), (2.5, 0)),
-                                                               "tol": (np.float64(1e-3), (np.nan, 0.0))},
+    partial(lipschitz_power_iter, identity_operator((4, 4)), iters=3, tol=1e-3):
+        {"iters": (np.int64(3), (2.5, 0)), "tol": (np.float64(1e-3), (np.nan, 0.0))},
     partial(prox_g_ct, np.zeros((4, 4)), 0.5, np.zeros((4, 4)), identity_operator((4, 4))):
         {"cg_max": (np.int64(3), (2.5, 0))},
 }
