@@ -112,18 +112,18 @@ def gen_foam_phantom(size, seed, n_disks=30):
     img = np.where((xx - c) ** 2 + (yy - c) ** 2 <= r_main**2, 1.0, 0.0)
 
     # Generator.uniform(low, high) is low + (high - low) * random(), so one
-    # draw of every attempt's four numbers gives the same values.
+    # draw of every attempt's four numbers gives the same values; the
+    # attempts' discs are formed as arrays, and only placement loops.
     uniform = lambda u, low, high: low + (high - low) * u
+    u_r, u_rho, u_phi, u_value = rng.random((20 * n_disks, 4)).T
+    r = uniform(u_r, 0.04, 0.12) * size
+    rho = uniform(u_rho, 0.0, r_main - r - 1.0)
+    phi = uniform(u_phi, 0.0, 2.0 * np.pi)
+    attempts = (a.tolist() for a in (c + rho * np.cos(phi), c + rho * np.sin(phi), r, uniform(u_value, 0.0, 1.0)))
     placed = []  # (cx, cy, r)
-    for u_r, u_rho, u_phi, u_value in rng.random((20 * n_disks, 4)).tolist():
+    for cx, cy, r, value in zip(*attempts):
         if len(placed) == n_disks:
             break
-        r = uniform(u_r, 0.04, 0.12) * size
-        rho = uniform(u_rho, 0.0, r_main - r - 1.0)
-        phi = uniform(u_phi, 0.0, 2.0 * np.pi)
-        cx = c + rho * np.cos(phi)
-        cy = c + rho * np.sin(phi)
-        value = uniform(u_value, 0.0, 1.0)
         if any((cx - px) ** 2 + (cy - py) ** 2 < (r + pr) ** 2 for px, py, pr in placed):
             continue
         rows = slice(max(math.floor(cy - r) - 1, 0), min(math.floor(cy + r) + 2, size))

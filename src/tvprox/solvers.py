@@ -187,7 +187,7 @@ def _stopped(dx, x_prev, tol):
 
 
 def _check_finite(f, k, algorithm):
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise SolverDivergence(f"{algorithm}: objective became {f} at iteration {k}")
 
 

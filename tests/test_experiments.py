@@ -1,6 +1,8 @@
 """Phantoms, metrics, and the sweep driver (small configurations only; the
 full trend runs live in test_acceptance)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,17 @@ def test_phantom_matches_full_image_rasterizer(size, seed, n_disks):
 
 def test_phantom_matches_full_image_rasterizer_at_1024():
     assert gen_foam_phantom(1024, seed=3).tobytes() == _full_image_phantom(1024, seed=3).tobytes()
+
+
+@pytest.mark.parametrize("size, seed, digest", [
+    (16, 0, "8641350790394d76a3162daa8e0b27bf2dcacf2dc224d7194e6efc95a161ca49"),
+    (32, 3, "0fa6dfe4dbd32c0613ee2e43c8ce2de7b6e180a27d3fcf17575b6c0681a313a3"),
+    (64, 7, "629ee71fb1e6b2c5d00bca6751c40132fb457284c8dbc05e2f77cb53ab09940e"),
+    (256, 11, "1c7b65d011fc31950a67bd820e107c1f36c446cae9b3f62d61e2374bcf419815"),
+])
+def test_phantom_digests_are_pinned(size, seed, digest):
+    # recorded from the scalar-draw generator: drawing the attempts as arrays changed no bit
+    assert hashlib.sha256(gen_foam_phantom(size, seed).tobytes()).hexdigest() == digest
 
 
 def test_psnr():

@@ -2,19 +2,21 @@
 numpy's array allocations, in units of one signal-sized float64 array."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from tvprox.exact import OracleConfig, fpg_prox
+from tvprox.operators import CtGeometry, prox_g_ct, radon_operator
 from tvprox.shrinkage import ProxParams, approx_prox
 from tvprox.tv import MODES
 
 Z = np.random.default_rng(70).standard_normal((256, 256))
 
 
-def peak_in_signals(call):
-    """Peak of the memory call allocates, over Z.nbytes."""
+def peak_in_signals(call, unit=Z.nbytes):
+    """Peak of the memory call allocates, over unit (Z.nbytes by default)."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -23,7 +25,7 @@ def peak_in_signals(call):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - start) / Z.nbytes
+    return (peak - start) / unit
 
 
 @pytest.mark.parametrize("gap_tol", [None, 1e-12])
@@ -40,3 +42,20 @@ def test_approx_prox_peaks_in_the_analysis(mode):
     # w_forward's difference stack, its averaging stack and one temporary;
     # the synthesis needs only the difference stack and the output
     assert peak_in_signals(lambda: approx_prox(Z, ProxParams(0.1, mode))) <= 5.1
+
+
+def test_prox_g_ct_steps_run_on_bound_buffers():
+    # b, x, r, p, the image buffer (q) and the sinogram buffer, whatever the
+    # number of steps: 58 more steps add less than one image
+    op = radon_operator(CtGeometry(n_pixels=64, n_angles=45))
+    rng = np.random.default_rng(71)
+    v, y = rng.standard_normal(op.in_shape), rng.standard_normal(op.out_shape)
+    sino_in_images = np.prod(op.out_shape) / v.size
+    peaks = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # gamma = 1 stalls within 60 steps
+        prox_g_ct(v, 1.0, y, op, cg_max=1)  # memoises A^T y outside the measured calls
+        for cg_max in (2, 60):
+            peaks[cg_max] = peak_in_signals(lambda: prox_g_ct(v, 1.0, y, op, cg_max=cg_max), unit=v.nbytes)
+    assert abs(peaks[60] - peaks[2]) < 1.0
+    assert max(peaks.values()) <= 5.1 + sino_in_images

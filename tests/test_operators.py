@@ -2,6 +2,7 @@
 and the data-term proxes."""
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -231,6 +232,30 @@ def test_system_matrix_cached():
 CT_SIZES = ((16, 8), (32, 15), (64, 45))
 
 
+def test_radon_forward_is_matrix_product_bitwise():
+    # the bound CSR kernel is the one csr_matrix @ x runs; a transposed
+    # (non-contiguous) image is read in C order, as x.ravel() reads it
+    rng = np.random.default_rng(57)
+    for n, angles in CT_SIZES:
+        geo = CtGeometry(n_pixels=n, n_angles=angles)
+        for x in (rng.standard_normal((n, n)), rng.standard_normal((n, n)).T):
+            want = (system_matrix(geo) @ x.ravel()).reshape(geo.sinogram_shape)
+            assert np.array_equal(radon_forward(x, geo), want)
+
+
+def test_radon_pair_zero_fills_out():
+    # out starts as NaN: only a zero-filled buffer gives the bits of a new array
+    rng = np.random.default_rng(56)
+    for n, angles in CT_SIZES:
+        geo = CtGeometry(n_pixels=n, n_angles=angles)
+        for fn, arg in ((radon_forward, rng.standard_normal((n, n))),
+                        (radon_adjoint, rng.standard_normal(geo.sinogram_shape))):
+            want = fn(arg, geo)
+            out = np.full(want.shape, np.nan)
+            assert fn(arg, geo, out=out) is out
+            assert out.tobytes() == want.tobytes()
+
+
 def test_radon_adjoint_is_matrix_transpose_bitwise():
     # the cached CSR transpose sums each pixel's bins in the order A.T @ s does
     rng = np.random.default_rng(58)
@@ -312,7 +337,7 @@ def test_prox_g_ct_applies_the_adjoint_to_y_once():
     geo = small_geo()
     calls = []
     op = radon_operator(geo)
-    op.adjoint = lambda r: calls.append(1) or radon_adjoint(r, geo)
+    op.adjoint = lambda r, out=None: calls.append(1) or radon_adjoint(r, geo, out=out)
     y = rng.standard_normal(geo.sinogram_shape)
     for extra in (3, 2, 2):
         calls.clear()
@@ -354,6 +379,25 @@ def test_prox_g_ct_rejects_non_finite_inputs():
             y[0, 1] = bad
             with pytest.raises(ValueError, match="y holds non-finite"):
                 prox_g_ct(np.zeros((16, 16)), 1e-2, y, op)
+
+
+def test_prox_g_ct_rejects_a_v_of_another_shape():
+    geo = small_geo()
+    for op, y_shape in ((radon_operator(geo), geo.sinogram_shape), (identity_operator((16, 16)), (16, 16))):
+        for shape in ((16,), (4, 64), (16, 16, 1)):
+            with pytest.raises(ValueError, match=re.escape(f"v has shape {shape}, the operator takes (16, 16)")):
+                prox_g_ct(np.zeros(shape), 1e-2, np.ones(y_shape), op)
+
+
+def test_radon_pair_rejects_a_bad_out():
+    geo = small_geo()
+    cases = ((radon_forward, np.ones((16, 16)), geo.sinogram_shape),
+             (radon_adjoint, np.ones(geo.sinogram_shape), (16, 16)))
+    for fn, arg, shape in cases:
+        for out in (np.zeros((shape[0], shape[1] + 1)), np.zeros(shape[0] * shape[1]),
+                    np.zeros(shape, dtype=np.float32), np.zeros(shape, order="F"), np.zeros(shape).tolist()):
+            with pytest.raises(ValueError, match=re.escape(f"out must be a C-contiguous float64 array of shape {shape}")):
+                fn(arg, geo, out=out)
 
 
 def test_prox_g_ct_warns_on_nan_residual():
