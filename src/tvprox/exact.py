@@ -208,16 +208,12 @@ def tautstring_prox_1d(z, tau):
     path through the tube of half-width tau around the running sums of z,
     tracked with linear lower/upper string segments. O(n) in practice.
     """
-    z = validate_signal(z)
-    if z.ndim != 1:
+    y = validate_signal(z)
+    if y.ndim != 1:
         raise ValueError("tautstring_prox_1d expects a 1D signal")
     check_positive("tau", tau)
-    y = z
     n = y.size
     x = np.empty(n, dtype=np.float64)
-    if n == 1:
-        x[0] = y[0]
-        return x
 
     # Taut-string walk with candidate lower/upper segment values (vmin, vmax),
     # their accumulated slack against the tube (umin, umax), and the sample

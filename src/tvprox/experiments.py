@@ -86,7 +86,7 @@ class MetricsRow:
 @dataclass
 class SweepResult:
     rows: list
-    cells: list = field(default_factory=list)  # per-(lam, gamma, phantom) run records
+    cells: list = field(default_factory=list)  # one _run_cell record per (lam, gamma, phantom)
     rows_fpg50: list = None
 
 
@@ -245,8 +245,12 @@ def _gap(f_hat, f_star):
 def _run_cell(cfg, lam, gamma, i, data, problem, refs):
     """One timed approximate solve on phantom i, scored against each
     reference (x, f) in refs (the tight one first); writes the cell's
-    artifacts. Returns the cell record and its scores, None on divergence."""
+    artifacts. Returns the cell's record: lam, gamma and phantom, plus the
+    error of a diverged solve, or else stop_reason, iterations, cost_acc
+    (the tight gap), gaps (one per reference), psnr_tv, psnr_gt, seconds
+    and the solver's report."""
     gt, y = data
+    record = {"lam": lam, "gamma": gamma, "phantom": i}
     run_cfg = SolverConfig(
         gamma=_gamma_value(cfg, gamma, problem.lipschitz_L),
         lam=lam,
@@ -259,7 +263,7 @@ def _run_cell(cfg, lam, gamma, i, data, problem, refs):
     try:
         report = solve(problem, run_cfg, x0)
     except SolverDivergence as err:
-        return {"lam": lam, "gamma": gamma, "phantom": i, "error": str(err)}, None
+        return {**record, "error": str(err)}
     elapsed = time.perf_counter() - t0
     x, x_star = report.final_x, refs[0][0]
     gaps = [_gap(report.objective_trace[-1], f_ref) for _, f_ref in refs]
@@ -270,29 +274,26 @@ def _run_cell(cfg, lam, gamma, i, data, problem, refs):
         write_pgm(path("recon", "pgm"), x)
         write_pgm(path("diff", "pgm"), x - x_star)
         save_csv(path("recon", "csv"), x)
-    cell = {
-        "lam": lam, "gamma": gamma, "phantom": i,
-        "stop_reason": report.stop_reason, "iterations": report.iterations,
-        "cost_acc": gaps[0], "report": report,
-    }
-    score = {"gaps": gaps, "psnr_tv": psnr(x_star, x), "psnr_gt": psnr(gt, x),
-             "iterations": report.iterations, "seconds": elapsed}
-    return cell, score
+    return {**record, "stop_reason": report.stop_reason, "iterations": report.iterations,
+            "cost_acc": gaps[0], "gaps": gaps, "psnr_tv": psnr(x_star, x), "psnr_gt": psnr(gt, x),
+            "seconds": elapsed, "report": report}
 
 
-def _row(cfg, lam, gamma, scores, k):
-    """One table row: means over the cells that survived, with cost_acc
-    against reference k (0 tight, 1 the 50-iteration FPG baseline)."""
+def _row(cfg, records, k):
+    """One table row from one (lambda, gamma) pair's records: means over
+    those without an error, with cost_acc against reference k (0 tight,
+    1 the 50-iteration FPG baseline); failed if any phantom diverged."""
+    scored = [r for r in records if "error" not in r]
     mean = lambda vals: float(np.mean(vals)) if vals else np.nan
-    col = lambda key: [s[key] for s in scores]
+    col = lambda key: [r[key] for r in scored]
     return MetricsRow(
-        lam=lam, gamma=gamma,
+        lam=records[0]["lam"], gamma=records[0]["gamma"],
         cost_acc=mean([gaps[k] for gaps in col("gaps")]),
         psnr_tv=mean(col("psnr_tv")),
         psnr_gt=mean(col("psnr_gt")),
         iterations=mean(col("iterations")),
         seconds=float(np.sum(col("seconds"))) if cfg.timing else 0.0,
-        failed=len(scores) < cfg.n_phantoms,
+        failed=len(scored) < cfg.n_phantoms,
     )
 
 
@@ -315,14 +316,11 @@ def run_sweep(cfg):
         per_budget = [[_baseline(cfg, prob, lam, y, b) for prob, (_, y) in zip(problems, data)] for b in budgets]
         refs = list(zip(*per_budget))  # refs[i]: phantom i's (x, f) per budget
         for gamma in cfg.gamma_grid:
-            scores = []
-            for i, (d, problem, ref) in enumerate(zip(data, problems, refs)):
-                cell, score = _run_cell(cfg, lam, gamma, i, d, problem, ref)
-                cells.append(cell)
-                if score is not None:
-                    scores.append(score)
+            records = [_run_cell(cfg, lam, gamma, i, d, problem, ref)
+                       for i, (d, problem, ref) in enumerate(zip(data, problems, refs))]
+            cells.extend(records)
             for k, rows in enumerate(tables):
-                rows.append(_row(cfg, lam, gamma, scores, k))
+                rows.append(_row(cfg, records, k))
     if cfg.output_dir:
         for name, rows in zip(("table.csv", "table_fpg50.csv"), tables):
             write_table(os.path.join(cfg.output_dir, name), rows)
@@ -336,14 +334,6 @@ def _write_trace(path, report):
             f.write(f"{k},{v:.12e}\n")
 
 
-def _fmt(value, spec):
-    if np.isnan(value):
-        return "nan"
-    if np.isinf(value):
-        return "inf"
-    return format(value, spec)
-
-
 def write_table(path, rows):
     """Deterministic metrics table; by default the seconds column is a 0.000
     placeholder so identical configs give byte-identical files (real timing
@@ -351,12 +341,5 @@ def write_table(path, rows):
     with open(path, "w") as f:
         f.write(TABLE_HEADER + "\n")
         for r in rows:
-            f.write(",".join([
-                format(r.lam, "g"),
-                format(r.gamma, "g"),
-                _fmt(r.cost_acc, ".6e"),
-                _fmt(r.psnr_tv, ".2f"),
-                _fmt(r.psnr_gt, ".2f"),
-                _fmt(r.iterations, ".1f"),
-                _fmt(r.seconds, ".3f"),
-            ]) + "\n")
+            values = (r.lam, r.gamma, r.cost_acc, r.psnr_tv, r.psnr_gt, r.iterations, r.seconds)
+            f.write(",".join(map(format, values, ("g", "g", ".6e", ".2f", ".2f", ".1f", ".3f"))) + "\n")

@@ -53,7 +53,13 @@ class LinearOperator:
 
 def identity_operator(shape):
     shape = tuple(shape)
-    copy = lambda x, out=None: np.positive(np.asarray(x, dtype=np.float64), out=out)  # a copy that takes out
+
+    def copy(x, out=None):  # a copy that takes out
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != shape:
+            raise ValueError(f"array shape {x.shape} does not match the operator's shape {shape}")
+        return np.positive(x, out=out)
+
     return LinearOperator(
         apply=copy,
         adjoint=copy,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tvprox.exact import OracleConfig, fpg_prox, tautstring_prox_1d
-from tvprox.experiments import ExperimentConfig, run_sweep
+from tvprox.experiments import TABLE_HEADER, ExperimentConfig, run_sweep, write_table
 from tvprox.frame import CoeffStack, w_adjoint, w_forward
 from tvprox.operators import identity_operator, lipschitz_power_iter, radon_operator, CtGeometry
 from tvprox.shrinkage import ProxParams, approx_prox
@@ -168,6 +168,23 @@ def test_criterion_10_stop_rule_protocol():
     ok = len(reasons) == 18 and all(r == "tolerance-met" for r in reasons)
     report(10, ok, f"{len(reasons)} cells, reasons = {sorted(set(map(str, reasons)))}")
 
+
+
+def test_cached_sweep_tables_are_pinned(tmp_path):
+    # criteria 08 and 09's rows as write_table renders them, recorded before
+    # the sweep driver kept one record per cell
+    expected = {
+        "denoise": ["0.5,0.1,3.938060e-01,18.33,13.64,76.3,0.000",
+                    "0.5,0.01,7.260771e-02,27.93,12.81,407.0,0.000",
+                    "0.5,0.001,8.155770e-03,43.54,12.74,1325.3,0.000"],
+        "ct": ["2.5,0.01,1.429900e-01,23.79,17.03,91.3,0.000",
+               "2.5,0.001,1.728537e-02,37.28,18.62,986.3,0.000",
+               "2.5,0.0001,2.112200e-03,41.25,18.53,4617.0,0.000"],
+    }
+    for name, sweep in (("denoise", _denoise_sweep), ("ct", _ct_sweep)):
+        path = tmp_path / f"{name}.csv"
+        write_table(path, sweep().rows)
+        assert path.read_text() == "\n".join([TABLE_HEADER] + expected[name]) + "\n"
 
 def test_criterion_11_adjoint_and_power_iteration():
     rng = np.random.default_rng(107)

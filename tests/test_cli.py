@@ -111,6 +111,20 @@ def test_byte_identical_tables(tmp_path):
     assert b1 == b2
 
 
+
+def test_exact_prox_sweep_tables_are_pinned(tmp_path):
+    # both tables as text, recorded before the sweep driver kept one record per cell
+    assert main(["denoise", "--size", "16", "--phantoms", "2", "--lambda", "0.5", "--gamma", "1e-1,1e-2",
+                 "--prox", "exact", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "table.csv").read_text() == (
+        TABLE_HEADER + "\n"
+        "0.5,0.1,3.046690e-01,18.55,10.64,68.5,0.000\n"
+        "0.5,0.01,5.346207e-02,29.37,9.64,272.5,0.000\n")
+    assert (tmp_path / "table_fpg50.csv").read_text() == (
+        TABLE_HEADER + "\n"
+        "0.5,0.1,2.937608e-01,18.55,10.64,68.5,0.000\n"
+        "0.5,0.01,4.464609e-02,29.37,9.64,272.5,0.000\n")
+
 @pytest.mark.parametrize("argv", [
     ["denoise", "--gamma", "-1"],
     ["denoise", "--gamma", "nan"],

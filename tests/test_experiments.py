@@ -22,7 +22,7 @@ from tvprox.experiments import (
     write_pgm,
     write_table,
 )
-from tvprox.solvers import RunReport
+from tvprox.solvers import RunReport, SolverDivergence
 from tvprox.tv import tv
 
 
@@ -127,12 +127,19 @@ def test_write_pgm(tmp_path):
 
 def test_write_table_format(tmp_path):
     rows = [MetricsRow(lam=0.5, gamma=0.1, cost_acc=1.23e-2, psnr_tv=30.1234,
-                       psnr_gt=20.0, iterations=42.0, seconds=0.0)]
+                       psnr_gt=20.0, iterations=42.0, seconds=0.0),
+            # a row whose phantoms all diverged, and a solve that matched its reference exactly
+            MetricsRow(lam=0.5, gamma=50.0, cost_acc=np.nan, psnr_tv=np.nan, psnr_gt=np.nan,
+                       iterations=np.nan, seconds=0.0, failed=True),
+            MetricsRow(lam=0.0, gamma=0.1, cost_acc=0.0, psnr_tv=np.inf, psnr_gt=20.0,
+                       iterations=1.0, seconds=0.0)]
     path = tmp_path / "table.csv"
     write_table(path, rows)
     lines = path.read_text().splitlines()
     assert lines[0] == TABLE_HEADER
-    assert lines[1] == "0.5,0.1,1.230000e-02,30.12,20.00,42.0,0.000"
+    assert lines[1:] == ["0.5,0.1,1.230000e-02,30.12,20.00,42.0,0.000",
+                         "0.5,50,nan,nan,nan,nan,0.000",
+                         "0,0.1,0.000000e+00,inf,20.00,1.0,0.000"]
 
 
 def test_config_validation():
@@ -240,6 +247,37 @@ def test_sweep_marks_failed_rows():
         warnings.simplefilter("ignore", RuntimeWarning)
         res = run_sweep(cfg)
     assert res.rows[0].failed
+
+
+def test_partially_diverged_row_averages_its_survivors(monkeypatch):
+    # the second of two phantoms diverges: the row is failed, its means are
+    # the first phantom's scores, and both cells keep a record
+    real, calls = experiments.apgm, []
+
+    def second_diverges(problem, cfg, x0):
+        calls.append(1)
+        if len(calls) == 2:
+            raise SolverDivergence("apgm: objective became inf at iteration 3")
+        return real(problem, cfg, x0)
+
+    monkeypatch.setattr(experiments, "apgm", second_diverges)
+    cfg = ExperimentConfig(task="denoise", image_size=16, n_phantoms=2, seed=0,
+                           lambda_grid=(0.5,), gamma_grid=(1e-1,), timing=True)
+    res = run_sweep(cfg)
+    (row,) = res.rows
+    scored, diverged = res.cells
+    assert row.failed
+    assert diverged == {"lam": 0.5, "gamma": 0.1, "phantom": 1,
+                        "error": "apgm: objective became inf at iteration 3"}
+    assert scored["phantom"] == 0 and "error" not in scored
+    gt, y = _phantom_data(cfg, 0, None)
+    x_star, f_star = experiments._baseline(cfg, experiments._make_problem(cfg, y), 0.5, y)
+    report = scored["report"]
+    assert row.cost_acc == scored["cost_acc"] == cost_accuracy(report.objective_trace[-1], f_star)
+    assert row.iterations == scored["iterations"] == report.iterations
+    assert row.psnr_tv == psnr(x_star, report.final_x)
+    assert row.psnr_gt == psnr(gt, report.final_x)
+    assert 0.0 < row.seconds < 60.0
 
 
 def test_tight_denoise_baselines_are_certified(monkeypatch):

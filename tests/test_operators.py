@@ -400,6 +400,18 @@ def test_radon_pair_rejects_a_bad_out():
                 fn(arg, geo, out=out)
 
 
+def test_identity_operator_checks_shapes_and_takes_out():
+    op = identity_operator((4, 4))
+    for fn in (op.apply, op.adjoint):
+        for bad in (np.zeros(3), np.zeros((4, 5)), np.zeros((1, 4, 4))):
+            with pytest.raises(ValueError, match=re.escape(f"{bad.shape} does not match the operator's shape (4, 4)")):
+                fn(bad)
+        x, out = np.arange(16.0).reshape(4, 4), np.full((4, 4), np.nan)
+        assert fn(x, out=out) is out and np.array_equal(out, x)
+        copy = fn(x)
+        assert copy is not x and np.array_equal(copy, x)
+
+
 def test_prox_g_ct_warns_on_nan_residual():
     # finite inputs whose right-hand side overflows: the CG residual is NaN
     with np.errstate(over="ignore", invalid="ignore"), pytest.warns(RuntimeWarning, match="CG stalled"):
