@@ -80,17 +80,22 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     difference pass has read it, holds tau*D^T p until x is formed and the
     gap checked. The iso projection works in dx and x_prev (the latter is
     dead once dx is extrapolated), and the adjoint's scratch is block 0 of
-    the spare dual. The views of the difference pair are built once per
-    call, one step list per buffer of the (p, g) swap, so an iteration
-    makes only ufunc calls.
+    the spare dual.
+
+    The views of the difference pair, and the flat views that the restart
+    and stop tests take ndarray.dot of, are built once per call, one set
+    per buffer of the (p, g) swap. An iteration then makes C-level calls
+    only (ufuncs with positional outs, ndarray.dot), but for one
+    Python-level call, _project_ball, and, when certified, the gap check
+    every 50 iterations.
     """
     z = validate_signal(z)
     check_positive("tau", tau)
     cfg = cfg or OracleConfig()
+    max_iter, tol, gap_tol, mode, boundary = cfg.max_iter, cfg.tol, cfg.gap_tol, cfg.mode, cfg.boundary
     d = z.ndim
     step = 1.0 / (4.0 * d * tau)
-    boundary, mode = cfg.boundary, cfg.mode
-    certify = cfg.gap_tol is not None
+    certify = gap_tol is not None
 
     p = np.zeros((d,) + z.shape, dtype=np.float64)
     q = np.zeros_like(p)
@@ -103,58 +108,64 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     # through block 0 of the other dual buffer, by then the spare g. After
     # its swaps x and the spare dual g sit in the buffers x_prev and p
     # start in (even k) or x and g start in (odd k): gap_steps[k % 2]
-    # writes D x into g.
+    # writes D x into g. The flat views are those the dots read: p+ - p in
+    # the other dual buffer for the restart test, and x_prev, the buffer x
+    # starts in on even k, for the stop test.
     steps = [
-        (_grad_steps(dx, buf, boundary), _adjoint_steps(buf, dx, spare[0], boundary))
-        for buf, spare in ((g, p), (p, g))
+        (_grad_steps(dx, buf, boundary), _adjoint_steps(buf, dx, spare[0], boundary),
+         spare.reshape(-1), xs.reshape(-1))
+        for buf, spare, xs in ((g, p, x), (p, g, x_prev))
     ]
     if certify:
         gap_steps = [_grad_steps(x_prev, p, boundary), _grad_steps(x, g, boundary)]
+    qf, dxf = q.reshape(-1), dx.reshape(-1)
     t_prev = 1.0
     beta = 0.0
     change = gap = np.inf
     iters = 0
-    for k in range(cfg.max_iter):
+    for k in range(max_iter):
         # Projected dual step at q; its primal point is x + beta*(x - x_prev).
-        grad_steps, adjoint_steps = steps[k % 2]
+        grad_steps, adjoint_steps, pf, xf = steps[k % 2]
         dx *= beta
         dx += x
-        _run(grad_steps)
+        for ufunc, a, b, out in grad_steps:
+            ufunc(a, b, out)
         g *= step
         g += q
         _project_ball(g, 1.0, mode, dx, x_prev)
         t = (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev)) / 2.0
         beta = (t_prev - 1.0) / t
-        np.subtract(g, p, out=p)  # p+ - p; the old dual is not read again
+        np.subtract(g, p, p)  # p+ - p; the old dual is not read again
         if certify:  # restart when <q - p+, p+ - p> > 0
-            np.subtract(q, g, out=q)
-            if np.vdot(q, p) > 0.0:
+            np.subtract(q, g, q)
+            if qf.dot(pf) > 0.0:
                 t, beta = 1.0, 0.0
-        np.multiply(p, beta, out=q)
+        np.multiply(p, beta, q)
         q += g
         p, g, t_prev = g, p, t
         x, x_prev = x_prev, x
-        _run(adjoint_steps)
+        for ufunc, a, b, out in adjoint_steps:
+            ufunc(a, b, out)
         dx *= tau  # tau*D^T p
-        np.subtract(z, dx, out=x)
+        np.subtract(z, dx, x)
         iters = k + 1
-        if certify and (iters % 50 == 0 or iters == cfg.max_iter):
+        if certify and (iters % 50 == 0 or iters == max_iter):
             gap = _relative_gap(gap_steps[k % 2], g, p, dx, tau, mode)
-            if gap <= cfg.gap_tol:
+            if gap <= gap_tol:
                 break
-        np.subtract(x, x_prev, out=dx)
+        np.subtract(x, x_prev, dx)
         if certify:
             continue
         if k > 0:
-            num = math.sqrt(np.vdot(dx, dx))
-            denom = math.sqrt(np.vdot(x_prev, x_prev))
+            num = math.sqrt(dxf.dot(dxf))
+            denom = math.sqrt(xf.dot(xf))
             change = num / denom if denom > 0 else num
-        if change <= cfg.tol:
+        if change <= tol:
             break
-    converged = gap <= cfg.gap_tol if certify else change <= cfg.tol
+    converged = gap <= gap_tol if certify else change <= tol
     if not converged and not return_info:
         achieved = f"relative gap {gap:.3e}" if certify else f"relative change {change:.3e}"
-        warnings.warn(f"fpg_prox: max_iter={cfg.max_iter} reached, achieved {achieved}", RuntimeWarning)
+        warnings.warn(f"fpg_prox: max_iter={max_iter} reached, achieved {achieved}", RuntimeWarning)
     if return_info:
         stat = {"gap": gap} if certify else {"rel_change": change}
         return x, {"iterations": iters, **stat, "converged": converged, "p": p}

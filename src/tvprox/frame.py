@@ -127,7 +127,7 @@ def _adjoint_steps(p, out, scratch, boundary):
 def _run(steps):
     """Make the kernel calls of _grad_steps or _adjoint_steps, in order."""
     for ufunc, a, b, out in steps:
-        ufunc(a, b, out=out)
+        ufunc(a, b, out)
 
 
 def _grad(x, boundary="circular"):

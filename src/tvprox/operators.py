@@ -79,7 +79,7 @@ class CtGeometry:
     n_angles: int
     angles: np.ndarray = field(init=False)
     n_detectors: int = field(init=False)
-    _matrix: sp.csr_matrix = field(default=None, init=False, repr=False)
+    _matrix: object = field(default=None, init=False, repr=False)  # scipy.sparse.csr_matrix, built lazily
     _kernels: tuple = field(default=None, init=False, repr=False)  # kernel(x, out) adds A x, A^T x to out
 
     def __post_init__(self):
@@ -174,7 +174,12 @@ def radon_operator(geo):
 
 
 def lipschitz_power_iter(op, iters, tol, seed=0):
-    """Largest eigenvalue of A^T A by seeded power iteration on A^T A."""
+    """Estimate ||A||^2 by seeded power iteration on A^T A.
+
+    Returns the Rayleigh quotient v^T A^T A v of the last unit iterate v,
+    which approaches ||A||^2, the largest eigenvalue of A^T A, from below:
+    a lower bound, not the upper bound that a step 1/L needs.
+    """
     check_count("iters", iters)
     check_positive("tol", tol)
     rng = np.random.default_rng(seed)

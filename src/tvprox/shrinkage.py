@@ -27,6 +27,14 @@ from .frame import CoeffStack, _adjoint_steps, _grad_steps, _run, w_forward
 from .signal import check_nonnegative, check_positive
 from .tv import check_mode
 
+# The clip ufunc that ndarray.clip reaches only through numpy's Python
+# wrapper _methods._clip. Private API (numpy._core on numpy 2, numpy.core on
+# 1.x), taken once here as operators takes scipy's csr_matvec.
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:
+    from numpy.core.umath import clip as _clip
+
 
 @dataclass(frozen=True)
 class ProxParams:
@@ -93,13 +101,16 @@ def _project_ball(p, radius, mode, norms=None, tmp=None):
     per-location d-vector onto the radius-ball (iso). t - P(t) is the
     matching soft threshold.
 
-    iso works in two arrays of the signal shape: the per-location norms
-    and the square of each later block. norms and tmp, when given, are
-    caller buffers whose contents are dead (neither may alias p); when
-    not, they are allocated. The arithmetic is the same either way.
+    aniso is one call of the clip ufunc _clip. iso works in two arrays of
+    the signal shape: the per-location norms and the square of each later
+    block. norms and tmp, when given, are caller buffers whose contents
+    are dead (neither may alias p); when not, they are allocated. The
+    arithmetic is the same either way. np.maximum takes its out as a
+    keyword: numpy 2.4 deprecates a positional out for np.maximum and
+    np.minimum only.
     """
     if mode == "aniso":
-        return p.clip(-radius, radius, out=p)  # the clip ufunc without np.clip's wrapper
+        return _clip(p, -radius, radius, p)
     norms = np.multiply(p[0], p[0], out=norms)
     for pj in p[1:]:
         norms += np.multiply(pj, pj, out=tmp)

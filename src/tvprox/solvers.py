@@ -5,11 +5,14 @@ or the iterative FPG oracle, applied at scale tau = gamma * lambda. They
 stop when the relative iterate change drops below stop_tol.
 
 Each solve validates x0 at entry and binds its working set once (see
-_working_set), so an approximate iteration makes only ufunc calls, in the
-order approx_prox, tv and objective would make them on fresh arrays; the
-exact prox calls this module's fpg_prox once per iteration. Iterates are
-not validated again: a non-finite one makes the objective non-finite, and
-the finiteness check raises SolverDivergence.
+_working_set): an approximate iteration makes the ufunc calls that
+approx_prox, tv and objective would make on fresh arrays, in the same
+order, on buffers bound once. It still makes about a dozen Python-level
+calls: the bound prox (with _threshold_synthesise, _project_ball and two
+difference passes), the TV pass, the objective, the momentum and the stop
+test. The exact prox calls tvprox.exact's fpg_prox once per iteration.
+Iterates are not validated again: a non-finite one makes the objective
+non-finite, and the finiteness check raises SolverDivergence.
 """
 
 import math

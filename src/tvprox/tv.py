@@ -34,12 +34,12 @@ def tv(x, mode):
 def _tv_of_differences(g, mode):
     """TV from a stack of per-axis differences; overwrites g."""
     if mode == "aniso":
-        return float(np.abs(g, out=g).sum())
+        return float(np.add.reduce(np.abs(g, out=g), axis=None))
     sq = np.square(g, out=g)
     norms = sq[0]
     for gj in sq[1:]:
         norms += gj
-    return float(np.sqrt(norms, out=norms).sum())
+    return float(np.add.reduce(np.sqrt(norms, out=norms), axis=None))
 
 
 def h_hat(u, mode):

@@ -2,7 +2,10 @@
 duality gap that certifies an FPG output, cross-checked against each other
 and against simple grid/bisection oracles."""
 
+import hashlib
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -311,3 +314,82 @@ def test_duality_gap_validates_inputs():
         duality_gap(z, z, p, 0.5, boundary="mirror")
     with pytest.raises(ValueError, match="non-finite"):
         duality_gap(z, np.full((4, 5), np.nan), p, 0.5)
+
+
+# sha256 digests, recorded before the FPG loop was last reworked, of every
+# solve of one shape: x, the final dual p, the iteration count and the last
+# relative change or gap, for both modes, both boundaries, budgeted and
+# certified, short and long budgets. A rework of the loop must leave each
+# solve bit-identical. The stop and gap tests sum through BLAS ddot and
+# numpy's pairwise reduction, so another BLAS build may move these bits.
+FPG_DIGESTS = {
+    (37,): "9435250760c48e34a465f37b37a9f9b9569229ed728b74fa3378a92a413feddf",
+    (16, 16): "c94d826465a6f2dd0a32072b18024f14856f9f044cb64773e8b892cf0c877030",
+    (12, 20): "a88f1a139f721267e059266bcc22ca35046697a3e1f4c6d17f1c74c0a5a1e907",
+    (6, 7, 8): "34040222b5c465f5b67c8cf75d7e78f3e5f331b110a1b397125d38909a419093",
+}
+
+
+def fpg_digest(shape):
+    rng = np.random.default_rng(54)
+    z = rng.standard_normal(shape)
+    tau = 0.7 / len(shape)
+    h = hashlib.sha256()
+    for mode in ("aniso", "iso"):
+        for boundary in ("circular", "free"):
+            for gap_tol in (None, 1e-9):
+                for max_iter in (7, 300):
+                    cfg = OracleConfig(max_iter=max_iter, mode=mode, boundary=boundary, gap_tol=gap_tol)
+                    x, info = fpg_prox(z, tau, cfg, return_info=True)
+                    h.update(x.tobytes())
+                    h.update(info["p"].tobytes())
+                    h.update(info["iterations"].to_bytes(4, "little"))
+                    h.update(np.float64(info["rel_change" if gap_tol is None else "gap"]).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("shape", list(FPG_DIGESTS))
+def test_fpg_is_pinned_bit_for_bit(shape):
+    assert fpg_digest(shape) == FPG_DIGESTS[shape]
+
+
+def python_calls(z, tau, cfg):
+    """Counter of the Python-level calls of one fpg_prox solve, keyed by
+    (the function fpg_prox called that the call runs under, the function
+    called). ufunc, BLAS and ndarray-method calls are C-level and fire no
+    "call" event."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        top = frame
+        while top.f_back is not None and top.f_back.f_code is not fpg_prox.__code__:
+            top = top.f_back
+        if top.f_back is not None:
+            calls[top.f_code.co_name, frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fpg_prox(z, tau, cfg, return_info=True)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("gap_tol", [None, 1e-300])
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+def test_fpg_iteration_calls_only_the_projection(mode, gap_tol):
+    # unreachable tolerances: both solves run their whole budget, so the
+    # calls the longer one adds are those of 100 iterations, among them
+    # two certified gap checks (every 50 iterations)
+    z = np.random.default_rng(55).standard_normal((12, 20))
+
+    def calls(max_iter):
+        return python_calls(z, 0.35, OracleConfig(max_iter=max_iter, tol=1e-300, mode=mode, gap_tol=gap_tol))
+
+    extra = calls(200) - calls(100)
+    per_iteration = {key: n for key, n in extra.items() if key[0] != "_relative_gap"}
+    assert per_iteration == {("_project_ball", "_project_ball"): 100}
+    assert extra["_relative_gap", "_relative_gap"] == (0 if gap_tol is None else 2)

@@ -8,6 +8,9 @@ docstrings, or local names that shadow an export, do not count as uses.
 """
 
 import ast
+import dataclasses
+import importlib
+import typing
 from pathlib import Path
 
 import tvprox
@@ -64,3 +67,18 @@ def test_setting_checks_are_written_only_in_signal():
                  if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings]
         own = [text for text in texts if any(message in text for message in CHECK_MESSAGES)]
         assert not own, f"{path.name} writes its own setting check: {own}"
+
+
+def test_public_dataclass_type_hints_resolve():
+    # typing.get_type_hints evaluates each annotation in its module, as
+    # dataclass-aware tools do; a name the module imports only inside a
+    # function fails it with a NameError
+    classes = []
+    for path in sorted(Path(tvprox.__file__).parent.glob("[!_]*.py")):
+        module = importlib.import_module(f"tvprox.{path.stem}")
+        classes += [obj for name, obj in vars(module).items()
+                    if not name.startswith("_") and isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__]
+    assert tvprox.CtGeometry in classes
+    for cls in classes:
+        assert typing.get_type_hints(cls).keys() == {f.name for f in dataclasses.fields(cls)}, cls.__name__
