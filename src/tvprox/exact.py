@@ -100,9 +100,11 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     p = np.zeros((d,) + z.shape, dtype=np.float64)
     q = np.zeros_like(p)
     g = np.empty_like(p)
+    # C order, whatever z's layout: the stop test reads x_prev and dx
+    # through flat views, and reshape(-1) of another layout is a copy.
     x = z.copy()
-    x_prev = np.empty_like(z)
-    dx = np.zeros_like(z)
+    x_prev = np.empty(z.shape)
+    dx = np.zeros(z.shape)
     # Iteration k writes D dx into the buffer g holds (g on even k, p on
     # odd k), swaps it into p and reads D^T p from the same buffer into dx,
     # through block 0 of the other dual buffer, by then the spare g. After

@@ -77,9 +77,10 @@ def _grad_steps(x, out, boundary):
     Each axis is one contiguous subtraction over the flattened signal at
     the axis stride, after which the last slab, where that pairing crosses
     a line end, is overwritten with its boundary value (the free zero as
-    the product 0 * 0). `out` has shape (d, *x.shape) and is C-contiguous;
-    every array a, b and out is a view of `x` or `out`, so the calls can
-    be run again after those buffers change.
+    the product 0 * 0). `out` has shape (d, *x.shape). When `x` and `out`
+    are C-contiguous, every array a, b and out is a view of one of them,
+    so the calls can be run again after those buffers change; the flat
+    view of any other layout is a copy, read once.
     """
     xf = x.reshape(-1)
     of = out.reshape(x.ndim, -1)

@@ -6,6 +6,7 @@ import hashlib
 import math
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -316,41 +317,71 @@ def test_duality_gap_validates_inputs():
         duality_gap(z, np.full((4, 5), np.nan), p, 0.5)
 
 
-# sha256 digests, recorded before the FPG loop was last reworked, of every
-# solve of one shape: x, the final dual p, the iteration count and the last
-# relative change or gap, for both modes, both boundaries, budgeted and
-# certified, short and long budgets. A rework of the loop must leave each
-# solve bit-identical. The stop and gap tests sum through BLAS ddot and
-# numpy's pairwise reduction, so another BLAS build may move these bits.
-FPG_DIGESTS = {
-    (37,): "9435250760c48e34a465f37b37a9f9b9569229ed728b74fa3378a92a413feddf",
-    (16, 16): "c94d826465a6f2dd0a32072b18024f14856f9f044cb64773e8b892cf0c877030",
-    (12, 20): "a88f1a139f721267e059266bcc22ca35046697a3e1f4c6d17f1c74c0a5a1e907",
-    (6, 7, 8): "34040222b5c465f5b67c8cf75d7e78f3e5f331b110a1b397125d38909a419093",
-}
-
-
-def fpg_digest(shape):
+def fpg_solves(shape):
+    """Every solve of one shape, as (z, tau, cfg, x, info): both modes, both
+    boundaries, budgeted and certified, short and long budgets."""
     rng = np.random.default_rng(54)
     z = rng.standard_normal(shape)
     tau = 0.7 / len(shape)
-    h = hashlib.sha256()
     for mode in ("aniso", "iso"):
         for boundary in ("circular", "free"):
             for gap_tol in (None, 1e-9):
                 for max_iter in (7, 300):
                     cfg = OracleConfig(max_iter=max_iter, mode=mode, boundary=boundary, gap_tol=gap_tol)
-                    x, info = fpg_prox(z, tau, cfg, return_info=True)
-                    h.update(x.tobytes())
-                    h.update(info["p"].tobytes())
-                    h.update(info["iterations"].to_bytes(4, "little"))
-                    h.update(np.float64(info["rel_change" if gap_tol is None else "gap"]).tobytes())
-    return h.hexdigest()
+                    yield z, tau, cfg, *fpg_prox(z, tau, cfg, return_info=True)
+
+
+# sha256 digests, recorded before the FPG loop was last reworked, of x, the
+# final dual p and the iteration count of every solve of fpg_solves. A
+# rework of the loop must leave each solve bit-identical.
+FPG_DIGESTS = {
+    (37,): "10c9ea0c838eac57e04937007fc546cbd928038c6c9e356ea7bb9880475ebe58",
+    (16, 16): "3d4513be73004433a2cd75878f9c7ab197bc2e38fd62756f3a54c1493a422b68",
+    (12, 20): "d8511f9c2fadcdfe6fbf0eb24e055efcaa2822aab44c8be3351afa3fd8fa10db",
+    (6, 7, 8): "4dbd70dcf20a438e993bad10391fa4b81b4e272be9ed1a4203d67b75ca4a65d0",
+}
 
 
 @pytest.mark.parametrize("shape", list(FPG_DIGESTS))
 def test_fpg_is_pinned_bit_for_bit(shape):
-    assert fpg_digest(shape) == FPG_DIGESTS[shape]
+    h = hashlib.sha256()
+    for *_, x, info in fpg_solves(shape):
+        h.update(x.tobytes())
+        h.update(info["p"].tobytes())
+        h.update(info["iterations"].to_bytes(4, "little"))
+    assert h.hexdigest() == FPG_DIGESTS[shape]
+
+
+@pytest.mark.parametrize("shape", list(FPG_DIGESTS))
+def test_fpg_reports_its_last_stop_statistic(shape):
+    # rel_change and gap sum through BLAS ddot, whose summation order
+    # depends on the CPU, so they are recomputed here rather than pinned
+    for z, tau, cfg, x, info in fpg_solves(shape):
+        if cfg.gap_tol is None:
+            # a budgeted solve is deterministic: one iteration less is x_prev
+            x_prev, _ = fpg_prox(z, tau, replace(cfg, max_iter=info["iterations"] - 1), return_info=True)
+            stat, expected = info["rel_change"], l2_norm(x - x_prev) / l2_norm(x_prev)
+        else:
+            primal = 0.5 * l2_norm(x - z) ** 2 + tau * _tv_of_differences(_grad(x, cfg.boundary), cfg.mode)
+            stat = info["gap"]
+            expected = duality_gap(z, x, info["p"], tau, cfg.mode, cfg.boundary) / primal
+        assert stat == pytest.approx(expected, rel=1e-9, abs=1e-15)
+        assert info["converged"] == (stat <= (cfg.tol if cfg.gap_tol is None else cfg.gap_tol))
+
+
+@pytest.mark.parametrize("gap_tol", [None, 1e-9])
+@pytest.mark.parametrize("shape", [(16, 12), (8, 7, 6)])
+def test_fpg_does_not_depend_on_the_signal_layout(shape, gap_tol):
+    # a transposed z is Fortran-ordered; its solve must be that of its
+    # C-ordered copy, bit for bit and over as many iterations
+    z = np.random.default_rng(56).standard_normal(shape).T
+    cfg = OracleConfig(max_iter=300, gap_tol=gap_tol)
+    x, info = fpg_prox(z, 0.3, cfg, return_info=True)
+    x_c, info_c = fpg_prox(np.ascontiguousarray(z), 0.3, cfg, return_info=True)
+    assert info["iterations"] == info_c["iterations"] > 50
+    assert x.tobytes() == x_c.tobytes() and info["p"].tobytes() == info_c["p"].tobytes()
+    stat = "rel_change" if gap_tol is None else "gap"
+    assert info[stat] == info_c[stat] and info["converged"] == info_c["converged"]
 
 
 def python_calls(z, tau, cfg):
