@@ -169,13 +169,13 @@ def _make_problem(cfg, y, ct_op=None):
     if cfg.task == "denoise":
         return Problem(
             grad_g=lambda x: x - y,
-            objective_g=lambda x: 0.5 * float(((y - x) ** 2).sum()),
+            objective_g=lambda x: 0.5 * float(np.add.reduce((y - x) ** 2, axis=None)),
             prox_g=lambda v, gamma: prox_g_denoise(v, gamma, y),
             lipschitz_L=1.0,
         )
     return Problem(
         grad_g=lambda x: ct_op.adjoint(ct_op.apply(x) - y),
-        objective_g=lambda x: 0.5 * float(((ct_op.apply(x) - y) ** 2).sum()),
+        objective_g=lambda x: 0.5 * float(np.add.reduce((ct_op.apply(x) - y) ** 2, axis=None)),
         prox_g=lambda v, gamma: prox_g_ct(v, gamma, y, ct_op),
         lipschitz_L=ct_op.lipschitz_bound,
     )

@@ -13,8 +13,8 @@ difference blocks in place and applies one difference adjoint, with no
 sub-iterations; the averaging blocks are never synthesised.
 
 The solvers bind S_tau once per solve with _bind_approx_prox, on fixed
-input, difference-stack and output buffers: each call runs the same
-arithmetic as approx_prox, in the same order, and validates nothing.
+buffers: each call runs approx_prox's ufunc calls, in the same order, as
+C-level calls only, but for _project_ball when iso, and validates nothing.
 approx_prox validates its input through w_forward.
 """
 
@@ -157,22 +157,29 @@ def approx_prox(z, params):
 def _bind_approx_prox(z, outs, dif, params):
     """One kernel per buffer of outs that writes S_tau of what z holds into it.
 
-    The analysis is w_forward's difference half, D z scaled after the
-    subtraction, into the stack dif, which the synthesis then uses up as
-    its scratch. Nothing is validated: the caller checks the iterates.
+    The analysis steps write w_forward's difference half into the stack
+    dif; after the projection, the synthesis steps use dif up as their
+    scratch and end as _threshold_synthesise does. Nothing is validated:
+    the caller checks the iterates.
     """
-    d = z.ndim
+    d, mode = z.ndim, params.mode
     scale = 1.0 / (2.0 * math.sqrt(d))
     radius = params.threshold(d)
-    analysis = _grad_steps(z, dif, "circular")
+    analysis = _grad_steps(z, dif, "circular") + [(np.multiply, dif, scale, dif)]
 
     def bind(out):
-        synthesis = _adjoint_steps(dif, out, dif[0], "circular")
+        synthesis = _adjoint_steps(dif, out, dif[0], "circular") + [(np.multiply, out, scale, out),
+                                                                    (np.subtract, z, out, out)]
 
         def prox():
-            _run(analysis)
-            np.multiply(dif, scale, out=dif)
-            return _threshold_synthesise(z, dif, radius, params.mode, synthesis, out)
+            for ufunc, a, b, o in analysis:
+                ufunc(a, b, o)
+            if mode == "aniso":
+                _clip(dif, -radius, radius, dif)
+            else:
+                _project_ball(dif, radius, mode, out)
+            for ufunc, a, b, o in synthesis:
+                ufunc(a, b, o)
 
         return prox
 

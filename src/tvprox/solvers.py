@@ -7,15 +7,16 @@ stop when the relative iterate change drops below stop_tol.
 Each solve validates x0 at entry and binds its working set once (see
 _working_set): an approximate iteration makes the ufunc calls that
 approx_prox, tv and objective would make on fresh arrays, in the same
-order, on buffers bound once. It still makes about a dozen Python-level
-calls: the bound prox (with _threshold_synthesise, _project_ball and two
-difference passes), the TV pass, the objective, the momentum and the stop
-test. The exact prox calls tvprox.exact's fpg_prox once per iteration.
-Iterates are not validated again: a non-finite one makes the objective
-non-finite, and the finiteness check raises SolverDivergence.
+order, on buffers bound once. Its Python-level calls are the problem's
+callbacks, the bound prox, APGM's fista_momentum and a kernel that ends
+the iteration with the objective and the stop test: five per aniso APGM
+iteration (iso: one helper more in each kernel). The exact prox calls
+fpg_prox once per iteration. Iterates are not validated again: a
+non-finite one makes the objective non-finite, raising SolverDivergence.
 """
 
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .exact import OracleConfig, fpg_prox
-from .frame import _grad_steps, _run
+from .frame import _grad_steps
 from .shrinkage import ProxParams, _bind_approx_prox
 from .signal import check_choice, check_count, check_nonnegative, check_positive, l2_norm, validate_signal
 from .tv import _tv_of_differences, check_mode, tv
@@ -102,18 +103,9 @@ def objective(problem, cfg, x):
     because the caller's finiteness check raises SolverDivergence instead.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _objective(problem, cfg, x, partial(tv, x, cfg.mode))
-
-
-def _objective(problem, cfg, x, tv_x):
-    """objective with tv(x, mode) given as the zero-argument kernel tv_x.
-
-    Runs under the caller's errstate: objective() and each solve's loop
-    enter np.errstate(over="ignore", invalid="ignore") once.
-    """
-    val = problem.objective_g(x)
-    if cfg.lam > 0:
-        val += cfg.lam * tv_x()
+        val = problem.objective_g(x)
+        if cfg.lam > 0:
+            val += cfg.lam * tv(x, cfg.mode)
     return float(val)
 
 
@@ -142,31 +134,52 @@ def _bind_tv_prox(cfg, z, xs, dif, fpg_solves):
     return [partial(exact, x) for x in xs]
 
 
-def _bind_tv(x, dif, mode):
-    """Kernel returning tv(x, mode) of what buffer x holds, through dif."""
-    steps = _grad_steps(x, dif, "circular")
+def _working_set(problem, cfg, x0, trace, fpg_solves, algorithm):
+    """Buffers and bound kernels of one solve, as (z, xs, dx, prox, ends).
 
-    def tv_x():
-        _run(steps)
-        return _tv_of_differences(dif, mode)
-
-    return tv_x
-
-
-def _working_set(cfg, x0, fpg_solves):
-    """Buffers and bound kernels of one solve, as (z, xs, prox, tvs).
-
-    z is the prox input and xs two C-contiguous iterate buffers that swap
-    each iteration, xs[0] a copy of x0. prox[i]() writes the TV prox of z
-    into xs[i] and tvs[i]() returns tv(xs[i], mode); both use one
-    difference stack, which the approximate prox uses up (its first block
-    is the synthesis scratch) and the TV pass overwrites after it.
+    z is the prox input, xs two C-contiguous iterate buffers that swap each
+    iteration, xs[0] a copy of x0, and dx holds x - x_prev. prox[i]() writes
+    the TV prox of z into xs[i]; ends[i](k) then ends iteration k, x_prev
+    being the other buffer: it writes dx, appends the objective to trace,
+    raises SolverDivergence when that is not finite and returns whether
+    ||dx|| / ||x_prev|| <= stop_tol. Both use one difference stack, which
+    the approximate prox uses up (its first block is the synthesis scratch)
+    and the objective's TV pass overwrites after it. The stop test takes
+    ndarray.dot of flat views bound once; when a squared norm is not a
+    normal number, where l2_norm may rescale, _stopped decides.
     """
     z = np.empty(x0.shape)
     xs = (x0.copy(), np.empty(x0.shape))
+    dx = np.empty(x0.shape)
     dif = np.empty((x0.ndim,) + x0.shape)
-    prox = _bind_tv_prox(cfg, z, xs, dif, fpg_solves)
-    return z, xs, prox, [_bind_tv(x, dif, cfg.mode) for x in xs]
+    objective_g, lam, mode, stop_tol = problem.objective_g, cfg.lam, cfg.mode, cfg.stop_tol
+    normal, dxf = sys.float_info.min, dx.reshape(-1)
+
+    def bind(x, x_prev):
+        steps = _grad_steps(x, dif, "circular")
+        xpf = x_prev.reshape(-1)
+
+        def end(k):
+            np.subtract(x, x_prev, dx)
+            f = objective_g(x)
+            if lam > 0:
+                for ufunc, a, b, out in steps:
+                    ufunc(a, b, out)
+                # the aniso sum of _tv_of_differences, without its call
+                f += lam * (float(np.add.reduce(np.abs(dif, dif), axis=None)) if mode == "aniso"
+                            else _tv_of_differences(dif, mode))
+            f = float(f)
+            if not math.isfinite(f):
+                raise SolverDivergence(f"{algorithm}: objective became {f} at iteration {k}")
+            trace.append(f)
+            num, den = dxf.dot(dxf), xpf.dot(xpf)
+            if normal <= num < math.inf and normal <= den < math.inf:
+                return math.sqrt(num) / math.sqrt(den) <= stop_tol
+            return _stopped(dx, x_prev, stop_tol)
+
+        return end
+
+    return z, xs, dx, _bind_tv_prox(cfg, z, xs, dif, fpg_solves), [bind(*xs), bind(*xs[::-1])]
 
 
 def _fpg_counters(cfg, fpg_solves):
@@ -189,11 +202,6 @@ def _stopped(dx, x_prev, tol):
     return denom != 0.0 and l2_norm(dx) / denom <= tol
 
 
-def _check_finite(f, k, algorithm):
-    if not math.isfinite(f):
-        raise SolverDivergence(f"{algorithm}: objective became {f} at iteration {k}")
-
-
 def apgm(problem, cfg, x0):
     """Accelerated proximal gradient with the selected TV prox.
 
@@ -209,33 +217,28 @@ def apgm(problem, cfg, x0):
             RuntimeWarning,
         )
     t0 = time.perf_counter()
-    fpg_solves = []
-    z, xs, prox, tvs = _working_set(cfg, x0, fpg_solves)
+    trace, fpg_solves = [], []
+    z, xs, dx, prox, ends = _working_set(problem, cfg, x0, trace, fpg_solves, "apgm")
     s = x0.copy()
-    dx = np.empty(x0.shape)
+    grad_g, gamma = problem.grad_g, cfg.gamma
     q_prev = 1.0
-    trace = []
     stop_reason = "max-iter"
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iter + 1):
             # iteration k writes x into xs[k % 2]; x_prev is in the other buffer
-            x, x_prev = xs[k % 2], xs[1 - k % 2]
-            np.multiply(problem.grad_g(s), cfg.gamma, out=z)
-            np.subtract(s, z, out=z)
-            prox[k % 2]()
+            i = k % 2
+            np.multiply(grad_g(s), gamma, z)
+            np.subtract(s, z, z)
+            prox[i]()
             q = fista_momentum(q_prev)
-            np.subtract(x, x_prev, out=dx)
-            np.multiply(dx, (q_prev - 1.0) / q, out=s)
-            s += x
-            f = _objective(problem, cfg, x, tvs[k % 2])
-            _check_finite(f, k, "apgm")
-            trace.append(f)
-            if _stopped(dx, x_prev, cfg.stop_tol):
+            if ends[i](k):
                 stop_reason = "tolerance-met"
                 break
+            np.multiply(dx, (q_prev - 1.0) / q, s)
+            s += xs[i]
             q_prev = q
     return RunReport(
-        final_x=x,
+        final_x=xs[k % 2],
         objective_trace=np.array(trace),
         iterations=len(trace),
         stop_reason=stop_reason,
@@ -256,29 +259,27 @@ def admm(problem, cfg, x0):
     if problem.prox_g is None:
         raise ValueError("admm requires problem.prox_g")
     t0 = time.perf_counter()
-    fpg_solves = []
-    v, xs, prox, tvs = _working_set(cfg, x0, fpg_solves)  # v: z + s, the TV prox input
+    trace, fpg_solves = [], []
+    v, xs, _, prox, ends = _working_set(problem, cfg, x0, trace, fpg_solves, "admm")  # v: z + s, the TV prox input
     s = np.zeros(x0.shape)
     w = np.empty(x0.shape)  # x - s, the prox_g input
-    dx = np.empty(x0.shape)
-    trace = []
+    prox_g, gamma = problem.prox_g, cfg.gamma
     stop_reason = "max-iter"
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iter + 1):
-            x, x_new = xs[1 - k % 2], xs[k % 2]
-            z = problem.prox_g(np.subtract(x, s, out=w), cfg.gamma)
-            np.add(z, s, out=v)
-            prox[k % 2]()
+            # iteration k writes x_new into xs[k % 2]; x is in the other buffer
+            i = k % 2
+            z = prox_g(np.subtract(xs[1 - i], s, w), gamma)
+            np.add(z, s, v)
+            prox[i]()
             # Dual ascent sign matches the (x - s) / (z + s) prox arguments above:
             # the multiplier estimate grows along z - x, not x - z.
             s += z
-            s -= x_new
-            f = _objective(problem, cfg, x_new, tvs[k % 2])
-            _check_finite(f, k, "admm")
-            trace.append(f)
-            if _stopped(np.subtract(x_new, x, out=dx), x, cfg.stop_tol):
+            s -= xs[i]
+            if ends[i](k):
                 stop_reason = "tolerance-met"
                 break
+    x_new = xs[k % 2]
     return RunReport(
         final_x=x_new,
         objective_trace=np.array(trace),

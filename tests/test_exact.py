@@ -4,12 +4,11 @@ and against simple grid/bisection oracles."""
 
 import hashlib
 import math
-import sys
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from call_counts import python_calls
 
 from tvprox.exact import (
     OracleConfig,
@@ -384,31 +383,6 @@ def test_fpg_does_not_depend_on_the_signal_layout(shape, gap_tol):
     assert info[stat] == info_c[stat] and info["converged"] == info_c["converged"]
 
 
-def python_calls(z, tau, cfg):
-    """Counter of the Python-level calls of one fpg_prox solve, keyed by
-    (the function fpg_prox called that the call runs under, the function
-    called). ufunc, BLAS and ndarray-method calls are C-level and fire no
-    "call" event."""
-    calls = Counter()
-
-    def profile(frame, event, arg):
-        if event != "call":
-            return
-        top = frame
-        while top.f_back is not None and top.f_back.f_code is not fpg_prox.__code__:
-            top = top.f_back
-        if top.f_back is not None:
-            calls[top.f_code.co_name, frame.f_code.co_name] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        fpg_prox(z, tau, cfg, return_info=True)
-    finally:
-        sys.setprofile(previous)
-    return calls
-
-
 @pytest.mark.parametrize("gap_tol", [None, 1e-300])
 @pytest.mark.parametrize("mode", ["aniso", "iso"])
 def test_fpg_iteration_calls_only_the_projection(mode, gap_tol):
@@ -418,7 +392,8 @@ def test_fpg_iteration_calls_only_the_projection(mode, gap_tol):
     z = np.random.default_rng(55).standard_normal((12, 20))
 
     def calls(max_iter):
-        return python_calls(z, 0.35, OracleConfig(max_iter=max_iter, tol=1e-300, mode=mode, gap_tol=gap_tol))
+        cfg = OracleConfig(max_iter=max_iter, tol=1e-300, mode=mode, gap_tol=gap_tol)
+        return python_calls(fpg_prox, z, 0.35, cfg, return_info=True)
 
     extra = calls(200) - calls(100)
     per_iteration = {key: n for key, n in extra.items() if key[0] != "_relative_gap"}

@@ -309,6 +309,9 @@ def solver_runs(draw):
     return y, x0, cfg, None
 
 
+TINY = 1e-160 * (np.arange(12.0).reshape(3, 4) % 5 + 3.0)
+
+
 @settings(PROPERTY, max_examples=60)
 @given(solver_runs(), st.sampled_from(("apgm", "admm")))
 # extent-2 axes and both stops, with and without regularization
@@ -319,6 +322,9 @@ def solver_runs(draw):
           SolverConfig(gamma=0.3, lam=0.0, stop_tol=1e-3), "tolerance-met"), "admm")
 @example((np.arange(8.0).reshape(2, 2, 2) ** 2, np.zeros((2, 2, 2)),
           SolverConfig(gamma=0.7, lam=0.5, mode="iso", stop_tol=1e-300, max_iter=30), "max-iter"), "apgm")
+# squares below the normal range, where l2_norm rescales in the stop test
+@example((TINY, np.zeros((3, 4)), SolverConfig(gamma=0.5, lam=0.5, stop_tol=1e-3), "tolerance-met"), "apgm")
+@example((TINY, np.zeros((3, 4)), SolverConfig(gamma=0.5, lam=0.5, stop_tol=1e-3), "tolerance-met"), "admm")
 def test_bound_solvers_bit_identical_to_per_call_loops(run, solver):
     y, x0, cfg, stop = run
     problem = Problem(grad_g=lambda x: x - y, objective_g=lambda x: 0.5 * float(((y - x) ** 2).sum()),

@@ -1,14 +1,16 @@
 """APGM / ADMM drivers: momentum schedule, objective bookkeeping, stopping
 protocol, and long-run oracles on tiny problems."""
 
+import hashlib
 import warnings
 from functools import partial
 
 import numpy as np
 import pytest
+from call_counts import python_calls
 
 from tvprox.exact import OracleConfig
-from tvprox.experiments import ExperimentConfig, gen_foam_phantom
+from tvprox.experiments import ExperimentConfig, _make_problem, gen_foam_phantom
 from tvprox.frame import w_forward
 from tvprox.operators import add_awgn, identity_operator, lipschitz_power_iter, prox_g_ct, prox_g_denoise
 from tvprox.shrinkage import ProxParams, approx_prox
@@ -289,3 +291,85 @@ def test_non_finite_iterate_raises_solver_divergence(mode):
     for call in (lambda: approx_prox(x0, ProxParams(0.1, mode)), lambda: tv(x0, mode), lambda: w_forward(x0)):
         with pytest.raises(ValueError, match="non-finite"):
             call()
+
+
+def approximate_solves(shape):
+    """Every approximate solve of one shape, as (cfg, report): APGM and
+    ADMM, both modes, lambda = 0 and lambda > 0, each stopped by its
+    tolerance and at max_iter."""
+    y = np.random.default_rng(71).standard_normal(shape) + 2.0
+    problem = denoise_problem(y)
+    for solve in (apgm, admm):
+        for mode in ("aniso", "iso"):
+            for lam in (0.0, 1.5):
+                for stop_tol, max_iter in ((1e-7, 20000), (1e-300, 40)):
+                    cfg = SolverConfig(gamma=0.3, lam=lam, mode=mode, stop_tol=stop_tol, max_iter=max_iter)
+                    yield cfg, solve(problem, cfg, np.zeros(shape))
+
+
+# sha256 digests, recorded before the approximate iteration was last
+# reworked, of final_x, the objective trace, the iteration count and the
+# stop reason of every solve of approximate_solves. A rework of the loops
+# must leave each solve bit-identical.
+SOLVER_DIGESTS = {
+    (37,): "b42c356badce4491301aeacf2bdc184d6b3218a52cf2a88c568e0991a5cdb69e",
+    (16, 16): "90982d24dc0b257a4282357423ddaf27166506515ee0c73c58a308c48ae02a68",
+    (12, 20): "49e02a3d03e3fd0d7a029dbfad0a7b54c3f7b183d7af21c766371447b9b86251",
+    (6, 7, 8): "ce6f34af8e56d197e94c6e811baba3290b71ee53c484c202c7e9fb662cd72686",
+}
+
+
+@pytest.mark.parametrize("shape", list(SOLVER_DIGESTS))
+def test_approximate_solves_are_pinned_bit_for_bit(shape):
+    h = hashlib.sha256()
+    for cfg, report in approximate_solves(shape):
+        assert report.stop_reason == ("max-iter" if cfg.stop_tol == 1e-300 else "tolerance-met")
+        h.update(report.final_x.tobytes())
+        h.update(report.objective_trace.tobytes())
+        h.update(report.iterations.to_bytes(4, "little"))
+        h.update(report.stop_reason.encode())
+    assert h.hexdigest() == SOLVER_DIGESTS[shape]
+
+
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+@pytest.mark.parametrize("shape", [(16, 12), (8, 7, 6)])
+def test_solves_do_not_depend_on_the_signal_layout(shape, mode):
+    # a transposed x0 and a Fortran-ordered y must give the bits of their
+    # C-ordered copies, over as many iterations
+    rng = np.random.default_rng(72)
+    y = np.asfortranarray(rng.standard_normal(shape) + 2.0)
+    x0 = rng.standard_normal(shape[::-1]).T
+    cfg = SolverConfig(gamma=0.6, lam=0.3, mode=mode, stop_tol=1e-4)
+    for solve in (apgm, admm):
+        a = solve(denoise_problem(y), cfg, x0)
+        c = solve(denoise_problem(np.ascontiguousarray(y)), cfg, np.ascontiguousarray(x0))
+        assert a.iterations == c.iterations > 10 and a.stop_reason == c.stop_reason == "tolerance-met"
+        assert a.final_x.tobytes() == c.final_x.tobytes()
+        assert a.objective_trace.tobytes() == c.objective_trace.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+@pytest.mark.parametrize("solver", ["apgm", "admm"])
+def test_approximate_iteration_calls(solver, mode):
+    # an unreachable stop_tol: both solves run their whole budget, so the
+    # calls the longer one adds are those of 10 iterations. An iteration
+    # calls grad_g (APGM) or prox_g (ADMM; what that calls is its own), the
+    # bound prox, APGM's momentum and the kernel that ends the iteration,
+    # which calls objective_g and, iso, _tv_of_differences, as the prox
+    # calls _project_ball.
+    y = np.random.default_rng(73).standard_normal((16, 16))
+    problem = _make_problem(ExperimentConfig(), y)
+    solve = apgm if solver == "apgm" else admm
+
+    def calls(max_iter):
+        cfg = SolverConfig(gamma=0.5, lam=0.3, mode=mode, stop_tol=1e-300, max_iter=max_iter)
+        return python_calls(solve, problem, cfg, y)
+
+    per_iteration = {("<lambda>", "<lambda>"): 1, ("prox", "prox"): 1, ("end", "end"): 1, ("end", "<lambda>"): 1}
+    if solver == "apgm":
+        per_iteration["fista_momentum", "fista_momentum"] = 1
+    if mode == "iso":
+        per_iteration.update({("prox", "_project_ball"): 1, ("end", "_tv_of_differences"): 1})
+    extra = calls(30) - calls(20)
+    assert {key: n for key, n in extra.items() if key[0] != "<lambda>" or key[1] == "<lambda>"} == {
+        key: 10 * n for key, n in per_iteration.items()}
