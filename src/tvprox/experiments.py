@@ -23,7 +23,7 @@ from .operators import (
     prox_g_denoise,
     radon_operator,
 )
-from .signal import check_choice, check_count, check_nonnegative, check_positive, save_csv
+from .signal import SLAB, check_choice, check_count, check_nonnegative, check_positive, save_csv
 from .solvers import Problem, RunReport, SolverConfig, SolverDivergence, admm, apgm, objective
 from .tv import check_mode
 
@@ -154,15 +154,25 @@ def cost_accuracy(f_hat, f_star):
 
 
 def write_pgm(path, img):
-    """8-bit ASCII PGM (P2), min-max scaled."""
+    """8-bit ASCII PGM (P2) of a 2-D image, min-max scaled to 0..255 (all 0 if
+    the image is constant): the header lines ``P2``, ``width height`` and
+    ``255``, then one line per image row of space-separated ``%d`` values.
+    The rows go in slabs of whole rows, at most SLAB values (but at least one
+    row) each, one ``%`` format and one write per slab."""
     img = np.asarray(img, dtype=np.float64)
+    if img.ndim != 2:
+        raise ValueError(f"write_pgm: the image must be 2-D, got shape {img.shape}")
     lo, hi = img.min(), img.max()
     scaled = np.zeros_like(img) if hi == lo else (img - lo) / (hi - lo)
     pixels = np.rint(scaled * 255).astype(int)
+    height, width = pixels.shape
+    row = " ".join(["%d"] * width) + "\n"
+    rows = max(1, SLAB // width)
     with open(path, "w") as f:
-        f.write(f"P2\n{img.shape[1]} {img.shape[0]}\n255\n")
-        for row in pixels:
-            f.write(" ".join(str(v) for v in row) + "\n")
+        f.write(f"P2\n{width} {height}\n255\n")
+        for start in range(0, height, rows):
+            values = pixels[start:start + rows].ravel().tolist()
+            f.write((row * (len(values) // width)) % tuple(values))
 
 
 def _make_problem(cfg, y, ct_op=None):
@@ -328,10 +338,19 @@ def run_sweep(cfg):
 
 
 def _write_trace(path, report):
+    """The objective trace as text: the header ``iter,objective``, then one
+    ``k,%.12e`` line per iteration k = 1, 2, ... The objectives go in slabs
+    of at most SLAB, one ``%`` format and one write each, on a list that
+    interleaves each slab's k and objective values."""
+    trace = report.objective_trace
     with open(path, "w") as f:
         f.write("iter,objective\n")
-        for k, v in enumerate(report.objective_trace, start=1):
-            f.write(f"{k},{v:.12e}\n")
+        for start in range(0, len(trace), SLAB):
+            values = trace[start:start + SLAB].tolist()
+            items = [None] * (2 * len(values))
+            items[::2] = range(start + 1, start + 1 + len(values))
+            items[1::2] = values
+            f.write(("%d,%.12e\n" * len(values)) % tuple(items))
 
 
 def write_table(path, rows):

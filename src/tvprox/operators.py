@@ -79,7 +79,8 @@ class CtGeometry:
     n_angles: int
     angles: np.ndarray = field(init=False)
     n_detectors: int = field(init=False)
-    _matrix: object = field(default=None, init=False, repr=False)  # scipy.sparse.csr_matrix, built lazily
+    sinogram_shape: tuple = field(init=False)  # (n_angles, n_detectors)
+    _matrix: object = field(default=None, init=False, repr=False)  # scipy.sparse.csr_matrix, built on first use
     _kernels: tuple = field(default=None, init=False, repr=False)  # kernel(x, out) adds A x, A^T x to out
 
     def __post_init__(self):
@@ -89,10 +90,7 @@ class CtGeometry:
         self.angles = np.arange(self.n_angles) * np.pi / self.n_angles
         m = int(np.ceil(n * np.sqrt(2.0)))
         self.n_detectors = m + (m - n) % 2
-
-    @property
-    def sinogram_shape(self):
-        return (self.n_angles, self.n_detectors)
+        self.sinogram_shape = (self.n_angles, self.n_detectors)
 
 
 def system_matrix(geo):
@@ -151,7 +149,8 @@ def radon_forward(img, geo, *, check_finite=True, out=None):
     img = validate_signal(img) if check_finite else np.asarray(img, dtype=np.float64)
     if img.shape != (geo.n_pixels, geo.n_pixels):
         raise ValueError(f"image shape {img.shape} does not match geometry {geo.n_pixels}")
-    system_matrix(geo)
+    if geo._kernels is None:
+        system_matrix(geo)
     return _csr_product(geo._kernels[0], img, geo.sinogram_shape, out)
 
 
@@ -160,11 +159,16 @@ def radon_adjoint(sino, geo, *, out=None):
     sino = np.asarray(sino, dtype=np.float64)
     if sino.shape != geo.sinogram_shape:
         raise ValueError(f"sinogram shape {sino.shape} does not match geometry {geo.sinogram_shape}")
-    system_matrix(geo)
+    if geo._kernels is None:
+        system_matrix(geo)
     return _csr_product(geo._kernels[1], sino, (geo.n_pixels, geo.n_pixels), out)
 
 
 def radon_operator(geo):
+    """The Radon pair of geo as closures over radon_forward, without its
+    finiteness scan, and radon_adjoint. geo's system matrix and CSR kernels
+    are built here, so no matvec calls system_matrix."""
+    system_matrix(geo)
     return LinearOperator(
         apply=lambda x, out=None: radon_forward(x, geo, check_finite=False, out=out),
         adjoint=lambda r, out=None: radon_adjoint(r, geo, out=out),

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 MAX_NDIM = 3
+SLAB = 4096  # the most signal values a text writer formats (one % each) and writes at once
 
 
 def validate_signal(x, name="signal"):
@@ -36,22 +37,30 @@ def validate_signal(x, name="signal"):
     return a
 
 
+# An exact float or int skips the numbers.Real check (two Python-level ABC
+# calls); every other type, bool and numpy scalars too, still takes it.
+_EXACT_REALS = (float, int)
+
+
 def check_positive(name, value):
     """A stopping tolerance or a scale: a finite number > 0 (a NaN
     tolerance would never stop; a NaN or inf scale makes the output NaN)."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+    if not ((type(value) in _EXACT_REALS or isinstance(value, numbers.Real)) and math.isfinite(value)
+            and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def check_nonnegative(name, value):
     """A weight, noise level or threshold: a finite number >= 0."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+    if not ((type(value) in _EXACT_REALS or isinstance(value, numbers.Real)) and math.isfinite(value)
+            and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def check_count(name, value, least=1):
     """An iteration budget, size or seed: an integer >= least, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+    if (type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral))
+            or value < least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -77,14 +86,17 @@ def l2_norm(a):
 
 
 def save_csv(path, x):
-    """Write a signal as plain text: header ``shape=e1xe2[x...]``, then one
-    value per line in row-major order."""
+    """Write a signal as plain text: the header ``shape=e1xe2[x...]``, then one
+    value per line in row-major order, each as ``%.17g`` (lossless for
+    float64). The values go in slabs of at most SLAB, one ``%`` format and
+    one write each, so no whole-signal list of Python floats is built."""
     a = validate_signal(x)
-    header = "shape=" + "x".join(str(e) for e in a.shape)
+    flat = a.ravel()
     with open(path, "w") as f:
-        f.write(header + "\n")
-        for v in a.ravel():
-            f.write(f"{v:.17g}\n")
+        f.write("shape=" + "x".join(str(e) for e in a.shape) + "\n")
+        for start in range(0, flat.size, SLAB):
+            values = flat[start:start + SLAB].tolist()
+            f.write(("%.17g\n" * len(values)) % tuple(values))
 
 
 def load_csv(path):

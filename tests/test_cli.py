@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tvprox
+from sweep_files import sweep_digests
 from tvprox.cli import _build_config, _merged_options, _read_config_file, build_parser, main
 from tvprox.experiments import TABLE_HEADER
 
@@ -113,9 +114,10 @@ def test_byte_identical_tables(tmp_path):
 
 
 def test_exact_prox_sweep_tables_are_pinned(tmp_path):
-    # both tables as text, recorded before the sweep driver kept one record per cell
-    assert main(["denoise", "--size", "16", "--phantoms", "2", "--lambda", "0.5", "--gamma", "1e-1,1e-2",
-                 "--prox", "exact", "--out", str(tmp_path)]) == 0
+    # both tables as text, recorded before the sweep driver kept one record per cell,
+    # and every other file by digest, recorded while the writers formatted one value per call
+    digests = sweep_digests(["denoise", "--size", "16", "--phantoms", "2", "--lambda", "0.5",
+                             "--gamma", "1e-1,1e-2", "--prox", "exact"], tmp_path)
     assert (tmp_path / "table.csv").read_text() == (
         TABLE_HEADER + "\n"
         "0.5,0.1,3.046690e-01,18.55,10.64,68.5,0.000\n"
@@ -124,6 +126,26 @@ def test_exact_prox_sweep_tables_are_pinned(tmp_path):
         TABLE_HEADER + "\n"
         "0.5,0.1,2.937608e-01,18.55,10.64,68.5,0.000\n"
         "0.5,0.01,4.464609e-02,29.37,9.64,272.5,0.000\n")
+    del digests["table.csv"], digests["table_fpg50.csv"]
+    assert digests == {
+        "diff_denoise_apgm_lam0.5_gam0.01_ph0.pgm": "e57d7947d69c0a77760690c7e6f95cfb9f1d5c4364cc5490eba901104c09b406",
+        "diff_denoise_apgm_lam0.5_gam0.01_ph1.pgm": "e63381bb14608e15614cb3679e3247bfbd0709b51cbe7fcfc2f382f7e82c7c19",
+        "diff_denoise_apgm_lam0.5_gam0.1_ph0.pgm": "0ed939c232f1baa7e159bc284dcb27b53bb848fa4b7d636c61c407f551cfd82b",
+        "diff_denoise_apgm_lam0.5_gam0.1_ph1.pgm": "5cf8a674ed9b535ca6830873c246364d59286b3cee4ad0cc5d5853b96cc8a559",
+        "recon_denoise_apgm_lam0.5_gam0.01_ph0.csv": "85c576a597f0627ed694e7ac07a1e6f11d8b73175174c6d4b4573f89dc89a072",
+        "recon_denoise_apgm_lam0.5_gam0.01_ph0.pgm": "b39ba2ad0e4e9293bbf0127cf2ee2212f98bd2504bbe1cae285ac7bd32bdfba1",
+        "recon_denoise_apgm_lam0.5_gam0.01_ph1.csv": "459e17b2b47a653f6bc25624f1f508c301f569bc190e8d2cbf6a0a1864d7ba3a",
+        "recon_denoise_apgm_lam0.5_gam0.01_ph1.pgm": "e8981a82d4e400b88507b6f2e937779acdd8ef0943b8f75b258e19ea5a3ac6e8",
+        "recon_denoise_apgm_lam0.5_gam0.1_ph0.csv": "78e562a90ca676d66b173463887dadc3c5c347bac1affe4e42b5a38356af527a",
+        "recon_denoise_apgm_lam0.5_gam0.1_ph0.pgm": "0e57ca61a3ba22af5a78bdb2e1bdd15758a35b4fa23f88665812da35f99b5144",
+        "recon_denoise_apgm_lam0.5_gam0.1_ph1.csv": "6e0aa013fc203d0601d40080379cac31db062573ba2559900b99309cdd853f62",
+        "recon_denoise_apgm_lam0.5_gam0.1_ph1.pgm": "823276713b70253904662947c6101cbd7dde1f5e5fb8b2e44250ce436fce2d21",
+        "trace_denoise_apgm_lam0.5_gam0.01_ph0.csv": "9947de34210cb7cef0ce53b516a25a07149f912f8ccd128e7b01c6245f847efc",
+        "trace_denoise_apgm_lam0.5_gam0.01_ph1.csv": "36d8c1c5f828fa5437cb2c9bda52171fa91415690ed69055fd9e4d3d764d4bb8",
+        "trace_denoise_apgm_lam0.5_gam0.1_ph0.csv": "dcbe4de90eac760cd0f56c48ce1f6100d3a18afad47219d82948764f5fdf004c",
+        "trace_denoise_apgm_lam0.5_gam0.1_ph1.csv": "4979793f4cb38eb5f0b86f29d82d6901d5834649bf5c45f436d84daf751ddd1c",
+    }
+
 
 @pytest.mark.parametrize("argv", [
     ["denoise", "--gamma", "-1"],

@@ -2,6 +2,8 @@
 full trend runs live in test_acceptance)."""
 
 import hashlib
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from tvprox.experiments import (
     ExperimentConfig,
     MetricsRow,
     _phantom_data,
+    _write_trace,
     cost_accuracy,
     gen_foam_phantom,
     psnr,
@@ -22,6 +25,7 @@ from tvprox.experiments import (
     write_pgm,
     write_table,
 )
+from tvprox.signal import SLAB
 from tvprox.solvers import RunReport, SolverDivergence
 from tvprox.tv import tv
 
@@ -123,6 +127,50 @@ def test_write_pgm(tmp_path):
     assert lines[1] == "2 2"
     assert lines[2] == "255"
     assert lines[3].split() == ["0", "128"]
+
+
+def pgm_per_value(img):
+    """Oracle: the P2 text of the writer that formatted one pixel per call."""
+    img = np.asarray(img, dtype=np.float64)
+    lo, hi = img.min(), img.max()
+    scaled = np.zeros_like(img) if hi == lo else (img - lo) / (hi - lo)
+    pixels = np.rint(scaled * 255).astype(int)
+    rows = "".join(" ".join(str(v) for v in row) + "\n" for row in pixels)
+    return f"P2\n{img.shape[1]} {img.shape[0]}\n255\n" + rows
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (64, SLAB // 64), (3, SLAB), (2, SLAB + 1), (41, 100), (50, 37)],
+                         ids=str)
+def test_write_pgm_text_equals_the_per_value_format(tmp_path, shape):
+    # whole rows per slab: exactly one slab (64 rows of 64), rows of SLAB and
+    # SLAB + 1 values (one row per slab), a slab + 1 row (41 rows of 100, 40 per
+    # slab) and part of one; a constant image (hi == lo) and a negative range
+    rng = np.random.default_rng(shape[1])
+    images = [rng.standard_normal(shape) * 1e3, np.full(shape, -2.5), -rng.random(shape) - 1e-3,
+              np.asfortranarray(rng.standard_normal(shape))]
+    for img in images:
+        path = tmp_path / "img.pgm"
+        write_pgm(path, img)
+        assert path.read_text() == pgm_per_value(img)
+
+
+def test_write_pgm_takes_2d_images_only(tmp_path):
+    for shape in ((4,), (2, 3, 4)):
+        with pytest.raises(ValueError, match=re.escape(f"the image must be 2-D, got shape {shape}")):
+            write_pgm(tmp_path / "img.pgm", np.zeros(shape))
+
+
+@pytest.mark.parametrize("n", [1, 2, SLAB, SLAB + 1, 3 * SLAB + 7, 20000])
+def test_trace_text_equals_the_per_value_format(tmp_path, n):
+    # the objectives include -0.0, a subnormal, huge, negative and integral values
+    rng = np.random.default_rng(n)
+    trace = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    specials = [-0.0, 5e-324, 1e308, -3.0, 12.0, np.inf, np.nan]
+    trace[:min(n, len(specials))] = specials[:n]
+    path = tmp_path / "trace.csv"
+    _write_trace(path, SimpleNamespace(objective_trace=trace))
+    want = "iter,objective\n" + "".join(f"{k},{v:.12e}\n" for k, v in enumerate(trace, start=1))
+    assert path.read_text() == want
 
 
 def test_write_table_format(tmp_path):

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from tvprox.exact import OracleConfig, fpg_prox
+from tvprox.experiments import write_pgm
 from tvprox.operators import CtGeometry, prox_g_ct, radon_operator
 from tvprox.shrinkage import ProxParams, approx_prox
+from tvprox.signal import save_csv
 from tvprox.tv import MODES
 
 Z = np.random.default_rng(70).standard_normal((256, 256))
@@ -59,3 +61,12 @@ def test_prox_g_ct_steps_run_on_bound_buffers():
             peaks[cg_max] = peak_in_signals(lambda: prox_g_ct(v, 1.0, y, op, cg_max=cg_max), unit=v.nbytes)
     assert abs(peaks[60] - peaks[2]) < 1.0
     assert max(peaks.values()) <= 5.1 + sino_in_images
+
+
+@pytest.mark.parametrize("writer, per_value_peak_mb", [(save_csv, 0.263), (write_pgm, 6.292)])
+def test_text_writers_hold_one_slab_of_python_objects(tmp_path, writer, per_value_peak_mb):
+    # on a 512^2 image the writers that formatted one value per call peaked at
+    # 0.263 MB (save_csv) and 6.292 MB (write_pgm's three image-sized arrays);
+    # a whole-image tuple of Python floats alone would take 8.4 MB more
+    img = np.random.default_rng(72).standard_normal((512, 512))
+    assert peak_in_signals(lambda: writer(tmp_path / "img.txt", img), unit=1e6) < per_value_peak_mb + 1.0

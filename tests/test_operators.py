@@ -6,11 +6,13 @@ import re
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from call_counts import python_calls
 
 import tvprox
 from tvprox.exact import duality_gap, fpg_prox, tautstring_prox_1d
@@ -391,13 +393,38 @@ def test_prox_g_ct_rejects_a_v_of_another_shape():
 
 def test_radon_pair_rejects_a_bad_out():
     geo = small_geo()
-    cases = ((radon_forward, np.ones((16, 16)), geo.sinogram_shape),
-             (radon_adjoint, np.ones(geo.sinogram_shape), (16, 16)))
+    op = radon_operator(geo)
+    cases = ((partial(radon_forward, geo=geo), np.ones((16, 16)), geo.sinogram_shape),
+             (partial(radon_adjoint, geo=geo), np.ones(geo.sinogram_shape), (16, 16)),
+             (op.apply, np.ones((16, 16)), geo.sinogram_shape),
+             (op.adjoint, np.ones(geo.sinogram_shape), (16, 16)))
     for fn, arg, shape in cases:
         for out in (np.zeros((shape[0], shape[1] + 1)), np.zeros(shape[0] * shape[1]),
                     np.zeros(shape, dtype=np.float32), np.zeros(shape, order="F"), np.zeros(shape).tolist()):
             with pytest.raises(ValueError, match=re.escape(f"out must be a C-contiguous float64 array of shape {shape}")):
-                fn(arg, geo, out=out)
+                fn(arg, out=out)
+
+
+def test_data_proxes_check_an_exact_float_gamma_without_abc_calls():
+    # an exact float or int setting skips numbers.Real's __instancecheck__ and
+    # __subclasscheck__; a CG step's matvec runs the operator's closures over
+    # radon_forward and radon_adjoint, which call neither system_matrix nor a property
+    rng = np.random.default_rng(59)
+    v, y = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
+    assert python_calls(prox_g_denoise, v, 0.1, y) == {("check_positive", "check_positive"): 1}
+    op = radon_operator(small_geo())
+    y = rng.standard_normal(op.out_shape)
+
+    def calls(cg_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # cg_max stops the CG short
+            return python_calls(prox_g_ct, v, 1e-2, y, op, cg_max=cg_max)
+
+    few, more = calls(2), calls(5)
+    assert not {called for _, called in few + more} & {"__instancecheck__", "__subclasscheck__"}
+    assert few["check_positive", "check_positive"] == few["check_count", "check_count"] == 1
+    per_step = {"matvec": 1, "<lambda>": 2, "radon_forward": 1, "radon_adjoint": 1, "_csr_product": 2}
+    assert more - few == {("matvec", name): 3 * n for name, n in per_step.items()}
 
 
 def test_identity_operator_checks_shapes_and_takes_out():
@@ -435,7 +462,7 @@ def test_radon_operator_skips_the_finiteness_scan():
 
 
 def test_import_leaves_scipy_sparse_linalg_out(tmp_path):
-    # scipy.sparse loads only when a CT system matrix is first built
+    # scipy.sparse loads only when a CT system matrix is first built: when a Radon operator is
     src = str(Path(tvprox.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = f"""
@@ -446,9 +473,11 @@ assert "scipy.sparse.linalg" not in sys.modules
 assert cli.main(["denoise", "--size", "16", "--phantoms", "1", "--out", {str(tmp_path)!r}]) == 0
 assert cli.main(["prox-check"]) == 0
 assert "scipy.sparse" not in sys.modules
-from tvprox.operators import CtGeometry, system_matrix
-assert system_matrix(CtGeometry(16, 8)).shape == (8 * 24, 16 * 16)
+from tvprox.operators import CtGeometry, radon_operator, system_matrix
+geo = CtGeometry(16, 8)
+radon_operator(geo)
 assert "scipy.sparse" in sys.modules
+assert system_matrix(geo).shape == (8 * 24, 16 * 16)
 """
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,24 @@
-"""Signal contract, norm, the solvers' relative-change stop and CSV I/O."""
+"""Signal contract, settings checks, norm, the solvers' relative-change stop
+and CSV I/O."""
+
+import math
+import numbers
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tvprox.shrinkage import ProxParams, approx_prox
-from tvprox.signal import l2_norm, load_csv, save_csv, validate_signal
+from tvprox.signal import (
+    SLAB,
+    check_count,
+    check_nonnegative,
+    check_positive,
+    l2_norm,
+    load_csv,
+    save_csv,
+    validate_signal,
+)
 from tvprox.solvers import _stopped
 
 
@@ -77,14 +91,89 @@ def test_complex_signals_are_rejected():
 
 
 def test_csv_round_trip(tmp_path):
+    # %.17g is lossless: every bit comes back, the sign of -0.0 and subnormals too
     rng = np.random.default_rng(6)
     for shape in ((8,), (4, 5), (3, 2, 4)):
         x = rng.standard_normal(shape)
+        x.flat[:2] = -0.0, 5e-324
         path = tmp_path / "sig.csv"
         save_csv(path, x)
         back = load_csv(path)
         assert back.shape == x.shape
-        assert np.max(np.abs(back - x)) <= 1e-15 * max(1.0, np.abs(x).max())
+        assert back.tobytes() == x.tobytes()
+
+
+def csv_per_value(x):
+    """Oracle: the text of the writer that formatted one value per call."""
+    a = np.asarray(x, dtype=np.float64)
+    return "shape=" + "x".join(str(e) for e in a.shape) + "\n" + "".join(f"{v:.17g}\n" for v in a.ravel())
+
+
+def awkward_values(rng, n):
+    """n values that mix -0.0, the least subnormal, tiny and huge magnitudes,
+    negatives and integral floats, the specials also next to slab ends."""
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    specials = [-0.0, 5e-324, 1e-300, 1e308, -1e308, -2.5, 3.0, -7.0, 0.0, 1.0]
+    at = rng.choice(n, size=min(n, 40), replace=False)
+    x[at] = rng.choice(specials, size=at.size)
+    for i in (0, SLAB - 1, SLAB, n - 1):
+        if i < n:
+            x[i] = specials[i % len(specials)]
+    return x
+
+
+@pytest.mark.parametrize("shape", [
+    (2,), (SLAB,), (SLAB + 1,), (64, SLAB // 64), (17, 241), (3, 37, 111), (2, 3, 7),
+], ids=str)
+def test_save_csv_text_equals_the_per_value_format(tmp_path, shape):
+    # one slab, one slab + 1 value (17 * 241 = SLAB + 1) and several slabs
+    x = awkward_values(np.random.default_rng(sum(shape)), math.prod(shape)).reshape(shape)
+    for a in (x, np.asfortranarray(x)):
+        path = tmp_path / "sig.csv"
+        save_csv(path, a)
+        assert path.read_text() == csv_per_value(a)
+
+
+def checks_as_they_were():
+    """Oracle: the settings checks as each value went through numbers.Real
+    or numbers.Integral."""
+    def positive(name, value):
+        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+    def nonnegative(name, value):
+        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+    def count(name, value, least=1):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+    return {check_positive: positive, check_nonnegative: nonnegative, check_count: count}
+
+
+SETTINGS = [
+    1, 0, -3, 2.5, 0.0, -0.0, -1e-300, 5e-324, 1e308, math.nan, math.inf, -math.inf,
+    True, False, np.float64(0.5), np.float64(np.nan), np.float32(-2.0), np.int64(3), np.int32(0),
+    np.bool_(True), Fraction(1, 3), Fraction(-1, 3), 10**400, -(10**400), 2**1024 - 2**970 - 1,
+    "1", None, 1 + 0j, [1],
+]
+
+
+@pytest.mark.parametrize("value", SETTINGS, ids=repr)
+def test_settings_checks_decide_as_before(value):
+    # an exact float or int skips the ABC check; every value is accepted, or
+    # raises the same exception type and message as the numbers.Real path
+    def outcome(check, *args):
+        try:
+            check("s", value, *args)
+        except Exception as err:
+            return type(err), str(err)
+        return None
+
+    for check, oracle in checks_as_they_were().items():
+        for args in ((0,), (1,), (2,)) if check is check_count else ((),):
+            assert outcome(check, *args) == outcome(oracle, *args)
 
 
 def test_csv_header(tmp_path):
