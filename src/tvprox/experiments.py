@@ -163,15 +163,16 @@ def write_pgm(path, img):
     if img.ndim != 2:
         raise ValueError(f"write_pgm: the image must be 2-D, got shape {img.shape}")
     lo, hi = img.min(), img.max()
-    scaled = np.zeros_like(img) if hi == lo else (img - lo) / (hi - lo)
-    pixels = np.rint(scaled * 255).astype(int)
+    pixels = np.subtract(img, lo) if hi != lo else np.zeros_like(img)  # scaled and rounded in place
+    pixels /= hi - lo if hi != lo else 1.0
+    np.rint(np.multiply(pixels, 255, out=pixels), out=pixels)
     height, width = pixels.shape
     row = " ".join(["%d"] * width) + "\n"
     rows = max(1, SLAB // width)
     with open(path, "w") as f:
         f.write(f"P2\n{width} {height}\n255\n")
         for start in range(0, height, rows):
-            values = pixels[start:start + rows].ravel().tolist()
+            values = pixels[start:start + rows].astype(int).ravel().tolist()  # ints: %d of a float is slower
             f.write((row * (len(values) // width)) % tuple(values))
 
 

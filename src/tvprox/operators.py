@@ -7,8 +7,9 @@ adjoint is exact and every view conserves the total projected mass exactly.
 The Radon pair runs scipy's private ``_sparsetools.csr_matvec`` (the kernel of
 ``csr_matrix @ x``, so the bits match) into ``out`` buffers: ``@`` cannot write into one.
 The CT data prox is an in-place conjugate gradient on buffers bound once per call,
-stopped once ||r|| < CG_TOL ||b||, with one r.r per step. Its right-hand side needs
-A^T y, which the operator memoises for the last sinogram ``y`` it saw: a later call
+stopped, and warning if it stalls, on its recursive ||r|| < CG_TOL ||b|| (one r.r per
+step): only return_info=True spends a Radon pair on the true residual. Its right-hand
+side needs A^T y, which the operator memoises for the last sinogram ``y``: a later call
 reuses it only while ``y`` holds the same bits (a sinogram changed in place, or
 another phantom's, recomputes it).
 
@@ -30,7 +31,6 @@ import numpy as np
 from .signal import check_count, check_nonnegative, check_positive, l2_norm, validate_signal
 
 CG_TOL = 1e-10  # relative residual at which prox_g_ct stops its CG
-_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass
@@ -47,7 +47,7 @@ class LinearOperator:
     in_shape: tuple
     out_shape: tuple
     lipschitz_bound: float | None = None
-    # (y, adjoint(y)) copies of prox_g_ct's last sinogram: see _adjoint_of_data.
+    # ((y.shape, y's bytes), adjoint(y) copy) of prox_g_ct's last sinogram: see _adjoint_of_data.
     _data_adjoint: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -228,16 +228,16 @@ def prox_g_denoise(v, gamma, y):
 
 
 def _adjoint_of_data(op, y):
-    """op.adjoint(y), memoised on op for the last y: reused only while y holds the
-    same bits (compared as integers, so -0.0 is not 0.0). A miss checks y for
+    """op.adjoint(y), memoised on op for the last y: reused only while y has the
+    same shape and bytes (so -0.0 is not 0.0). A miss checks y for
     finiteness; a hit skips it, as y equals an array that passed the check."""
     y = np.asarray(y, dtype=np.float64)
     memo = op._data_adjoint
-    if memo is not None and np.array_equal(memo[0].view(np.uint64), y.view(np.uint64)):
+    if memo is not None and memo[0] == (y.shape, y.tobytes()):
         return memo[1]
     if not np.isfinite(y).all():
         raise ValueError("prox_g_ct: y holds non-finite values")
-    op._data_adjoint = y.copy(), op.adjoint(y).copy()
+    op._data_adjoint = (y.shape, y.tobytes()), op.adjoint(y).copy()
     return op._data_adjoint[1]
 
 
@@ -250,9 +250,9 @@ def prox_g_ct(v, gamma, y, op, cg_max=200, return_info=False):
     is memoised on op while y keeps its bits (_adjoint_of_data), so an ADMM solve
     makes it once. No CG step allocates: the image buffer holds q, alpha q, alpha p in turn.
     Raises ValueError on a non-finite or nonpositive gamma, a cg_max that is not an
-    integer >= 1, a v not of op.in_shape, and a non-finite v or y; warns unless the
-    true relative residual is <= CG_TOL (so a NaN residual warns too).
-    return_info=True returns (x, {"iterations", "residual", "converged"})."""
+    integer >= 1, a v not of op.in_shape, and a non-finite v or y; warns unless the CG's
+    recursive ||r|| < CG_TOL ||b|| (a NaN warns too). return_info=True returns (x, {"iterations",
+    "converged": that test, "residual": the true ||(I + gamma A^T A)x - b|| / ||b||, one more Radon pair})."""
     v = np.asarray(v, dtype=np.float64)
     check_positive("gamma", gamma)
     check_count("cg_max", cg_max)
@@ -269,14 +269,14 @@ def prox_g_ct(v, gamma, y, op, cg_max=200, return_info=False):
         op.adjoint(op.apply(u.reshape(op.in_shape), out=sino), out=img)
         return np.add(np.multiply(q, gamma, out=q), u, out=q)
 
-    x, steps = b, 0  # the solution when ||b|| = 0
+    x, steps, converged = b, 0, True  # the solution when ||b|| = 0
     b_norm = math.sqrt(b.dot(b))
     if b_norm:
         x = v.flatten()
         r = b - matvec(x) if x.any() else b.copy()
         rho = r.dot(r)
         p = r.copy()
-        while steps < cg_max and not math.sqrt(rho) < CG_TOL * b_norm:
+        while not (converged := math.sqrt(rho) < CG_TOL * b_norm) and steps < cg_max:
             if steps:
                 p *= rho / rho_prev
                 p += r
@@ -286,10 +286,9 @@ def prox_g_ct(v, gamma, y, op, cg_max=200, return_info=False):
             x += np.multiply(alpha, p, out=q)
             rho_prev, rho = rho, r.dot(r)
             steps += 1
-    achieved = l2_norm(np.subtract(matvec(x), b, out=q)) / max(b_norm, _TINY)
-    if not achieved <= CG_TOL:
-        warnings.warn(f"prox_g_ct: CG stalled at relative residual {achieved:.3e}", RuntimeWarning)
-    x = x.reshape(op.in_shape)
+    if not converged:
+        warnings.warn(f"prox_g_ct: CG stalled at relative residual {math.sqrt(rho) / b_norm:.3e}", RuntimeWarning)
     if return_info:
-        return x, {"iterations": steps, "residual": achieved, "converged": achieved <= CG_TOL}
-    return x
+        achieved = l2_norm(np.subtract(matvec(x), b, out=q)) / (b_norm or 1.0)  # 0 where x = b = 0
+        return x.reshape(op.in_shape), {"iterations": steps, "residual": achieved, "converged": converged}
+    return x.reshape(op.in_shape)

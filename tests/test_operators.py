@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -16,7 +17,9 @@ from call_counts import python_calls
 
 import tvprox
 from tvprox.exact import duality_gap, fpg_prox, tautstring_prox_1d
+from tvprox.experiments import gen_foam_phantom
 from tvprox.operators import (
+    CG_TOL,
     CtGeometry,
     LinearOperator,
     add_awgn,
@@ -30,6 +33,7 @@ from tvprox.operators import (
     system_matrix,
 )
 from tvprox.signal import l2_norm
+from tvprox.solvers import Problem, SolverConfig, admm
 
 
 def small_geo(n=16, angles=9):
@@ -345,6 +349,55 @@ def test_prox_g_ct_applies_the_adjoint_to_y_once():
         calls.clear()
         _, info = prox_g_ct(rng.standard_normal((16, 16)), 1e-2, y, op, return_info=True)
         assert len(calls) == info["iterations"] + extra
+
+
+def test_prox_g_ct_makes_one_pair_per_step_and_one_more_for_info():
+    # without return_info: one Radon pair for the initial residual and one per
+    # CG step, plus A^T y on a memo miss; return_info=True adds one pair, for
+    # the true residual, and returns the same x
+    rng = np.random.default_rng(64)
+    geo = small_geo()
+    calls = Counter()
+    op = radon_operator(geo)
+    op.apply = lambda x, out=None: calls.update(["apply"]) or radon_forward(x, geo, check_finite=False, out=out)
+    op.adjoint = lambda r, out=None: calls.update(["adjoint"]) or radon_adjoint(r, geo, out=out)
+    for gamma, new_y in ((1e-2, True), (1e-2, False), (1e-3, False), (1e-4, True)):
+        if new_y:
+            y = rng.standard_normal(geo.sinogram_shape)
+        v = rng.standard_normal((16, 16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            calls.clear()
+            x = prox_g_ct(v, gamma, y, op)
+            plain = dict(calls)
+            calls.clear()
+            x_info, info = prox_g_ct(v, gamma, y, op, return_info=True)
+        steps = info["iterations"]
+        assert steps >= 1 and plain == {"apply": steps + 1, "adjoint": steps + 1 + new_y}
+        assert dict(calls) == {"apply": steps + 2, "adjoint": steps + 2}
+        assert x.tobytes() == x_info.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [1e-4, 1e-3, 1e-2])
+def test_prox_g_ct_recursive_residual_vouches_for_the_true_one(gamma):
+    # every data prox of seeded CT ADMM solves (16^2, 8 angles) that the CG's
+    # recursive residual calls converged has a true relative residual <= CG_TOL
+    op = radon_operator(small_geo(16, 8))
+    infos = []
+    for seed in range(3):
+        y = add_awgn(op.apply(gen_foam_phantom(16, seed=seed)), 0.5, seed=1000 * seed + 500)
+
+        def prox_g(v, g, y=y):
+            x, info = prox_g_ct(v, g, y, op, return_info=True)
+            infos.append(info)
+            return x
+
+        problem = Problem(grad_g=lambda x, y=y: op.adjoint(op.apply(x) - y),
+                          objective_g=lambda x, y=y: 0.5 * l2_norm(op.apply(x) - y) ** 2, prox_g=prox_g)
+        admm(problem, SolverConfig(gamma=gamma, lam=2.5, stop_tol=1e-300, max_iter=200), np.zeros((16, 16)))
+    converged = [info["residual"] for info in infos if info["converged"]]
+    assert len(infos) == 600 and len(converged) == len(infos)
+    assert max(converged) <= CG_TOL
 
 
 def test_prox_g_ct_zero_rhs_returns_zeros():
