@@ -158,11 +158,13 @@ def write_pgm(path, img):
     the image is constant): the header lines ``P2``, ``width height`` and
     ``255``, then one line per image row of space-separated ``%d`` values.
     The rows go in slabs of whole rows, at most SLAB values (but at least one
-    row) each, one ``%`` format and one write per slab."""
+    row) each, one ``%`` format and one write per slab; ValueError if not finite."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"write_pgm: the image must be 2-D, got shape {img.shape}")
     lo, hi = img.min(), img.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"write_pgm: non-finite values are not admitted, got values in [{lo}, {hi}]")
     pixels = np.subtract(img, lo) if hi != lo else np.zeros_like(img)  # scaled and rounded in place
     pixels /= hi - lo if hi != lo else 1.0
     np.rint(np.multiply(pixels, 255, out=pixels), out=pixels)

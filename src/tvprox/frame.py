@@ -11,8 +11,8 @@ no stencil of their own.
 The stencil lives in two step builders, _grad_steps and _adjoint_steps.
 They build the slab views of the pair for given buffers once and return
 the kernel calls as (ufunc, a, b, out) tuples. _grad / _grad_adjoint build
-and run them once per call; fpg_prox builds them once per solve and runs
-only the calls on each iteration.
+and run them once per call; fpg_prox, and the solvers' iterate ring over
+all its slots as leading batch axes, build them once and run only the calls.
 
 Under circular boundaries W^T W = I exactly: w_adjoint(w_forward(z)) == z.
 The approximate prox analyses with w_forward.
@@ -69,7 +69,7 @@ def _axis_slices(shape):
     )
 
 
-def _grad_steps(x, out, boundary):
+def _grad_steps(x, out, boundary, batch=0):
     """Kernel calls (ufunc, a, b, out) that write D x into `out`.
 
     out[j]_i = x_i - x_{i+1} along axis j. circular: the last sample pairs
@@ -77,20 +77,22 @@ def _grad_steps(x, out, boundary):
     Each axis is one contiguous subtraction over the flattened signal at
     the axis stride, after which the last slab, where that pairing crosses
     a line end, is overwritten with its boundary value (the free zero as
-    the product 0 * 0). `out` has shape (d, *x.shape). When `x` and `out`
+    the product 0 * 0). `out` has shape (*lead, d, *signal_shape), lead
+    being the first `batch` axes of `x`, each call covering every signal
+    of that stack with the bits of one call per signal. When `x` and `out`
     are C-contiguous, every array a, b and out is a view of one of them,
     so the calls can be run again after those buffers change; the flat
     view of any other layout is a copy, read once.
     """
-    xf = x.reshape(-1)
-    of = out.reshape(x.ndim, -1)
+    lead, shape = x.shape[:batch], x.shape[batch:]
+    xf, of = x.reshape(lead + (-1,)), out.reshape(lead + (len(shape), -1))
     steps = []
-    for j, (s, (first, _), (last, block_last), _) in enumerate(_axis_slices(x.shape)):
-        steps.append((np.subtract, xf[:-s], xf[s:], of[j, :-s]))
+    for j, (s, (first, _), (last, block_last), _) in enumerate(_axis_slices(shape)):
+        steps.append((np.subtract, xf[..., :-s], xf[..., s:], of[..., j, :-s]))
         if boundary == "circular":
-            steps.append((np.subtract, x[last], x[first], out[block_last]))
+            steps.append((np.subtract, x[(...,) + last], x[(...,) + first], out[(...,) + block_last]))
         else:
-            steps.append((np.multiply, 0.0, 0.0, out[block_last]))
+            steps.append((np.multiply, 0.0, 0.0, out[(...,) + block_last]))
     return steps
 
 

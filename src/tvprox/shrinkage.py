@@ -154,13 +154,14 @@ def approx_prox(z, params):
     return _threshold_synthesise(z, dif, params.threshold(z.ndim), params.mode, synthesis, out)
 
 
-def _bind_approx_prox(z, outs, dif, params):
+def _bind_approx_prox(z, outs, dif, tmp, params):
     """One kernel per buffer of outs that writes S_tau of what z holds into it.
 
     The analysis steps write w_forward's difference half into the stack
     dif; after the projection, the synthesis steps use dif up as their
-    scratch and end as _threshold_synthesise does. Nothing is validated:
-    the caller checks the iterates.
+    scratch and end as _threshold_synthesise does. The iso projection works
+    in the output and in tmp, a signal-sized buffer dead during the call.
+    Nothing is validated: the caller checks the iterates.
     """
     d, mode = z.ndim, params.mode
     scale = 1.0 / (2.0 * math.sqrt(d))
@@ -177,7 +178,7 @@ def _bind_approx_prox(z, outs, dif, params):
             if mode == "aniso":
                 _clip(dif, -radius, radius, dif)
             else:
-                _project_ball(dif, radius, mode, out)
+                _project_ball(dif, radius, mode, out, tmp)
             for ufunc, a, b, o in synthesis:
                 ufunc(a, b, o)
 

@@ -9,10 +9,11 @@ _working_set): an approximate iteration makes the ufunc calls that
 approx_prox, tv and objective would make on fresh arrays, in the same
 order, on buffers bound once. Its Python-level calls are the problem's
 callbacks, the bound prox, APGM's fista_momentum and a kernel that ends
-the iteration with the objective and the stop test: five per aniso APGM
-iteration (iso: one helper more in each kernel). The exact prox calls
-fpg_prox once per iteration. Iterates are not validated again: a
-non-finite one makes the objective non-finite, raising SolverDivergence.
+the iteration with the data term and the stop test: five per aniso APGM
+iteration (iso: one helper more in the prox); the objective's TV pass runs
+once per block of iterates, kept in a ring. The exact prox calls fpg_prox
+once per iteration. Iterates are not validated again: a non-finite one
+makes the objective non-finite, raising SolverDivergence.
 """
 
 import math
@@ -25,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .exact import OracleConfig, fpg_prox
-from .frame import _grad_steps
+from .frame import _grad_steps, _run
 from .shrinkage import ProxParams, _bind_approx_prox
 from .signal import check_choice, check_count, check_nonnegative, check_positive, l2_norm, validate_signal
 from .tv import _tv_of_differences, check_mode, tv
@@ -46,6 +47,8 @@ class Problem:
 
 
 PROX_CHOICES = ("approx", "exact")
+# a solve's iterate ring (_working_set) takes as many slots as RING_BYTES holds, 2 to RING_SLOTS
+RING_BYTES, RING_SLOTS = 3 << 17, 16
 
 
 @dataclass
@@ -109,19 +112,19 @@ def objective(problem, cfg, x):
     return float(val)
 
 
-def _bind_tv_prox(cfg, z, xs, dif, fpg_solves):
+def _bind_tv_prox(cfg, z, xs, dif, tmp, fpg_solves):
     """Prox of lambda*tv at scale tau = gamma*lambda, bound once per solve.
 
     Returns one kernel per iterate buffer of xs: calling it writes the prox
-    of what z holds into that buffer. lambda = 0 means no regularization:
-    the prox step copies z. Each FPG solve appends (iterations, converged),
-    not its dual, to fpg_solves.
+    of what z holds into that buffer (the approximate prox works in dif and
+    tmp). lambda = 0 means no regularization: the prox step copies z. Each
+    FPG solve appends (iterations, converged), not its dual, to fpg_solves.
     """
     tau = cfg.tau
     if tau == 0.0:
         return [partial(np.copyto, x, z) for x in xs]
     if cfg.prox_choice == "approx":
-        return _bind_approx_prox(z, xs, dif, ProxParams(tau, cfg.mode))
+        return _bind_approx_prox(z, xs, dif, tmp, ProxParams(tau, cfg.mode))
     oracle = cfg.oracle or OracleConfig(mode=cfg.mode)
 
     def exact(x):
@@ -135,43 +138,58 @@ def _bind_tv_prox(cfg, z, xs, dif, fpg_solves):
 
 
 def _working_set(problem, cfg, x0, trace, fpg_solves, algorithm):
-    """Buffers and bound kernels of one solve, as (z, xs, dx, prox, ends).
+    """Buffers and bound kernels of one solve, as (z, xs, dx, prox, ends, flush).
 
-    z is the prox input, xs two C-contiguous iterate buffers that swap each
-    iteration, xs[0] a copy of x0, and dx holds x - x_prev. prox[i]() writes
-    the TV prox of z into xs[i]; ends[i](k) then ends iteration k, x_prev
-    being the other buffer: it writes dx, appends the objective to trace,
-    raises SolverDivergence when that is not finite and returns whether
-    ||dx|| / ||x_prev|| <= stop_tol. Both use one difference stack, which
-    the approximate prox uses up (its first block is the synthesis scratch)
-    and the objective's TV pass overwrites after it. The stop test takes
-    ndarray.dot of flat views bound once; when a squared norm is not a
-    normal number, where l2_norm may rescale, _stopped decides.
+    z is the prox input, xs the slot views of a C-contiguous (B, *shape) ring
+    of the last B iterates, xs[0] a copy of x0, dx holds x - x_prev. Iteration
+    k writes slot i = k % B, x_prev being slot i - 1: prox[i]() writes the TV
+    prox of z into it, then ends[i](k) writes dx, holds objective_g(x) and
+    returns whether ||dx|| / ||x_prev|| <= stop_tol, by ndarray.dot of flat
+    views bound once (_stopped decides when a squared norm is not a normal
+    number, where l2_norm may rescale). flush(k), called when slot B - 1 is
+    written, when a data term is not finite and after the loop, takes the TV
+    pass of every slot in one set of calls on the (B, d, *shape) difference
+    stack, appends each held iteration's objective up to k in order, raising
+    SolverDivergence at the first one not finite. The approximate prox uses
+    up the stack's slot-0 block (its first block is the synthesis scratch)
+    before a TV pass overwrites it.
     """
+    slots = max(2, min(RING_SLOTS, RING_BYTES // ((1 + x0.ndim) * x0.nbytes)))
     z = np.empty(x0.shape)
-    xs = (x0.copy(), np.empty(x0.shape))
+    ring = np.zeros((slots,) + x0.shape)
+    ring[0], xs = x0, list(ring)
     dx = np.empty(x0.shape)
-    dif = np.empty((x0.ndim,) + x0.shape)
+    difs = np.empty((slots, x0.ndim) + x0.shape)
+    tv_steps = _grad_steps(ring, difs, "circular", batch=1)
     objective_g, lam, mode, stop_tol = problem.objective_g, cfg.lam, cfg.mode, cfg.stop_tol
     normal, dxf = sys.float_info.min, dx.reshape(-1)
+    held = []  # data terms of the iterations up to k whose objective waits for a TV pass
 
-    def bind(x, x_prev):
-        steps = _grad_steps(x, dif, "circular")
-        xpf = x_prev.reshape(-1)
+    def flush(k):
+        if lam > 0 and held:
+            # at its smallest ufunc buffer numpy runs these strided rows in place (2.4x faster at 32^2)
+            bufsize = np.setbufsize(16)
+            try:
+                _run(tv_steps)
+            finally:
+                np.setbufsize(bufsize)
+            tvs = _tv_of_differences(difs, mode, batch=1).tolist()
+        for j, f in enumerate(held, k + 1 - len(held)):
+            f = float(f + lam * tvs[j % slots] if lam > 0 else f)
+            if not math.isfinite(f):
+                raise SolverDivergence(f"{algorithm}: objective became {f} at iteration {j}")
+            trace.append(f)
+        held.clear()
+
+    def bind(i):
+        x, x_prev, xpf, full = xs[i], xs[i - 1], xs[i - 1].reshape(-1), i == slots - 1
 
         def end(k):
             np.subtract(x, x_prev, dx)
-            f = objective_g(x)
-            if lam > 0:
-                for ufunc, a, b, out in steps:
-                    ufunc(a, b, out)
-                # the aniso sum of _tv_of_differences, without its call
-                f += lam * (float(np.add.reduce(np.abs(dif, dif), axis=None)) if mode == "aniso"
-                            else _tv_of_differences(dif, mode))
-            f = float(f)
-            if not math.isfinite(f):
-                raise SolverDivergence(f"{algorithm}: objective became {f} at iteration {k}")
-            trace.append(f)
+            data = objective_g(x)
+            held.append(data)
+            if full or not math.isfinite(data):
+                flush(k)
             num, den = dxf.dot(dxf), xpf.dot(xpf)
             if normal <= num < math.inf and normal <= den < math.inf:
                 return math.sqrt(num) / math.sqrt(den) <= stop_tol
@@ -179,7 +197,8 @@ def _working_set(problem, cfg, x0, trace, fpg_solves, algorithm):
 
         return end
 
-    return z, xs, dx, _bind_tv_prox(cfg, z, xs, dif, fpg_solves), [bind(*xs), bind(*xs[::-1])]
+    prox = _bind_tv_prox(cfg, z, xs, difs[0], dx, fpg_solves)
+    return z, xs, dx, prox, [bind(i) for i in range(slots)], flush
 
 
 def _fpg_counters(cfg, fpg_solves):
@@ -218,15 +237,15 @@ def apgm(problem, cfg, x0):
         )
     t0 = time.perf_counter()
     trace, fpg_solves = [], []
-    z, xs, dx, prox, ends = _working_set(problem, cfg, x0, trace, fpg_solves, "apgm")
-    s = x0.copy()
+    z, xs, dx, prox, ends, flush = _working_set(problem, cfg, x0, trace, fpg_solves, "apgm")
+    slots, s = len(xs), x0.copy()
     grad_g, gamma = problem.grad_g, cfg.gamma
     q_prev = 1.0
     stop_reason = "max-iter"
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iter + 1):
-            # iteration k writes x into xs[k % 2]; x_prev is in the other buffer
-            i = k % 2
+            # iteration k writes x into slot k % B of the ring; x_prev is in the one before
+            i = k % slots
             np.multiply(grad_g(s), gamma, z)
             np.subtract(s, z, z)
             prox[i]()
@@ -237,8 +256,9 @@ def apgm(problem, cfg, x0):
             np.multiply(dx, (q_prev - 1.0) / q, s)
             s += xs[i]
             q_prev = q
+        flush(k)
     return RunReport(
-        final_x=xs[k % 2],
+        final_x=xs[k % slots].copy(),
         objective_trace=np.array(trace),
         iterations=len(trace),
         stop_reason=stop_reason,
@@ -260,16 +280,16 @@ def admm(problem, cfg, x0):
         raise ValueError("admm requires problem.prox_g")
     t0 = time.perf_counter()
     trace, fpg_solves = [], []
-    v, xs, _, prox, ends = _working_set(problem, cfg, x0, trace, fpg_solves, "admm")  # v: z + s, the TV prox input
-    s = np.zeros(x0.shape)
+    v, xs, _, prox, ends, flush = _working_set(problem, cfg, x0, trace, fpg_solves, "admm")  # v: z + s, the TV prox input
+    slots, s = len(xs), np.zeros(x0.shape)
     w = np.empty(x0.shape)  # x - s, the prox_g input
     prox_g, gamma = problem.prox_g, cfg.gamma
     stop_reason = "max-iter"
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iter + 1):
-            # iteration k writes x_new into xs[k % 2]; x is in the other buffer
-            i = k % 2
-            z = prox_g(np.subtract(xs[1 - i], s, w), gamma)
+            # iteration k writes x_new into slot k % B of the ring; x is in the one before
+            i = k % slots
+            z = prox_g(np.subtract(xs[i - 1], s, w), gamma)
             np.add(z, s, v)
             prox[i]()
             # Dual ascent sign matches the (x - s) / (z + s) prox arguments above:
@@ -279,13 +299,14 @@ def admm(problem, cfg, x0):
             if ends[i](k):
                 stop_reason = "tolerance-met"
                 break
-    x_new = xs[k % 2]
+        flush(k)
+    x_new = xs[k % slots].copy()
     return RunReport(
         final_x=x_new,
         objective_trace=np.array(trace),
         iterations=len(trace),
         stop_reason=stop_reason,
         wall_time=time.perf_counter() - t0,
-        extras={"primal_residual": l2_norm(x_new - z), "dual_norm": l2_norm(s),
+        extras={"primal_residual": l2_norm(np.subtract(x_new, z, w)), "dual_norm": l2_norm(s),
                 **_fpg_counters(cfg, fpg_solves)},
     )

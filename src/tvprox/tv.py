@@ -31,15 +31,19 @@ def tv(x, mode):
     return _tv_of_differences(_grad(x), mode)
 
 
-def _tv_of_differences(g, mode):
-    """TV from a stack of per-axis differences; overwrites g."""
+def _tv_of_differences(g, mode, batch=0):
+    """TV from differences g of shape (*lead, d, *signal_shape), `batch` lead axes; overwrites g. A
+    float when batch = 0, else one TV per signal, each summed as on that signal alone."""
     if mode == "aniso":
-        return float(np.add.reduce(np.abs(g, out=g), axis=None))
-    sq = np.square(g, out=g)
-    norms = sq[0]
-    for gj in sq[1:]:
-        norms += gj
-    return float(np.add.reduce(np.sqrt(norms, out=norms), axis=None))
+        terms = np.abs(g, out=g)
+    else:
+        lead = (slice(None),) * batch
+        terms = np.square(g, out=g)[lead + (0,)]
+        for j in range(1, g.shape[batch]):
+            terms += g[lead + (j,)]
+        np.sqrt(terms, out=terms)
+    total = np.add.reduce(terms, axis=tuple(range(batch, terms.ndim)))
+    return float(total) if batch == 0 else total
 
 
 def h_hat(u, mode):

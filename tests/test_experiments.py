@@ -3,6 +3,7 @@ full trend runs live in test_acceptance)."""
 
 import hashlib
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -158,6 +159,19 @@ def test_write_pgm_takes_2d_images_only(tmp_path):
     for shape in ((4,), (2, 3, 4)):
         with pytest.raises(ValueError, match=re.escape(f"the image must be 2-D, got shape {shape}")):
             write_pgm(tmp_path / "img.pgm", np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_pgm_rejects_a_non_finite_image_before_opening_the_file(tmp_path, bad):
+    # a NaN pixel would otherwise be cast to INT_MIN under a 255 maxval
+    img = np.zeros((2, 3))
+    img[0, 1] = bad
+    path = tmp_path / "img.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="write_pgm: non-finite values are not admitted"):
+            write_pgm(path, img)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("n", [1, 2, SLAB, SLAB + 1, 3 * SLAB + 7, 20000])

@@ -8,6 +8,8 @@ from tvprox.frame import (
     CoeffStack,
     _grad,
     _grad_adjoint,
+    _grad_steps,
+    _run,
     w_adjoint,
     w_forward,
 )
@@ -192,3 +194,17 @@ def test_grad_pair_dot_test(boundary):
             lhs = np.vdot(_grad(x, boundary), p)
             rhs = np.vdot(x, _grad_adjoint(p, boundary))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, l2_norm(x) * l2_norm(p))
+
+
+@pytest.mark.parametrize("lead", [(5,), (2, 3)])
+@pytest.mark.parametrize("boundary", ["circular", "free"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grad_steps_over_a_stack_give_each_signals_grad(d, boundary, lead):
+    # one set of calls over a (*lead, *shape) stack writes a (*lead, d, *shape)
+    # stack that holds each signal's _grad, bit for bit
+    shape = SHAPES[d]
+    stack = np.random.default_rng(76).standard_normal(lead + shape)
+    out = np.empty(lead + (d,) + shape)
+    _run(_grad_steps(stack, out, boundary, batch=len(lead)))
+    for idx in np.ndindex(lead):
+        assert out[idx].tobytes() == _grad(stack[idx], boundary).tobytes()

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from tvprox.exact import OracleConfig, fpg_prox
-from tvprox.experiments import write_pgm
+from tvprox.experiments import ExperimentConfig, _make_problem, write_pgm
 from tvprox.operators import CtGeometry, prox_g_ct, radon_operator
-from tvprox.shrinkage import ProxParams, approx_prox
+from tvprox.shrinkage import ProxParams, _bind_approx_prox, approx_prox
 from tvprox.signal import save_csv
+from tvprox.solvers import SolverConfig, admm, apgm
 from tvprox.tv import MODES
 
 Z = np.random.default_rng(70).standard_normal((256, 256))
@@ -44,6 +45,33 @@ def test_approx_prox_peaks_in_the_analysis(mode):
     # w_forward's difference stack, its averaging stack and one temporary;
     # the synthesis needs only the difference stack and the output
     assert peak_in_signals(lambda: approx_prox(Z, ProxParams(0.1, mode))) <= 5.1
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_bound_approx_prox_allocates_no_signal(mode):
+    # the bound kernel projects in its own buffers (iso: the norms in its
+    # output, the squares in tmp); five calls after a first one stay below
+    # a tenth of a signal
+    out, tmp, dif = np.empty(Z.shape), np.empty(Z.shape), np.empty((Z.ndim,) + Z.shape)
+    (prox,) = _bind_approx_prox(Z, [out], dif, tmp, ProxParams(0.1, mode))
+    prox()
+
+    def five_calls():
+        for _ in range(5):
+            prox()
+
+    assert peak_in_signals(five_calls) < 0.1
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("solve, recorded_peak", [(apgm, 8.03), (admm, 10.03)])
+def test_approximate_solve_grows_by_at_most_one_difference_stack(solve, recorded_peak, mode):
+    # before the iterate ring, a 256^2 solve peaked at 8.03 (APGM) and 10.03
+    # (ADMM) signals in both modes; a ring of two slots adds their
+    # difference stacks' second half, d = 2 signals, and nothing more
+    problem = _make_problem(ExperimentConfig(), Z)
+    cfg = SolverConfig(gamma=0.5, lam=0.3, mode=mode, stop_tol=1e-300, max_iter=3)
+    assert peak_in_signals(lambda: solve(problem, cfg, Z)) <= recorded_peak + Z.ndim
 
 
 def test_prox_g_ct_steps_run_on_bound_buffers():

@@ -20,6 +20,7 @@ from tvprox.solvers import (
     RunReport,
     SolverConfig,
     SolverDivergence,
+    _working_set,
     admm,
     apgm,
     fista_momentum,
@@ -352,24 +353,101 @@ def test_solves_do_not_depend_on_the_signal_layout(shape, mode):
 @pytest.mark.parametrize("solver", ["apgm", "admm"])
 def test_approximate_iteration_calls(solver, mode):
     # an unreachable stop_tol: both solves run their whole budget, so the
-    # calls the longer one adds are those of 10 iterations. An iteration
-    # calls grad_g (APGM) or prox_g (ADMM; what that calls is its own), the
-    # bound prox, APGM's momentum and the kernel that ends the iteration,
-    # which calls objective_g and, iso, _tv_of_differences, as the prox
-    # calls _project_ball.
+    # calls the longer one adds are those of one block of B iterations,
+    # B being the ring's slots. An iteration calls grad_g (APGM) or prox_g
+    # (ADMM; what that calls is its own), the bound prox, APGM's momentum
+    # and the kernel that ends the iteration, which calls objective_g, as
+    # the prox calls _project_ball when iso. Once per block the kernel
+    # that writes slot B - 1 calls flush, which sets numpy's buffer size
+    # and sets it back around the difference calls (_run) and calls
+    # _tv_of_differences.
     y = np.random.default_rng(73).standard_normal((16, 16))
     problem = _make_problem(ExperimentConfig(), y)
     solve = apgm if solver == "apgm" else admm
 
+    def config(max_iter):
+        return SolverConfig(gamma=0.5, lam=0.3, mode=mode, stop_tol=1e-300, max_iter=max_iter)
+
+    slots = ring_slots(problem, config(1), y)
+
     def calls(max_iter):
-        cfg = SolverConfig(gamma=0.5, lam=0.3, mode=mode, stop_tol=1e-300, max_iter=max_iter)
-        return python_calls(solve, problem, cfg, y)
+        return python_calls(solve, problem, config(max_iter), y)
 
     per_iteration = {("<lambda>", "<lambda>"): 1, ("prox", "prox"): 1, ("end", "end"): 1, ("end", "<lambda>"): 1}
     if solver == "apgm":
         per_iteration["fista_momentum", "fista_momentum"] = 1
     if mode == "iso":
-        per_iteration.update({("prox", "_project_ball"): 1, ("end", "_tv_of_differences"): 1})
-    extra = calls(30) - calls(20)
+        per_iteration["prox", "_project_ball"] = 1
+    extra = calls(3 * slots) - calls(2 * slots)
     assert {key: n for key, n in extra.items() if key[0] != "<lambda>" or key[1] == "<lambda>"} == {
-        key: 10 * n for key, n in per_iteration.items()}
+        **{key: slots * n for key, n in per_iteration.items()}, ("end", "flush"): 1, ("end", "setbufsize"): 2, ("end", "_run"): 1,
+        ("end", "_tv_of_differences"): 1}
+
+
+def ring_slots(problem, cfg, x0):
+    """B, the slots of the iterate ring of a solve of x0."""
+    return len(_working_set(problem, cfg, x0, [], [], "apgm")[1])
+
+
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+@pytest.mark.parametrize("shape", [(37,), (12, 20), (6, 7, 8)])
+def test_ring_keeps_every_objective_at_every_length(shape, mode):
+    # runs of every length from 1 to 2B + 1 stop inside, at and past each
+    # block's end; every trace is a prefix of the longest one and ends with
+    # the objective of final_x, bit for bit. numpy's buffer size, which the
+    # TV pass changes, is set back.
+    bufsize = np.getbufsize()
+    y = np.random.default_rng(74).standard_normal(shape) + 1.0
+    problem = denoise_problem(y)
+    slots = ring_slots(problem, SolverConfig(), y)
+    assert slots >= 2
+    for solve in (apgm, admm):
+        reports = []
+        for max_iter in range(1, 2 * slots + 2):
+            cfg = SolverConfig(gamma=0.4, lam=0.7, mode=mode, stop_tol=1e-300, max_iter=max_iter)
+            report = solve(problem, cfg, np.zeros(shape))
+            assert len(report.objective_trace) == report.iterations == max_iter
+            assert report.objective_trace[-1] == objective(problem, cfg, report.final_x)
+            assert report.final_x.base is None  # a copy: the report holds no view of the ring
+            assert np.getbufsize() == bufsize
+            reports.append(report)
+        longest = reports[-1].objective_trace
+        for report in reports:
+            assert report.objective_trace.tobytes() == longest[:report.iterations].tobytes()
+
+
+@pytest.mark.parametrize("max_iter", [10, 100])
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+def test_divergence_in_the_tv_term_keeps_its_iteration(mode, max_iter):
+    # objective_g = 0: only the TV pass, taken once per block of iterates
+    # (or after the loop when the run is shorter), sees the NaN iterate
+    y = np.random.default_rng(75).standard_normal((6, 6))
+    cfg = SolverConfig(gamma=0.5, lam=0.3, mode=mode, stop_tol=1e-300, max_iter=max_iter)
+    prob = denoise_problem(y)
+    assert 10 < ring_slots(prob, cfg, y) < 100
+    bad_grad = Problem(grad_g=_nan_at_call(prob.grad_g, 3), objective_g=lambda x: 0.0, lipschitz_L=1.0)
+    with pytest.raises(SolverDivergence, match="apgm: objective became nan at iteration 3$"):
+        apgm(bad_grad, cfg, y.copy())
+    bad_prox = Problem(grad_g=prob.grad_g, objective_g=lambda x: 0.0, prox_g=_nan_at_call(prob.prox_g, 3))
+    with pytest.raises(SolverDivergence, match="admm: objective became nan at iteration 3$"):
+        admm(bad_prox, cfg, y.copy())
+
+
+def test_non_finite_data_term_raises_before_the_next_iteration():
+    # a data term that is not finite takes the TV pass at once: the solve
+    # makes no callback past the iteration that diverged
+    y = np.random.default_rng(76).standard_normal((6, 6))
+    cfg = SolverConfig(gamma=0.5, lam=0.3, stop_tol=1e-300, max_iter=100)
+    prob = denoise_problem(y)
+    seen = []
+
+    def counted(fn):
+        return lambda *args: seen.append(1) or fn(*args)
+
+    bad_grad = Problem(grad_g=counted(_nan_at_call(prob.grad_g, 3)), objective_g=prob.objective_g)
+    bad_prox = Problem(grad_g=prob.grad_g, objective_g=prob.objective_g, prox_g=counted(_nan_at_call(prob.prox_g, 3)))
+    for solve, problem in ((apgm, bad_grad), (admm, bad_prox)):
+        seen.clear()
+        with pytest.raises(SolverDivergence, match="iteration 3$"):
+            solve(problem, cfg, y.copy())
+        assert len(seen) == 3

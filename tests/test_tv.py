@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from tvprox.frame import CoeffStack, w_forward
+from tvprox.frame import CoeffStack, _grad, w_forward
 from tvprox.signal import l2_norm
-from tvprox.tv import check_mode, h_hat, h_hat_subgradient, tv
+from tvprox.tv import MODES, _tv_of_differences, check_mode, h_hat, h_hat_subgradient, tv
 
 SHAPES = {1: (10,), 2: (6, 6), 3: (4, 4, 4)}
 
@@ -103,3 +103,14 @@ def test_subgradient_lemma1_bound():
             g = h_hat_subgradient(u, mode)
             norm = np.sqrt(np.sum(g.avg**2) + np.sum(g.dif**2))
             assert norm <= 2.0 * d * np.sqrt(n) + 1e-10
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tv_of_a_stack_of_differences_is_each_signals_tv(d, mode):
+    # a (B, d, *shape) stack gives one TV per signal, each the float of tv, bit for bit
+    rng = np.random.default_rng(77)
+    signals = rng.standard_normal((4,) + SHAPES[d]) * 10.0 ** rng.integers(-3, 4, (4,) + SHAPES[d])
+    tvs = _tv_of_differences(np.stack([_grad(x) for x in signals]), mode, batch=1)
+    assert tvs.shape == (4,)
+    assert tvs.tolist() == [tv(x, mode) for x in signals]
