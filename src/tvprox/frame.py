@@ -56,15 +56,17 @@ def _axis_slices(shape):
     """Per-axis (stride, first, last, penult) of a C-ordered signal shape:
     the flat distance between neighbours along the axis, and index tuples
     of the first, last and second-to-last slab along it. Each slab index
-    is a pair: into the signal, and into block j of a (d, *shape) stack."""
+    is a pair: into the signal, and into block j of a (d, *shape) stack.
+    Past 1-D it is an integer, dropping the axis, so a 2-D signal's column
+    is a 1-D view, which numpy runs without copying it through its buffer."""
     full = (slice(None),) * len(shape)
 
-    def slab(j, sl):
-        index = full[:j] + (sl,) + full[j + 1 :]
+    def slab(j, k):
+        index = full[:j] + (k if len(shape) > 1 else slice(k, k + 1 or None),) + full[j + 1 :]
         return index, (j,) + index
 
     return tuple(
-        (math.prod(shape[j + 1 :]), slab(j, slice(0, 1)), slab(j, slice(-1, None)), slab(j, slice(-2, -1)))
+        (math.prod(shape[j + 1 :]), slab(j, 0), slab(j, -1), slab(j, -2))
         for j in range(len(shape))
     )
 

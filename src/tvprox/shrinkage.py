@@ -158,10 +158,9 @@ def _bind_approx_prox(z, outs, dif, tmp, params):
     """One kernel per buffer of outs that writes S_tau of what z holds into it.
 
     The analysis steps write w_forward's difference half into the stack
-    dif; after the projection, the synthesis steps use dif up as their
-    scratch and end as _threshold_synthesise does. The iso projection works
-    in the output and in tmp, a signal-sized buffer dead during the call.
-    Nothing is validated: the caller checks the iterates.
+    dif; after the projection (iso: in out and tmp, a dead signal-sized
+    buffer) the synthesis steps use dif up as their scratch and end as
+    _threshold_synthesise does. Nothing is validated: the caller checks the iterates.
     """
     d, mode = z.ndim, params.mode
     scale = 1.0 / (2.0 * math.sqrt(d))

@@ -155,10 +155,9 @@ def _working_set(problem, cfg, x0, trace, fpg_solves, algorithm):
     before a TV pass overwrites it.
     """
     slots = max(2, min(RING_SLOTS, RING_BYTES // ((1 + x0.ndim) * x0.nbytes)))
-    z = np.empty(x0.shape)
+    z, dx = np.empty(x0.shape), np.empty(x0.shape)
     ring = np.zeros((slots,) + x0.shape)
     ring[0], xs = x0, list(ring)
-    dx = np.empty(x0.shape)
     difs = np.empty((slots, x0.ndim) + x0.shape)
     tv_steps = _grad_steps(ring, difs, "circular", batch=1)
     objective_g, lam, mode, stop_tol = problem.objective_g, cfg.lam, cfg.mode, cfg.stop_tol
