@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import BOUNDARIES, _adjoint_steps, _grad, _grad_adjoint, _grad_steps, _run
-from .shrinkage import _project_ball
+from .shrinkage import _clip, _project_ball
 from .signal import check_choice, check_count, check_positive, validate_signal
 from .tv import _tv_of_differences, check_mode
 
@@ -72,69 +72,67 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     z - tau*D^T q of the extrapolated dual q = p + beta*(p - p_prev) is
     x + beta*(x - x_prev), and only x = z - tau*D^T p is formed.
 
-    The working set is the dual stacks p, q and g and the signal-sized x,
-    x_prev and dx: 3d + 3 arrays of the signal's size, allocated once per
-    call and updated in place, so an iteration allocates nothing. Each
-    buffer is reused while it is dead. dx holds x - x_prev, is
-    extrapolated in place to the primal point of q and, once the
-    difference pass has read it, holds tau*D^T p until x is formed and the
-    gap checked. The iso projection works in dx and x_prev (the latter is
-    dead once dx is extrapolated), and the adjoint's scratch is block 0 of
-    the spare dual.
+    The working set is the dual stacks p, q and g and two primal buffers,
+    3d + 2 arrays of the signal's size (3d + 3 when iso, with the
+    projection's scratch), allocated once per call and updated in place.
+    One primal buffer holds x, the other dx = x - x_prev, extrapolated in
+    place to the primal point of q and, once the difference pass has read
+    it, overwritten with tau*D^T p. x is then formed over it and the new dx
+    over the old x, so the primal buffers swap roles every iteration, as p
+    and g do; the stop test's ||x_prev||^2 and the gap's ||tau*D^T p||^2
+    are taken first. The iso projection works in dx and the scratch.
 
-    The views of the difference pair, and the flat views that the restart
-    and stop tests take ndarray.dot of, are built once per call, one set
-    per buffer of the (p, g) swap. An iteration then makes C-level calls
-    only (ufuncs with positional outs, ndarray.dot), but for one
-    Python-level call, _project_ball, and, when certified, the gap check
-    every 50 iterations.
+    The views of the difference pair and the flat views the dots read are
+    built once per call, one set per parity of the swaps, and the scalar
+    operands are 0-d arrays bound once. An iteration then makes C-level
+    calls only (ufuncs with positional outs, ndarray.dot; aniso projects
+    with the clip ufunc), but for _project_ball when iso and, when
+    certified, the gap check every 50 iterations.
     """
     z = validate_signal(z)
     check_positive("tau", tau)
     cfg = cfg or OracleConfig()
     max_iter, tol, gap_tol, mode, boundary = cfg.max_iter, cfg.tol, cfg.gap_tol, cfg.mode, cfg.boundary
     d = z.ndim
-    step = 1.0 / (4.0 * d * tau)
-    certify = gap_tol is not None
+    certify, aniso = gap_tol is not None, mode == "aniso"
+    step, tau_, beta_, lo, hi = (np.array(v, dtype=np.float64) for v in (1.0 / (4.0 * d * tau), tau, 0.0, -1.0, 1.0))
 
     p = np.zeros((d,) + z.shape, dtype=np.float64)
     q = np.zeros_like(p)
     g = np.empty_like(p)
-    # C order, whatever z's layout: the stop test reads x_prev and dx
+    # C order, whatever z's layout: the dots read both primal buffers
     # through flat views, and reshape(-1) of another layout is a copy.
     x = z.copy()
-    x_prev = np.empty(z.shape)
     dx = np.zeros(z.shape)
+    tmp = None if aniso else np.empty(z.shape)
     # Iteration k writes D dx into the buffer g holds (g on even k, p on
     # odd k), swaps it into p and reads D^T p from the same buffer into dx,
-    # through block 0 of the other dual buffer, by then the spare g. After
-    # its swaps x and the spare dual g sit in the buffers x_prev and p
-    # start in (even k) or x and g start in (odd k): gap_steps[k % 2]
-    # writes D x into g. The flat views are those the dots read: p+ - p in
-    # the other dual buffer for the restart test, and x_prev, the buffer x
-    # starts in on even k, for the stop test.
+    # through block 0 of the other dual buffer, by then the spare g. x and
+    # dx start in their own buffers on even k and swapped on odd k; the gap
+    # steps write D x, by then in dx's buffer, into the spare g. The flat
+    # views are those the dots read: p+ - p in the other dual buffer for the
+    # restart test, x_prev (x's buffer) for the stop test and tau*D^T p
+    # (dx's) for the gap.
     steps = [
-        (_grad_steps(dx, buf, boundary), _adjoint_steps(buf, dx, spare[0], boundary),
-         spare.reshape(-1), xs.reshape(-1))
-        for buf, spare, xs in ((g, p, x), (p, g, x_prev))
+        (_grad_steps(dxb, buf, boundary), _adjoint_steps(buf, dxb, spare[0], boundary),
+         spare.reshape(-1), xb.reshape(-1), dxb.reshape(-1), _grad_steps(dxb, spare, boundary))
+        for buf, spare, xb, dxb in ((g, p, x, dx), (p, g, dx, x))
     ]
-    if certify:
-        gap_steps = [_grad_steps(x_prev, p, boundary), _grad_steps(x, g, boundary)]
-    qf, dxf = q.reshape(-1), dx.reshape(-1)
-    t_prev = 1.0
-    beta = 0.0
-    change = gap = np.inf
-    iters = 0
+    qf = q.reshape(-1)
+    t_prev, iters, change, gap = 1.0, 0, np.inf, np.inf
     for k in range(max_iter):
         # Projected dual step at q; its primal point is x + beta*(x - x_prev).
-        grad_steps, adjoint_steps, pf, xf = steps[k % 2]
-        dx *= beta
-        dx += x
+        grad_steps, adjoint_steps, pf, xf, dxf, gap_steps = steps[k % 2]
+        np.multiply(dx, beta_, dx)
+        np.add(dx, x, dx)
         for ufunc, a, b, out in grad_steps:
             ufunc(a, b, out)
-        g *= step
-        g += q
-        _project_ball(g, 1.0, mode, dx, x_prev)
+        np.multiply(g, step, g)
+        np.add(g, q, g)
+        if aniso:
+            _clip(g, lo, hi, g)
+        else:
+            _project_ball(g, 1.0, mode, dx, tmp)
         t = (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev)) / 2.0
         beta = (t_prev - 1.0) / t
         np.subtract(g, p, p)  # p+ - p; the old dual is not read again
@@ -142,25 +140,30 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
             np.subtract(q, g, q)
             if qf.dot(pf) > 0.0:
                 t, beta = 1.0, 0.0
-        np.multiply(p, beta, q)
-        q += g
+        beta_[()] = beta
+        np.multiply(p, beta_, q)
+        np.add(q, g, q)
         p, g, t_prev = g, p, t
-        x, x_prev = x_prev, x
         for ufunc, a, b, out in adjoint_steps:
             ufunc(a, b, out)
-        dx *= tau  # tau*D^T p
-        np.subtract(z, dx, x)
+        np.multiply(dx, tau_, dx)  # tau*D^T p
         iters = k + 1
-        if certify and (iters % 50 == 0 or iters == max_iter):
-            gap = _relative_gap(gap_steps[k % 2], g, p, dx, tau, mode)
+        check = certify and (iters % 50 == 0 or iters == max_iter)
+        if check:
+            dtp_sq = dxf.dot(dxf)
+        elif not certify:
+            prev_sq = xf.dot(xf)
+        np.subtract(z, dx, dx)
+        x, dx = dx, x
+        if check:
+            gap = _relative_gap(gap_steps, g, p, dtp_sq, tau, mode)
             if gap <= gap_tol:
                 break
-        np.subtract(x, x_prev, dx)
+        np.subtract(x, dx, dx)
         if certify:
             continue
         if k > 0:
-            num = math.sqrt(dxf.dot(dxf))
-            denom = math.sqrt(xf.dot(xf))
+            num, denom = math.sqrt(xf.dot(xf)), math.sqrt(prev_sq)
             change = num / denom if denom > 0 else num
         if change <= tol:
             break
@@ -174,19 +177,19 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     return x
 
 
-def _relative_gap(grad_steps, dif, p, dtp, tau, mode):
+def _relative_gap(grad_steps, dif, p, dtp_sq, tau, mode):
     """fpg_prox's duality gap over the primal objective P(x), where
-    x = z - dtp and dtp = tau*D^T p bit for bit.
+    x = z - dtp, dtp = tau*D^T p bit for bit and dtp_sq = ||dtp||^2.
 
     grad_steps write D x into dif, which the TV pass then overwrites. For
     such an x the gap is tau*(TV(x) - <Dx, p>) and P(x) is
-    0.5*||dtp||^2 + tau*TV(x); the gap stays absolute where P(x) = 0.
+    0.5*dtp_sq + tau*TV(x); the gap stays absolute where P(x) = 0.
     """
     _run(grad_steps)
     coupling = float(np.vdot(dif, p))  # before _tv_of_differences overwrites dif
     tv_x = _tv_of_differences(dif, mode)
     gap = tau * (tv_x - coupling)
-    primal = 0.5 * float(np.vdot(dtp, dtp)) + tau * tv_x
+    primal = 0.5 * float(dtp_sq) + tau * tv_x
     return gap / primal if primal > 0 else gap
 
 

@@ -29,7 +29,7 @@ from .exact import OracleConfig, fpg_prox
 from .frame import _grad_steps, _run
 from .shrinkage import ProxParams, _bind_approx_prox
 from .signal import check_choice, check_count, check_nonnegative, check_positive, l2_norm, validate_signal
-from .tv import _tv_of_differences, check_mode, tv
+from .tv import _tv_terms, check_mode, tv
 
 
 class SolverDivergence(RuntimeError):
@@ -166,13 +166,15 @@ def _working_set(problem, cfg, x0, trace, fpg_solves, algorithm):
 
     def flush(k):
         if lam > 0 and held:
-            # at its smallest ufunc buffer numpy runs these strided rows in place (2.4x faster at 32^2)
+            # at its smallest ufunc buffer numpy runs these strided rows in place (2.4x faster at 32^2);
+            # the sum stays at the caller's buffer size: a strided reduction's bits can follow the buffer's
             bufsize = np.setbufsize(16)
             try:
                 _run(tv_steps)
+                terms = _tv_terms(difs, mode, batch=1)
             finally:
                 np.setbufsize(bufsize)
-            tvs = _tv_of_differences(difs, mode, batch=1).tolist()
+            tvs = np.add.reduce(terms, axis=tuple(range(1, terms.ndim))).tolist()
         for j, f in enumerate(held, k + 1 - len(held)):
             f = float(f + lam * tvs[j % slots] if lam > 0 else f)
             if not math.isfinite(f):

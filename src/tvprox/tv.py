@@ -31,17 +31,21 @@ def tv(x, mode):
     return _tv_of_differences(_grad(x), mode)
 
 
+def _tv_terms(g, mode, batch=0):
+    """_tv_of_differences' elementwise part, in g: |g| (aniso) or each location's norm, in block 0 (iso)."""
+    if mode == "aniso":
+        return np.abs(g, out=g)
+    lead = (slice(None),) * batch
+    terms = np.square(g, out=g)[lead + (0,)]
+    for j in range(1, g.shape[batch]):
+        terms += g[lead + (j,)]
+    return np.sqrt(terms, out=terms)
+
+
 def _tv_of_differences(g, mode, batch=0):
     """TV from differences g of shape (*lead, d, *signal_shape), `batch` lead axes; overwrites g. A
     float when batch = 0, else one TV per signal, each summed as on that signal alone."""
-    if mode == "aniso":
-        terms = np.abs(g, out=g)
-    else:
-        lead = (slice(None),) * batch
-        terms = np.square(g, out=g)[lead + (0,)]
-        for j in range(1, g.shape[batch]):
-            terms += g[lead + (j,)]
-        np.sqrt(terms, out=terms)
+    terms = _tv_terms(g, mode, batch)
     total = np.add.reduce(terms, axis=tuple(range(batch, terms.ndim)))
     return float(total) if batch == 0 else total
 

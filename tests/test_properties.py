@@ -238,10 +238,12 @@ def test_fpg_prox_bit_identical_to_unbound_loop(z, tau, mode, boundary, gap_tol)
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("shape", [(29,), (6, 7), (3, 4, 5)])
 def test_fpg_prox_bit_identical_to_unbound_loop_grid(shape, mode, boundary, gap_tol):
-    # budgets that are not multiples of the 50-iteration gap check, so the
-    # certified runs also end on the check at max_iter
+    # budgets off and on the 50-iteration gap check, so the certified runs
+    # also end on the check at max_iter, and odd and even ones, so each of
+    # fpg_prox's two primal buffers is the one returned, at the cap and at
+    # a certified check
     z = np.random.default_rng(sum(shape)).standard_normal(shape)
-    for max_iter, tau in ((37, 0.4), (123, 0.05), (173, 0.9)):
+    for max_iter, tau in ((37, 0.4), (123, 0.05), (173, 0.9), (1, 0.4), (2, 0.05), (50, 0.9), (124, 0.05)):
         cfg = OracleConfig(max_iter=max_iter, tol=1e-7, mode=mode, boundary=boundary, gap_tol=gap_tol)
         assert_fpg_matches_unbound_loop(z, tau, cfg)
 

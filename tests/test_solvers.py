@@ -359,8 +359,8 @@ def test_approximate_iteration_calls(solver, mode):
     # and the kernel that ends the iteration, which calls objective_g, as
     # the prox calls _project_ball when iso. Once per block the kernel
     # that writes slot B - 1 calls flush, which sets numpy's buffer size
-    # and sets it back around the difference calls (_run) and calls
-    # _tv_of_differences.
+    # and sets it back around the difference calls (_run) and the
+    # elementwise TV terms (_tv_terms), then sums them itself.
     y = np.random.default_rng(73).standard_normal((16, 16))
     problem = _make_problem(ExperimentConfig(), y)
     solve = apgm if solver == "apgm" else admm
@@ -381,7 +381,7 @@ def test_approximate_iteration_calls(solver, mode):
     extra = calls(3 * slots) - calls(2 * slots)
     assert {key: n for key, n in extra.items() if key[0] != "<lambda>" or key[1] == "<lambda>"} == {
         **{key: slots * n for key, n in per_iteration.items()}, ("end", "flush"): 1, ("end", "setbufsize"): 2, ("end", "_run"): 1,
-        ("end", "_tv_of_differences"): 1}
+        ("end", "_tv_terms"): 1}
 
 
 def ring_slots(problem, cfg, x0):
