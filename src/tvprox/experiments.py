@@ -56,7 +56,7 @@ class ExperimentConfig:
         check_choice("task", self.task, TASKS)
         check_choice("solver", self.solver, SOLVERS)
         check_mode(self.mode)
-        if not self.lambda_grid or not len(self.gamma_grid):
+        if not len(self.lambda_grid) or not len(self.gamma_grid):
             raise ValueError("lambda_grid and gamma_grid must be non-empty")
         for i, lam in enumerate(self.lambda_grid):
             check_nonnegative(f"lambda_grid[{i}]", lam)

@@ -27,6 +27,8 @@ import numpy as np
 from .signal import validate_signal
 
 BOUNDARIES = ("circular", "free")
+# the free boundary's operands, as 0-d arrays that numpy does not convert again on every call
+_ZERO, _ONE, _MINUS_ONE = np.array(0.0), np.array(1.0), np.array(-1.0)
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ def _grad_steps(x, out, boundary, batch=0):
         if boundary == "circular":
             steps.append((np.subtract, x[(...,) + last], x[(...,) + first], out[(...,) + block_last]))
         else:
-            steps.append((np.multiply, 0.0, 0.0, out[(...,) + block_last]))
+            steps.append((np.multiply, _ZERO, _ZERO, out[(...,) + block_last]))
     return steps
 
 
@@ -121,8 +123,8 @@ def _adjoint_steps(p, out, scratch, boundary):
         if boundary == "circular":
             steps.append((np.subtract, p[block_first], p[block_last], work[first]))
         else:
-            steps.append((np.multiply, p[block_first], 1.0, work[first]))
-            steps.append((np.multiply, p[block_penult], -1.0, work[last]))
+            steps.append((np.multiply, p[block_first], _ONE, work[first]))
+            steps.append((np.multiply, p[block_penult], _MINUS_ONE, work[last]))
         if j > 0:
             steps.append((np.add, out, work, out))
         work = scratch

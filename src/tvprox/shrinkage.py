@@ -15,6 +15,7 @@ sub-iterations; the averaging blocks are never synthesised.
 The solvers bind S_tau once per solve with _bind_approx_prox, on fixed
 buffers: each call runs approx_prox's ufunc calls, in the same order, as
 C-level calls only, but for _project_ball when iso, and validates nothing.
+Both end with the kernel calls of one builder, _synthesis_steps.
 approx_prox validates its input through w_forward.
 """
 
@@ -124,17 +125,11 @@ def _project_ball(p, radius, mode, norms=None, tmp=None):
     return p
 
 
-def _threshold_synthesise(z, dif, radius, mode, synthesis, out):
-    """Threshold and synthesis: z - D^T P(dif) / (2 sqrt d) into out.
-
-    dif = D z / (2 sqrt d) is projected in place at radius, with out,
-    dead until synthesis, holding the iso norms; synthesis are the kernel
-    calls that write D^T dif into out, through the scratch dif[0].
-    """
-    _project_ball(dif, radius, mode, norms=out)
-    _run(synthesis)
-    out *= 1.0 / (2.0 * math.sqrt(len(dif)))
-    return np.subtract(z, out, out=out)
+def _synthesis_steps(z, dif, out):
+    """Kernel calls (ufunc, a, b, out) that end S_tau once dif is projected:
+    z - D^T dif / (2 sqrt d) into out, using dif up (dif[0] is the scratch)."""
+    scale = np.array(1.0 / (2.0 * math.sqrt(len(dif))))
+    return _adjoint_steps(dif, out, dif[0], "circular") + [(np.multiply, out, scale, out), (np.subtract, z, out, out)]
 
 
 def approx_prox(z, params):
@@ -150,8 +145,9 @@ def approx_prox(z, params):
     dif = w_forward(z).dif
     z = np.asarray(z, dtype=np.float64)
     out = np.empty(z.shape)
-    synthesis = _adjoint_steps(dif, out, dif[0], "circular")
-    return _threshold_synthesise(z, dif, params.threshold(z.ndim), params.mode, synthesis, out)
+    _project_ball(dif, params.threshold(z.ndim), params.mode, norms=out)
+    _run(_synthesis_steps(z, dif, out))
+    return out
 
 
 def _bind_approx_prox(z, outs, dif, tmp, params):
@@ -159,23 +155,22 @@ def _bind_approx_prox(z, outs, dif, tmp, params):
 
     The analysis steps write w_forward's difference half into the stack
     dif; after the projection (iso: in out and tmp, a dead signal-sized
-    buffer) the synthesis steps use dif up as their scratch and end as
-    _threshold_synthesise does. Nothing is validated: the caller checks the iterates.
+    buffer) the _synthesis_steps of out run. The scalar operands are 0-d
+    arrays bound once. Nothing is validated: the caller checks the iterates.
     """
     d, mode = z.ndim, params.mode
-    scale = 1.0 / (2.0 * math.sqrt(d))
     radius = params.threshold(d)
-    analysis = _grad_steps(z, dif, "circular") + [(np.multiply, dif, scale, dif)]
+    lo, hi = np.array(-radius), np.array(radius)
+    analysis = _grad_steps(z, dif, "circular") + [(np.multiply, dif, np.array(1.0 / (2.0 * math.sqrt(d))), dif)]
 
     def bind(out):
-        synthesis = _adjoint_steps(dif, out, dif[0], "circular") + [(np.multiply, out, scale, out),
-                                                                    (np.subtract, z, out, out)]
+        synthesis = _synthesis_steps(z, dif, out)
 
         def prox():
             for ufunc, a, b, o in analysis:
                 ufunc(a, b, o)
             if mode == "aniso":
-                _clip(dif, -radius, radius, dif)
+                _clip(dif, lo, hi, dif)
             else:
                 _project_ball(dif, radius, mode, out, tmp)
             for ufunc, a, b, o in synthesis:

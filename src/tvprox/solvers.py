@@ -137,8 +137,8 @@ def _bind_tv_prox(cfg, z, xs, dif, tmp, fpg_solves):
     return [partial(exact, x) for x in xs]
 
 
-def _working_set(problem, cfg, x0, trace, fpg_solves, algorithm):
-    """Buffers and bound kernels of one solve, as (z, xs, dx, prox, ends, flush).
+def _working_set(problem, cfg, x0, algorithm):
+    """Buffers and bound kernels of one solve, as (z, xs, dx, prox, ends, finish).
 
     z is the prox input, xs the slot views of a C-contiguous (B, *shape) ring
     of the last B iterates, xs[0] a copy of x0, dx holds x - x_prev. Iteration
@@ -146,14 +146,17 @@ def _working_set(problem, cfg, x0, trace, fpg_solves, algorithm):
     prox of z into it, then ends[i](k) writes dx, holds objective_g(x) and
     returns whether ||dx|| / ||x_prev|| <= stop_tol, by ndarray.dot of flat
     views bound once (_stopped decides when a squared norm is not a normal
-    number, where l2_norm may rescale). flush(k), called when slot B - 1 is
-    written, when a data term is not finite and after the loop, takes the TV
-    pass of every slot in one set of calls on the (B, d, *shape) difference
-    stack, appends each held iteration's objective up to k in order, raising
-    SolverDivergence at the first one not finite. The approximate prox uses
-    up the stack's slot-0 block (its first block is the synthesis scratch)
-    before a TV pass overwrites it.
+    number, where l2_norm may rescale). flush(k), run when slot B - 1 is
+    written, when a data term is not finite and by finish, takes the TV pass
+    of every slot in one set of calls on the (B, d, *shape) difference stack,
+    appends each held iteration's objective up to k to the trace in order,
+    raising SolverDivergence at the first one not finite. The approximate
+    prox uses up the stack's slot-0 block (its first block is the synthesis
+    scratch) before a TV pass overwrites it. finish(k, stop_reason), called
+    after the loop, returns the RunReport: a copy of slot k % B, the trace,
+    the wall time and, when the prox is exact, the FPG solves' counters.
     """
+    t0 = time.perf_counter()
     slots = max(2, min(RING_SLOTS, RING_BYTES // ((1 + x0.ndim) * x0.nbytes)))
     z, dx = np.empty(x0.shape), np.empty(x0.shape)
     ring = np.zeros((slots,) + x0.shape)
@@ -163,6 +166,7 @@ def _working_set(problem, cfg, x0, trace, fpg_solves, algorithm):
     objective_g, lam, mode, stop_tol = problem.objective_g, cfg.lam, cfg.mode, cfg.stop_tol
     normal, dxf = sys.float_info.min, dx.reshape(-1)
     held = []  # data terms of the iterations up to k whose objective waits for a TV pass
+    trace, fpg_solves = [], []
 
     def flush(k):
         if lam > 0 and held:
@@ -198,14 +202,18 @@ def _working_set(problem, cfg, x0, trace, fpg_solves, algorithm):
 
         return end
 
+    def finish(k, stop_reason):
+        flush(k)
+        return RunReport(final_x=xs[k % slots].copy(), objective_trace=np.array(trace), iterations=len(trace),
+                         stop_reason=stop_reason, wall_time=time.perf_counter() - t0,
+                         extras=_fpg_counters(fpg_solves) if cfg.prox_choice == "exact" else {})
+
     prox = _bind_tv_prox(cfg, z, xs, difs[0], dx, fpg_solves)
-    return z, xs, dx, prox, [bind(i) for i in range(slots)], flush
+    return z, xs, dx, prox, [bind(i) for i in range(slots)], finish
 
 
-def _fpg_counters(cfg, fpg_solves):
+def _fpg_counters(fpg_solves):
     """RunReport.extras counters of the inner FPG solves of an exact-prox run."""
-    if cfg.prox_choice != "exact":
-        return {}
     iters = [n for n, _ in fpg_solves]
     return {
         "fpg_calls": len(iters),
@@ -236,9 +244,7 @@ def apgm(problem, cfg, x0):
             f"apgm: gamma={cfg.gamma} exceeds 1/L={1.0 / problem.lipschitz_L:.3e}",
             RuntimeWarning,
         )
-    t0 = time.perf_counter()
-    trace, fpg_solves = [], []
-    z, xs, dx, prox, ends, flush = _working_set(problem, cfg, x0, trace, fpg_solves, "apgm")
+    z, xs, dx, prox, ends, finish = _working_set(problem, cfg, x0, "apgm")
     slots, s = len(xs), x0.copy()
     grad_g, gamma = problem.grad_g, cfg.gamma
     q_prev = 1.0
@@ -257,15 +263,7 @@ def apgm(problem, cfg, x0):
             np.multiply(dx, (q_prev - 1.0) / q, s)
             s += xs[i]
             q_prev = q
-        flush(k)
-    return RunReport(
-        final_x=xs[k % slots].copy(),
-        objective_trace=np.array(trace),
-        iterations=len(trace),
-        stop_reason=stop_reason,
-        wall_time=time.perf_counter() - t0,
-        extras=_fpg_counters(cfg, fpg_solves),
-    )
+        return finish(k, stop_reason)
 
 
 def admm(problem, cfg, x0):
@@ -279,9 +277,7 @@ def admm(problem, cfg, x0):
     x0 = validate_signal(x0)
     if problem.prox_g is None:
         raise ValueError("admm requires problem.prox_g")
-    t0 = time.perf_counter()
-    trace, fpg_solves = [], []
-    v, xs, _, prox, ends, flush = _working_set(problem, cfg, x0, trace, fpg_solves, "admm")  # v: z + s, the TV prox input
+    v, xs, _, prox, ends, finish = _working_set(problem, cfg, x0, "admm")  # v: z + s, the TV prox input
     slots, s = len(xs), np.zeros(x0.shape)
     w = np.empty(x0.shape)  # x - s, the prox_g input
     prox_g, gamma = problem.prox_g, cfg.gamma
@@ -300,14 +296,6 @@ def admm(problem, cfg, x0):
             if ends[i](k):
                 stop_reason = "tolerance-met"
                 break
-        flush(k)
-    x_new = xs[k % slots].copy()
-    return RunReport(
-        final_x=x_new,
-        objective_trace=np.array(trace),
-        iterations=len(trace),
-        stop_reason=stop_reason,
-        wall_time=time.perf_counter() - t0,
-        extras={"primal_residual": l2_norm(np.subtract(x_new, z, w)), "dual_norm": l2_norm(s),
-                **_fpg_counters(cfg, fpg_solves)},
-    )
+        report = finish(k, stop_reason)
+    report.extras.update(primal_residual=l2_norm(np.subtract(report.final_x, z, w)), dual_norm=l2_norm(s))
+    return report

@@ -221,6 +221,17 @@ def test_config_validation():
     assert ExperimentConfig(task="ct").noise_sigma == 0.5
 
 
+def test_config_takes_array_grids():
+    # both grids are checked by their length: an array grid passes as a tuple
+    # does, and an empty one gets the config's message, not numpy's
+    # ambiguous-truth-value error
+    cfg = ExperimentConfig(lambda_grid=np.array([0.1, 0.5]), gamma_grid=np.array([1e-2]))
+    assert list(cfg.lambda_grid) == [0.1, 0.5]
+    for grid in ("lambda_grid", "gamma_grid"):
+        with pytest.raises(ValueError, match="must be non-empty"):
+            ExperimentConfig(**{grid: np.array([])})
+
+
 def test_sweep_lambda_zero_is_exact(tmp_path):
     cfg = ExperimentConfig(task="denoise", image_size=16, n_phantoms=1, seed=0,
                            lambda_grid=(0.0,), gamma_grid=(1e-1, 1e-2),

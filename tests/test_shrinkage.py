@@ -1,6 +1,8 @@
 """Shrinkage functions and the approximate TV prox: Eq.-level examples plus
 the descent / nonexpansiveness / bounded-error properties."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from tvprox.exact import OracleConfig, fpg_prox
 from tvprox.frame import CoeffStack, _grad, _grad_adjoint, w_adjoint, w_forward
 from tvprox.shrinkage import (
     ProxParams,
+    _bind_approx_prox,
     approx_prox,
     shrink_aniso,
     shrink_iso,
@@ -147,6 +150,24 @@ def test_approx_prox_is_first_fpg_step():
             z = rng.standard_normal(shape)
             first = fpg_prox(z, 0.2, OracleConfig(max_iter=1, mode=mode), return_info=True)[0]
             assert np.max(np.abs(first - approx_prox(z, ProxParams(0.2, mode)))) <= 1e-13
+
+
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_approx_prox_equals_the_bound_kernel_bit_for_bit(d, mode):
+    # the solvers' bound kernel analyses with its own difference steps and,
+    # aniso, clips on bounds bound once; one call of it on fresh buffers
+    # gives approx_prox's bits, from thresholds that clip almost every entry
+    # to one that clips none
+    rng = np.random.default_rng(41)
+    for shape in itertools.product((2, 3, 5, 8), repeat=d):
+        z = rng.standard_normal(shape)
+        for tau in (1e-4, 0.05, 1.0, 1e300):
+            params = ProxParams(tau, mode)
+            out, tmp, dif = np.empty(shape), np.empty(shape), np.empty((d,) + shape)
+            (prox,) = _bind_approx_prox(z, [out], dif, tmp, params)
+            prox()
+            assert out.tobytes() == approx_prox(z, params).tobytes(), (shape, tau)
 
 
 def test_descent_property():

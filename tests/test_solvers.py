@@ -386,7 +386,7 @@ def test_approximate_iteration_calls(solver, mode):
 
 def ring_slots(problem, cfg, x0):
     """B, the slots of the iterate ring of a solve of x0."""
-    return len(_working_set(problem, cfg, x0, [], [], "apgm")[1])
+    return len(_working_set(problem, cfg, x0, "apgm")[1])
 
 
 @pytest.mark.parametrize("mode", ["aniso", "iso"])
