@@ -18,7 +18,7 @@ import numpy as np
 
 from .frame import BOUNDARIES, _adjoint_steps, _grad, _grad_adjoint, _grad_steps, _run
 from .shrinkage import _clip, _project_ball
-from .signal import check_choice, check_count, check_positive, validate_signal
+from .signal import _aligned, check_choice, check_count, check_positive, validate_signal
 from .tv import _tv_of_differences, check_mode
 
 
@@ -74,7 +74,8 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
 
     The working set is the dual stacks p, q and g and two primal buffers,
     3d + 2 arrays of the signal's size (3d + 3 when iso, with the
-    projection's scratch), allocated once per call and updated in place.
+    projection's scratch), allocated once per call, each starting on a
+    64-byte cache line up to 1 MiB (signal._aligned), and updated in place.
     One primal buffer holds x, the other dx = x - x_prev, extrapolated in
     place to the primal point of q and, once the difference pass has read
     it, overwritten with tau*D^T p. x is then formed over it and the new dx
@@ -97,14 +98,12 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     certify, aniso = gap_tol is not None, mode == "aniso"
     step, tau_, beta_, lo, hi = (np.array(v, dtype=np.float64) for v in (1.0 / (4.0 * d * tau), tau, 0.0, -1.0, 1.0))
 
-    p = np.zeros((d,) + z.shape, dtype=np.float64)
-    q = np.zeros_like(p)
-    g = np.empty_like(p)
+    p, q, g = _aligned((d,) + z.shape, zero=True), _aligned((d,) + z.shape, zero=True), _aligned((d,) + z.shape)
     # C order, whatever z's layout: the dots read both primal buffers
     # through flat views, and reshape(-1) of another layout is a copy.
-    x = z.copy()
-    dx = np.zeros(z.shape)
-    tmp = None if aniso else np.empty(z.shape)
+    x, dx = _aligned(z.shape), _aligned(z.shape, zero=True)
+    x[...] = z
+    tmp = None if aniso else _aligned(z.shape)
     # Iteration k writes D dx into the buffer g holds (g on even k, p on
     # odd k), swaps it into p and reads D^T p from the same buffer into dx,
     # through block 0 of the other dual buffer, by then the spare g. x and

@@ -56,8 +56,8 @@ class ExperimentConfig:
         check_choice("task", self.task, TASKS)
         check_choice("solver", self.solver, SOLVERS)
         check_mode(self.mode)
-        if not len(self.lambda_grid) or not len(self.gamma_grid):
-            raise ValueError("lambda_grid and gamma_grid must be non-empty")
+        if any(np.ndim(grid) != 1 or not len(grid) for grid in (self.lambda_grid, self.gamma_grid)):
+            raise ValueError("lambda_grid and gamma_grid must be non-empty 1-D sequences")
         for i, lam in enumerate(self.lambda_grid):
             check_nonnegative(f"lambda_grid[{i}]", lam)
         for i, gamma in enumerate(self.gamma_grid):

@@ -28,7 +28,7 @@ import numpy as np
 from .exact import OracleConfig, fpg_prox
 from .frame import _grad_steps, _run
 from .shrinkage import ProxParams, _bind_approx_prox
-from .signal import check_choice, check_count, check_nonnegative, check_positive, l2_norm, validate_signal
+from .signal import _aligned, check_choice, check_count, check_nonnegative, check_positive, l2_norm, validate_signal
 from .tv import _tv_terms, check_mode, tv
 
 
@@ -141,7 +141,8 @@ def _working_set(problem, cfg, x0, algorithm):
     """Buffers and bound kernels of one solve, as (z, xs, dx, prox, ends, finish).
 
     z is the prox input, xs the slot views of a C-contiguous (B, *shape) ring
-    of the last B iterates, xs[0] a copy of x0, dx holds x - x_prev. Iteration
+    of the last B iterates, xs[0] a copy of x0, dx holds x - x_prev; these
+    and the difference stack start on 64-byte lines up to 1 MiB. Iteration
     k writes slot i = k % B, x_prev being slot i - 1: prox[i]() writes the TV
     prox of z into it, then ends[i](k) writes dx, holds objective_g(x) and
     returns whether ||dx|| / ||x_prev|| <= stop_tol, by ndarray.dot of flat
@@ -158,10 +159,10 @@ def _working_set(problem, cfg, x0, algorithm):
     """
     t0 = time.perf_counter()
     slots = max(2, min(RING_SLOTS, RING_BYTES // ((1 + x0.ndim) * x0.nbytes)))
-    z, dx = np.empty(x0.shape), np.empty(x0.shape)
-    ring = np.zeros((slots,) + x0.shape)
+    z, dx = _aligned(x0.shape), _aligned(x0.shape)
+    ring = _aligned((slots,) + x0.shape, zero=True)
     ring[0], xs = x0, list(ring)
-    difs = np.empty((slots, x0.ndim) + x0.shape)
+    difs = _aligned((slots, x0.ndim) + x0.shape)
     tv_steps = _grad_steps(ring, difs, "circular", batch=1)
     objective_g, lam, mode, stop_tol = problem.objective_g, cfg.lam, cfg.mode, cfg.stop_tol
     normal, dxf = sys.float_info.min, dx.reshape(-1)
@@ -245,7 +246,8 @@ def apgm(problem, cfg, x0):
             RuntimeWarning,
         )
     z, xs, dx, prox, ends, finish = _working_set(problem, cfg, x0, "apgm")
-    slots, s = len(xs), x0.copy()
+    slots, s = len(xs), _aligned(x0.shape)
+    s[...] = x0
     grad_g, gamma = problem.grad_g, cfg.gamma
     q_prev = 1.0
     stop_reason = "max-iter"
@@ -278,8 +280,8 @@ def admm(problem, cfg, x0):
     if problem.prox_g is None:
         raise ValueError("admm requires problem.prox_g")
     v, xs, _, prox, ends, finish = _working_set(problem, cfg, x0, "admm")  # v: z + s, the TV prox input
-    slots, s = len(xs), np.zeros(x0.shape)
-    w = np.empty(x0.shape)  # x - s, the prox_g input
+    slots, s = len(xs), _aligned(x0.shape, zero=True)
+    w = _aligned(x0.shape)  # x - s, the prox_g input
     prox_g, gamma = problem.prox_g, cfg.gamma
     stop_reason = "max-iter"
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,6 +1,7 @@
 """The Python-level call counter of the tests that pin which calls an
 iteration of fpg_prox or of a solver may make."""
 
+import gc
 import sys
 from collections import Counter
 
@@ -11,7 +12,10 @@ def python_calls(fn, *args, **kwargs):
     called). ufunc, BLAS, builtin and ndarray-method calls are C-level and
     fire no "call" event. fn is called once unprofiled first, so the cache
     misses of a first call (such as frame._axis_slices') do not count and
-    the counts do not depend on which tests ran before."""
+    the counts do not depend on which tests ran before. The profiled call
+    runs with the garbage collector disabled: a collection inside it runs
+    the gc.callbacks registered in the process (hypothesis registers one),
+    whose calls would count under whichever function triggered it."""
     fn(*args, **kwargs)
     calls = Counter()
 
@@ -24,10 +28,13 @@ def python_calls(fn, *args, **kwargs):
         if top.f_back is not None:
             calls[top.f_code.co_name, frame.f_code.co_name] += 1
 
-    previous = sys.getprofile()
+    previous, collecting = sys.getprofile(), gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn(*args, **kwargs)
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     return calls

@@ -5,10 +5,12 @@ and against simple grid/bisection oracles."""
 import hashlib
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from call_counts import python_calls
+from placement import at_offset, line_offset
 
 from tvprox.exact import (
     OracleConfig,
@@ -316,11 +318,12 @@ def test_duality_gap_validates_inputs():
         duality_gap(z, np.full((4, 5), np.nan), p, 0.5)
 
 
-def fpg_solves(shape):
+def fpg_solves(shape, place=np.asarray):
     """Every solve of one shape, as (z, tau, cfg, x, info): both modes, both
-    boundaries, budgeted and certified, short and long budgets."""
+    boundaries, budgeted and certified, short and long budgets. place(a)
+    puts z in memory."""
     rng = np.random.default_rng(54)
-    z = rng.standard_normal(shape)
+    z = place(rng.standard_normal(shape))
     tau = 0.7 / len(shape)
     for mode in ("aniso", "iso"):
         for boundary in ("circular", "free"):
@@ -341,14 +344,48 @@ FPG_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("shape", list(FPG_DIGESTS))
-def test_fpg_is_pinned_bit_for_bit(shape):
+def fpg_digest(solves):
+    """The FPG_DIGESTS digest of the solves of fpg_solves."""
     h = hashlib.sha256()
-    for *_, x, info in fpg_solves(shape):
+    for *_, x, info in solves:
         h.update(x.tobytes())
         h.update(info["p"].tobytes())
         h.update(info["iterations"].to_bytes(4, "little"))
-    assert h.hexdigest() == FPG_DIGESTS[shape]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("shape", list(FPG_DIGESTS))
+def test_fpg_is_pinned_bit_for_bit(shape):
+    assert fpg_digest(fpg_solves(shape)) == FPG_DIGESTS[shape]
+
+
+@pytest.mark.parametrize("shape", list(FPG_DIGESTS))
+def test_fpg_does_not_depend_on_where_z_starts(shape):
+    # the working set starts on a cache line wherever z starts, and its
+    # alignment changes the speed of the ufunc and ddot kernels only: from
+    # z 8 to 48 bytes off a line every solve, its stop statistic included
+    # (a BLAS sum), has the bits of the solve from an aligned z
+    aligned = list(fpg_solves(shape, partial(at_offset, offset=0)))
+    assert fpg_digest(aligned) == FPG_DIGESTS[shape]
+    for offset in (8, 16, 32, 48):
+        for (*_, x, info), (*_, x_a, info_a) in zip(fpg_solves(shape, partial(at_offset, offset=offset)), aligned):
+            assert x.tobytes() == x_a.tobytes() and info["p"].tobytes() == info_a["p"].tobytes()
+            assert {k: v for k, v in info.items() if k != "p"} == {k: v for k, v in info_a.items() if k != "p"}
+
+
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+def test_fpg_working_set_starts_on_a_cache_line(mode):
+    # at 32^2, from z 8 bytes off a line, x and the final dual start on a
+    # 64-byte line, from either primal buffer (odd and even budgets) and
+    # either dual one; an array over 1 MiB is allocated at its exact size
+    z = at_offset(np.random.default_rng(58).standard_normal((32, 32)), 8)
+    for gap_tol in (None, 1e-300):
+        for max_iter in (1, 2, 51):
+            cfg = OracleConfig(max_iter=max_iter, tol=1e-300, mode=mode, gap_tol=gap_tol)
+            x, info = fpg_prox(z, 0.3, cfg, return_info=True)
+            assert line_offset(x) == line_offset(info["p"]) == 0
+    x, info = fpg_prox(np.ones((363, 363)), 0.3, OracleConfig(max_iter=1, mode=mode), return_info=True)
+    assert x.nbytes > 1 << 20 and x.base is None and info["p"].base is None
 
 
 @pytest.mark.parametrize("shape", list(FPG_DIGESTS))

@@ -232,6 +232,13 @@ def test_config_takes_array_grids():
             ExperimentConfig(**{grid: np.array([])})
 
 
+def test_config_rejects_scalar_grids():
+    # a scalar grid gets the config's ValueError, not len()'s TypeError
+    for bad in (dict(lambda_grid=0.5), dict(gamma_grid=1e-2), dict(lambda_grid=np.array(0.5))):
+        with pytest.raises(ValueError, match="must be non-empty 1-D sequences"):
+            ExperimentConfig(**bad)
+
+
 def test_sweep_lambda_zero_is_exact(tmp_path):
     cfg = ExperimentConfig(task="denoise", image_size=16, n_phantoms=1, seed=0,
                            lambda_grid=(0.0,), gamma_grid=(1e-1, 1e-2),

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from placement import line_offset
 
 from tvprox.shrinkage import ProxParams, approx_prox
 from tvprox.signal import (
     SLAB,
+    _aligned,
     check_count,
     check_nonnegative,
     check_positive,
@@ -180,3 +182,18 @@ def test_csv_header(tmp_path):
     path = tmp_path / "sig.csv"
     save_csv(path, np.zeros((4, 5)))
     assert path.read_text().splitlines()[0] == "shape=4x5"
+
+
+def test_aligned_arrays_start_on_a_cache_line_up_to_one_mib():
+    # up to 1 MiB a view into 7 doubles more, starting on a 64-byte line;
+    # above it an array of the exact size, as np.empty / np.zeros give
+    for shape in ((2,), (3, 5), (16, 16), (2, 3, 4), (256, 512)):
+        for zero in (False, True):
+            a = _aligned(shape, zero=zero)
+            assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+            assert line_offset(a) == 0 and a.base.size == a.size + 7
+            assert not zero or not a.any()
+    for zero in (False, True):
+        a = _aligned((256, 513), zero=zero)
+        assert a.shape == (256, 513) and a.base is None and a.nbytes > 1 << 20
+        assert not zero or not a.any()

@@ -8,6 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 from call_counts import python_calls
+from placement import at_offset, line_offset
 
 from tvprox.exact import OracleConfig
 from tvprox.experiments import ExperimentConfig, _make_problem, gen_foam_phantom
@@ -294,18 +295,19 @@ def test_non_finite_iterate_raises_solver_divergence(mode):
             call()
 
 
-def approximate_solves(shape):
+def approximate_solves(shape, place=np.asarray):
     """Every approximate solve of one shape, as (cfg, report): APGM and
     ADMM, both modes, lambda = 0 and lambda > 0, each stopped by its
-    tolerance and at max_iter."""
-    y = np.random.default_rng(71).standard_normal(shape) + 2.0
+    tolerance and at max_iter. place(a) puts the data y and each x0 in
+    memory."""
+    y = place(np.random.default_rng(71).standard_normal(shape) + 2.0)
     problem = denoise_problem(y)
     for solve in (apgm, admm):
         for mode in ("aniso", "iso"):
             for lam in (0.0, 1.5):
                 for stop_tol, max_iter in ((1e-7, 20000), (1e-300, 40)):
                     cfg = SolverConfig(gamma=0.3, lam=lam, mode=mode, stop_tol=stop_tol, max_iter=max_iter)
-                    yield cfg, solve(problem, cfg, np.zeros(shape))
+                    yield cfg, solve(problem, cfg, place(np.zeros(shape)))
 
 
 # sha256 digests, recorded before the approximate iteration was last
@@ -320,16 +322,56 @@ SOLVER_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("shape", list(SOLVER_DIGESTS))
-def test_approximate_solves_are_pinned_bit_for_bit(shape):
+def solves_digest(solves):
+    """The SOLVER_DIGESTS digest of the (cfg, report) pairs of approximate_solves."""
     h = hashlib.sha256()
-    for cfg, report in approximate_solves(shape):
+    for cfg, report in solves:
         assert report.stop_reason == ("max-iter" if cfg.stop_tol == 1e-300 else "tolerance-met")
         h.update(report.final_x.tobytes())
         h.update(report.objective_trace.tobytes())
         h.update(report.iterations.to_bytes(4, "little"))
         h.update(report.stop_reason.encode())
-    assert h.hexdigest() == SOLVER_DIGESTS[shape]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("shape", list(SOLVER_DIGESTS))
+def test_approximate_solves_are_pinned_bit_for_bit(shape):
+    assert solves_digest(approximate_solves(shape)) == SOLVER_DIGESTS[shape]
+
+
+@pytest.mark.parametrize("offset", [0, 8, 16, 32, 48])
+@pytest.mark.parametrize("shape", list(SOLVER_DIGESTS))
+def test_approximate_solves_do_not_depend_on_where_x0_starts(shape, offset):
+    # the working set starts on a cache line wherever x0 and y start, and
+    # its alignment changes the speed of the ufunc and ddot kernels only:
+    # the BLAS sums of the stop test keep their order at every offset
+    solves = approximate_solves(shape, partial(at_offset, offset=offset))
+    assert solves_digest(solves) == SOLVER_DIGESTS[shape]
+
+
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+@pytest.mark.parametrize("solve", [apgm, admm])
+def test_working_sets_start_on_a_cache_line(solve, mode):
+    # at 32^2, from x0 and y 8 bytes off a line: z, dx, every ring slot and
+    # every slot's difference stack, and the buffers the callbacks are
+    # given (each ring slot to objective_g, APGM's s to grad_g, ADMM's
+    # x - s to prox_g) start on a 64-byte line
+    y = at_offset(np.random.default_rng(77).standard_normal((32, 32)), 8)
+    problem = denoise_problem(y)
+    cfg = SolverConfig(gamma=0.5, lam=0.3, mode=mode, stop_tol=1e-300, max_iter=40)
+    z, xs, dx, _, _, finish = _working_set(problem, cfg, y, solve.__name__)
+    flush = finish.__closure__[finish.__code__.co_freevars.index("flush")].cell_contents
+    difs = flush.__closure__[flush.__code__.co_freevars.index("difs")].cell_contents
+    assert len(xs) == len(difs) == 16 and difs[0].shape == (2, 32, 32)
+    seen = []
+
+    def watched(fn):
+        return lambda a, *args: seen.append(a) or fn(a, *args)
+
+    solve(Problem(grad_g=watched(problem.grad_g), objective_g=watched(problem.objective_g),
+                  prox_g=watched(problem.prox_g)), cfg, y)
+    assert len({a.ctypes.data for a in seen}) == len(xs) + 1
+    assert {line_offset(a) for a in [z, dx, *xs, *difs, *seen]} == {0}
 
 
 @pytest.mark.parametrize("mode", ["aniso", "iso"])
