@@ -20,7 +20,6 @@ from .operators import (
     add_awgn,
     lipschitz_power_iter,
     prox_g_ct,
-    prox_g_denoise,
     radon_operator,
 )
 from .signal import SLAB, check_choice, check_count, check_nonnegative, check_positive, save_csv
@@ -180,12 +179,7 @@ def write_pgm(path, img):
 
 def _make_problem(cfg, y, ct_op=None):
     if cfg.task == "denoise":
-        return Problem(
-            grad_g=lambda x: x - y,
-            objective_g=lambda x: 0.5 * float(np.add.reduce((y - x) ** 2, axis=None)),
-            prox_g=lambda v, gamma: prox_g_denoise(v, gamma, y),
-            lipschitz_L=1.0,
-        )
+        return Problem(data=y)
     return Problem(
         grad_g=lambda x: ct_op.adjoint(ct_op.apply(x) - y),
         objective_g=lambda x: 0.5 * float(np.add.reduce((ct_op.apply(x) - y) ** 2, axis=None)),

@@ -7,13 +7,14 @@ stop when the relative iterate change drops below stop_tol.
 Each solve validates x0 at entry and binds its working set once (see
 _working_set): an approximate iteration makes the ufunc calls that
 approx_prox, tv and objective would make on fresh arrays, in the same
-order, on buffers bound once. Its Python-level calls are the problem's
-callbacks, the bound prox, APGM's fista_momentum and a kernel that ends
-the iteration with the data term and the stop test: five per aniso APGM
-iteration (iso: one helper more in the prox); the objective's TV pass runs
-once per block of iterates, kept in a ring. The exact prox calls fpg_prox
-once per iteration. Iterates are not validated again: a non-finite one
-makes the objective non-finite, raising SolverDivergence.
+order, on buffers bound once. Its Python-level calls are the bound prox,
+APGM's fista_momentum, a kernel that ends the iteration with the stop
+test and the callbacks of a Problem not given as data: three per aniso
+APGM iteration of the data form (iso: one helper more in the prox). The
+objective's TV pass and the data form's data terms run once per block of
+iterates, kept in a ring. The exact prox calls fpg_prox once per
+iteration. Iterates are not validated again: a non-finite one makes the
+objective non-finite, raising SolverDivergence.
 """
 
 import math
@@ -27,6 +28,7 @@ import numpy as np
 
 from .exact import OracleConfig, fpg_prox
 from .frame import _grad_steps, _run
+from .operators import prox_g_denoise
 from .shrinkage import ProxParams, _bind_approx_prox
 from .signal import _aligned, check_choice, check_count, check_nonnegative, check_positive, l2_norm, validate_signal
 from .tv import _tv_terms, check_mode, tv
@@ -38,12 +40,32 @@ class SolverDivergence(RuntimeError):
 
 @dataclass
 class Problem:
-    """Smooth/data part of the composite objective g(x) + lambda*tv(x)."""
+    """Smooth/data part of the composite objective g(x) + lambda*tv(x), given
+    as callbacks or as data: the y of the denoising term g(x) = 0.5||x - y||^2,
+    from which the callbacks and L = 1 are derived. The solvers run the data
+    form's g on their own buffers and sum its terms once per block of B
+    iterates: a non-finite one is found up to B - 1 iterations late, and
+    SolverDivergence still names its iteration."""
 
-    grad_g: callable
-    objective_g: callable
+    grad_g: callable = None
+    objective_g: callable = None
     prox_g: callable = None  # (v, gamma) -> argmin 0.5||x-v||^2 + gamma*g(x); ADMM only
     lipschitz_L: float | None = None
+    data: np.ndarray = None
+
+    def __post_init__(self):
+        if self.data is not None:
+            if any(f is not None for f in (self.grad_g, self.objective_g, self.prox_g)):
+                raise ValueError("Problem takes data or callbacks, not both")
+            y = self.data = np.ascontiguousarray(validate_signal(self.data, "data"))
+            self.grad_g = lambda x: x - y
+            self.objective_g = lambda x: 0.5 * float(np.add.reduce((y - x) ** 2, axis=None))
+            self.prox_g = lambda v, gamma: prox_g_denoise(v, gamma, y)
+            self.lipschitz_L = 1.0 if self.lipschitz_L is None else self.lipschitz_L
+        elif self.grad_g is None or self.objective_g is None:
+            raise ValueError("Problem needs data, or grad_g and objective_g")
+        if self.lipschitz_L is not None:
+            check_positive("lipschitz_L", self.lipschitz_L)
 
 
 PROX_CHOICES = ("approx", "exact")
@@ -144,33 +166,43 @@ def _working_set(problem, cfg, x0, algorithm):
     of the last B iterates, xs[0] a copy of x0, dx holds x - x_prev; these
     and the difference stack start on 64-byte lines up to 1 MiB. Iteration
     k writes slot i = k % B, x_prev being slot i - 1: prox[i]() writes the TV
-    prox of z into it, then ends[i](k) writes dx, holds objective_g(x) and
-    returns whether ||dx|| / ||x_prev|| <= stop_tol, by ndarray.dot of flat
-    views bound once (_stopped decides when a squared norm is not a normal
-    number, where l2_norm may rescale). flush(k), run when slot B - 1 is
-    written, when a data term is not finite and by finish, takes the TV pass
-    of every slot in one set of calls on the (B, d, *shape) difference stack,
-    appends each held iteration's objective up to k to the trace in order,
-    raising SolverDivergence at the first one not finite. The approximate
-    prox uses up the stack's slot-0 block (its first block is the synthesis
-    scratch) before a TV pass overwrites it. finish(k, stop_reason), called
-    after the loop, returns the RunReport: a copy of slot k % B, the trace,
-    the wall time and, when the prox is exact, the FPG solves' counters.
+    prox of z into it, then ends[i](k) writes dx, holds the callback form's
+    objective_g(x) and returns whether ||dx|| / ||x_prev|| <= stop_tol, by
+    ndarray.dot of flat views bound once (_stopped decides when a squared
+    norm is not a normal number, where l2_norm may rescale). flush(k), run
+    when slot B - 1 is written, when a held data term is not finite and by
+    finish, takes the TV pass of every slot in one set of calls on the
+    (B, d, *shape) difference stack; the data form then writes y - x of
+    every slot into the stack's dead block-0 slabs, squares them and sums
+    each slot's in one call. flush appends each waiting iteration's
+    objective up to k to the trace in order, raising SolverDivergence at
+    the first one not finite. The approximate prox uses up the stack's
+    slot-0 block (its first block is the synthesis scratch) before a TV
+    pass overwrites it. finish(k, stop_reason), called after the loop,
+    returns the RunReport: a copy of slot k % B, the trace, the wall time
+    and, when the prox is exact, the FPG solves' counters.
     """
     t0 = time.perf_counter()
+    y = problem.data
+    if y is not None and x0.shape != y.shape:
+        raise ValueError(f"{algorithm}: x0 has shape {x0.shape} but the data has shape {y.shape}")
     slots = max(2, min(RING_SLOTS, RING_BYTES // ((1 + x0.ndim) * x0.nbytes)))
     z, dx = _aligned(x0.shape), _aligned(x0.shape)
     ring = _aligned((slots,) + x0.shape, zero=True)
     ring[0], xs = x0, list(ring)
     difs = _aligned((slots, x0.ndim) + x0.shape)
     tv_steps = _grad_steps(ring, difs, "circular", batch=1)
-    objective_g, lam, mode, stop_tol = problem.objective_g, cfg.lam, cfg.mode, cfg.stop_tol
+    objective_g = None if y is not None else problem.objective_g
+    lam, mode, stop_tol = cfg.lam, cfg.mode, cfg.stop_tol
     normal, dxf = sys.float_info.min, dx.reshape(-1)
-    held = []  # data terms of the iterations up to k whose objective waits for a TV pass
+    data_terms, squares, per_slot = np.zeros(slots), difs[:, 0], tuple(range(1, 1 + x0.ndim))
     trace, fpg_solves = [], []
 
     def flush(k):
-        if lam > 0 and held:
+        first = len(trace) + 1  # iterations first..k wait for their objectives
+        if first > k:
+            return
+        if lam > 0:
             # at its smallest ufunc buffer numpy runs these strided rows in place (2.4x faster at 32^2);
             # the sum stays at the caller's buffer size: a strided reduction's bits can follow the buffer's
             bufsize = np.setbufsize(16)
@@ -179,22 +211,25 @@ def _working_set(problem, cfg, x0, algorithm):
                 terms = _tv_terms(difs, mode, batch=1)
             finally:
                 np.setbufsize(bufsize)
-            tvs = np.add.reduce(terms, axis=tuple(range(1, terms.ndim))).tolist()
-        for j, f in enumerate(held, k + 1 - len(held)):
-            f = float(f + lam * tvs[j % slots] if lam > 0 else f)
+            tvs = np.add.reduce(terms, axis=tuple(range(1, terms.ndim)))
+        if y is not None:
+            np.square(np.subtract(y, ring, squares), squares)
+            np.multiply(np.add.reduce(squares, axis=per_slot, out=data_terms), 0.5, data_terms)
+        objectives = (np.add(np.multiply(tvs, lam, tvs), data_terms, tvs) if lam > 0 else data_terms).tolist()
+        for j in range(first, k + 1):
+            f = objectives[j % slots]
             if not math.isfinite(f):
                 raise SolverDivergence(f"{algorithm}: objective became {f} at iteration {j}")
             trace.append(f)
-        held.clear()
 
     def bind(i):
         x, x_prev, xpf, full = xs[i], xs[i - 1], xs[i - 1].reshape(-1), i == slots - 1
 
         def end(k):
             np.subtract(x, x_prev, dx)
-            data = objective_g(x)
-            held.append(data)
-            if full or not math.isfinite(data):
+            if objective_g is not None:
+                data_terms[i] = objective_g(x)
+            if full or objective_g is not None and not math.isfinite(data_terms[i]):
                 flush(k)
             num, den = dxf.dot(dxf), xpf.dot(xpf)
             if normal <= num < math.inf and normal <= den < math.inf:
@@ -237,7 +272,8 @@ def apgm(problem, cfg, x0):
     Per iteration: z = s - gamma*grad_g(s); x = prox(z) at tau = gamma*lam;
     s extrapolates x with the accelerated momentum weights. z, s and
     x - x_prev are formed in place, and x - x_prev serves both the
-    extrapolation and the stop test.
+    extrapolation and the stop test. The data form takes grad_g(s) = s - y
+    in z, with the bits of the callback's temporary.
     """
     x0 = validate_signal(x0)
     if problem.lipschitz_L is not None and cfg.gamma > 1.0 / problem.lipschitz_L:
@@ -248,14 +284,14 @@ def apgm(problem, cfg, x0):
     z, xs, dx, prox, ends, finish = _working_set(problem, cfg, x0, "apgm")
     slots, s = len(xs), _aligned(x0.shape)
     s[...] = x0
-    grad_g, gamma = problem.grad_g, cfg.gamma
+    y, grad_g, gamma = problem.data, problem.grad_g, cfg.gamma
     q_prev = 1.0
     stop_reason = "max-iter"
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iter + 1):
             # iteration k writes x into slot k % B of the ring; x_prev is in the one before
             i = k % slots
-            np.multiply(grad_g(s), gamma, z)
+            np.multiply(grad_g(s) if y is None else np.subtract(s, y, z), gamma, z)
             np.subtract(s, z, z)
             prox[i]()
             q = fista_momentum(q_prev)
@@ -274,21 +310,24 @@ def admm(problem, cfg, x0):
     Per iteration: z = prox_{gamma g}(x - s); x = prox_tv(z + s) at
     tau = gamma*lam; s += x - z. Uses the freshly computed z in the
     x-update. x - s, z + s and the dual s are formed in place; the primal
-    residual ||x - z|| is taken once, of the last iteration.
+    residual ||x - z|| is taken once, of the last iteration. The data form
+    takes z = (w + gamma*y) / (1 + gamma), prox_g_denoise's arithmetic, in w
+    (gamma*y in dx, which the prox and the stop test overwrite).
     """
     x0 = validate_signal(x0)
     if problem.prox_g is None:
         raise ValueError("admm requires problem.prox_g")
-    v, xs, _, prox, ends, finish = _working_set(problem, cfg, x0, "admm")  # v: z + s, the TV prox input
+    v, xs, dx, prox, ends, finish = _working_set(problem, cfg, x0, "admm")  # v: z + s, the TV prox input
     slots, s = len(xs), _aligned(x0.shape, zero=True)
     w = _aligned(x0.shape)  # x - s, the prox_g input
-    prox_g, gamma = problem.prox_g, cfg.gamma
+    y, prox_g, gamma = problem.data, problem.prox_g, cfg.gamma
     stop_reason = "max-iter"
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iter + 1):
             # iteration k writes x_new into slot k % B of the ring; x is in the one before
             i = k % slots
-            z = prox_g(np.subtract(xs[i - 1], s, w), gamma)
+            np.subtract(xs[i - 1], s, w)
+            z = prox_g(w, gamma) if y is None else np.divide(np.add(w, np.multiply(y, gamma, dx), w), 1.0 + gamma, w)
             np.add(z, s, v)
             prox[i]()
             # Dual ascent sign matches the (x - s) / (z + s) prox arguments above:

@@ -37,7 +37,7 @@ def test_oracle_config_validation():
 
 
 # A 1D step with a one-sample notch, free boundaries, tau = 1: the
-# relative-change stop can end far from the prox (ROADMAP item 2). Both
+# relative-change stop can end far from the prox (ROADMAP, "One FPG stop rule"). Both
 # rules are held to the 1e-6 gate of the drawn taut-string property.
 NOTCH = np.array([6.0] * 7 + [0.0] + [6.0] * 26)
 
@@ -50,7 +50,7 @@ def test_certified_fpg_solves_the_notch():
 
 
 @pytest.mark.xfail(strict=True, reason="the budgeted stop ends 2.4e-6 from the prox after 2013 iterations; "
-                                       "one certified stop rule is ROADMAP item 2")
+                                       "one certified stop rule is the ROADMAP item 'One FPG stop rule'")
 def test_budgeted_fpg_solves_the_notch():
     x = fpg_prox(NOTCH, 1.0, OracleConfig(max_iter=50000, tol=1e-12, boundary="free"))
     assert np.max(np.abs(x - tautstring_prox_1d(NOTCH, 1.0))) <= 1e-6

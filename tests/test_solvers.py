@@ -2,6 +2,7 @@
 protocol, and long-run oracles on tiny problems."""
 
 import hashlib
+import itertools
 import warnings
 from functools import partial
 
@@ -31,9 +32,10 @@ from tvprox.tv import tv
 
 
 def denoise_problem(y):
+    """The callback form of Problem(data=y), with its derived callbacks' expressions."""
     return Problem(
         grad_g=lambda x: x - y,
-        objective_g=lambda x: 0.5 * float(((y - x) ** 2).sum()),
+        objective_g=lambda x: 0.5 * float(np.add.reduce((y - x) ** 2, axis=None)),
         prox_g=lambda v, gamma: prox_g_denoise(v, gamma, y),
         lipschitz_L=1.0,
     )
@@ -194,6 +196,33 @@ def test_admm_identity_lambda_zero():
     assert report.stop_reason == "tolerance-met"
 
 
+def test_problem_rejects_bad_input():
+    # a step-size bound that is not finite and > 0 fails at construction (an
+    # L of 0 made apgm divide by zero, and -1 only warned); so do data given
+    # with callbacks, a problem with neither, and data that is not a signal
+    y = np.zeros((16, 16))
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lipschitz_L"):
+            Problem(grad_g=lambda x: x, objective_g=lambda x: 0.0, lipschitz_L=bad)
+        with pytest.raises(ValueError, match="lipschitz_L"):
+            Problem(data=y, lipschitz_L=bad)
+    with pytest.raises(ValueError, match="not both"):
+        Problem(objective_g=lambda x: 0.0, data=y)
+    for neither in ({}, {"grad_g": lambda x: x}, {"objective_g": lambda x: 0.0}):
+        with pytest.raises(ValueError, match="needs data"):
+            Problem(**neither)
+    with pytest.raises(ValueError, match="non-finite"):
+        Problem(data=np.full((4, 4), np.nan))
+    assert Problem(data=y).lipschitz_L == 1.0
+
+
+def test_data_form_rejects_x0_of_another_shape():
+    # y of shape (16,) would broadcast against x0 of shape (16, 16)
+    for solve in (apgm, admm):
+        with pytest.raises(ValueError, match=r"x0 has shape \(16, 16\) but the data has shape \(16,\)"):
+            solve(Problem(data=np.zeros(16)), SolverConfig(), np.zeros((16, 16)))
+
+
 def test_admm_requires_prox_g():
     prob = Problem(grad_g=lambda x: x, objective_g=lambda x: 0.0)
     with pytest.raises(ValueError):
@@ -295,13 +324,13 @@ def test_non_finite_iterate_raises_solver_divergence(mode):
             call()
 
 
-def approximate_solves(shape, place=np.asarray):
+def approximate_solves(shape, place=np.asarray, form=denoise_problem):
     """Every approximate solve of one shape, as (cfg, report): APGM and
     ADMM, both modes, lambda = 0 and lambda > 0, each stopped by its
     tolerance and at max_iter. place(a) puts the data y and each x0 in
-    memory."""
+    memory, and form(y) makes the problem."""
     y = place(np.random.default_rng(71).standard_normal(shape) + 2.0)
-    problem = denoise_problem(y)
+    problem = form(y)
     for solve in (apgm, admm):
         for mode in ("aniso", "iso"):
             for lam in (0.0, 1.5):
@@ -337,6 +366,15 @@ def solves_digest(solves):
 @pytest.mark.parametrize("shape", list(SOLVER_DIGESTS))
 def test_approximate_solves_are_pinned_bit_for_bit(shape):
     assert solves_digest(approximate_solves(shape)) == SOLVER_DIGESTS[shape]
+
+
+@pytest.mark.parametrize("shape", list(SOLVER_DIGESTS))
+def test_data_form_solves_are_pinned_bit_for_bit(shape):
+    # the solvers' own data term gives the digests of the callback form,
+    # with y and x0 on a cache line and 8 bytes off one
+    for offset in (0, 8):
+        solves = approximate_solves(shape, partial(at_offset, offset=offset), form=lambda y: Problem(data=y))
+        assert solves_digest(solves) == SOLVER_DIGESTS[shape]
 
 
 @pytest.mark.parametrize("offset", [0, 8, 16, 32, 48])
@@ -391,39 +429,50 @@ def test_solves_do_not_depend_on_the_signal_layout(shape, mode):
         assert a.objective_trace.tobytes() == c.objective_trace.tobytes()
 
 
-@pytest.mark.parametrize("mode", ["aniso", "iso"])
-@pytest.mark.parametrize("solver", ["apgm", "admm"])
-def test_approximate_iteration_calls(solver, mode):
-    # an unreachable stop_tol: both solves run their whole budget, so the
-    # calls the longer one adds are those of one block of B iterations,
-    # B being the ring's slots. An iteration calls grad_g (APGM) or prox_g
-    # (ADMM; what that calls is its own), the bound prox, APGM's momentum
-    # and the kernel that ends the iteration, which calls objective_g, as
-    # the prox calls _project_ball when iso. Once per block the kernel
-    # that writes slot B - 1 calls flush, which sets numpy's buffer size
-    # and sets it back around the difference calls (_run) and the
-    # elementwise TV terms (_tv_terms), then sums them itself.
-    y = np.random.default_rng(73).standard_normal((16, 16))
-    problem = _make_problem(ExperimentConfig(), y)
+def check_iteration_calls(problem, y, solver, mode):
+    """Checks the Python-level calls that one block of B more iterations
+    adds to an approximate solve of problem from y (stop_tol is
+    unreachable, so both solves run their whole budget), leaving out what
+    the problem's callbacks call themselves. An iteration calls the bound
+    prox, APGM's momentum and the kernel that ends the iteration, as the
+    prox calls _project_ball when iso; a problem given as callbacks adds
+    grad_g (APGM) or prox_g (ADMM) and, from that kernel, objective_g.
+    Once per block the kernel that writes slot B - 1 calls flush, which
+    sets numpy's buffer size and sets it back around the difference calls
+    (_run) and the elementwise TV terms (_tv_terms), then sums them itself."""
     solve = apgm if solver == "apgm" else admm
 
     def config(max_iter):
         return SolverConfig(gamma=0.5, lam=0.3, mode=mode, stop_tol=1e-300, max_iter=max_iter)
 
     slots = ring_slots(problem, config(1), y)
-
-    def calls(max_iter):
-        return python_calls(solve, problem, config(max_iter), y)
-
-    per_iteration = {("<lambda>", "<lambda>"): 1, ("prox", "prox"): 1, ("end", "end"): 1, ("end", "<lambda>"): 1}
+    extra = python_calls(solve, problem, config(3 * slots), y) - python_calls(solve, problem, config(2 * slots), y)
+    per_iteration = {("prox", "prox"): 1, ("end", "end"): 1}
+    if problem.data is None:
+        per_iteration.update({("<lambda>", "<lambda>"): 1, ("end", "<lambda>"): 1})
     if solver == "apgm":
         per_iteration["fista_momentum", "fista_momentum"] = 1
     if mode == "iso":
         per_iteration["prox", "_project_ball"] = 1
-    extra = calls(3 * slots) - calls(2 * slots)
     assert {key: n for key, n in extra.items() if key[0] != "<lambda>" or key[1] == "<lambda>"} == {
         **{key: slots * n for key, n in per_iteration.items()}, ("end", "flush"): 1, ("end", "setbufsize"): 2, ("end", "_run"): 1,
         ("end", "_tv_terms"): 1}
+
+
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+@pytest.mark.parametrize("solver", ["apgm", "admm"])
+def test_approximate_iteration_calls(solver, mode):
+    # the sweep's denoise problem is given as data: the solver runs its
+    # data term on its own buffers and makes no callback
+    y = np.random.default_rng(73).standard_normal((16, 16))
+    check_iteration_calls(_make_problem(ExperimentConfig(), y), y, solver, mode)
+
+
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+@pytest.mark.parametrize("solver", ["apgm", "admm"])
+def test_approximate_iteration_calls_of_callbacks(solver, mode):
+    y = np.random.default_rng(73).standard_normal((16, 16))
+    check_iteration_calls(denoise_problem(y), y, solver, mode)
 
 
 def ring_slots(problem, cfg, x0):
@@ -456,6 +505,41 @@ def test_ring_keeps_every_objective_at_every_length(shape, mode):
         longest = reports[-1].objective_trace
         for report in reports:
             assert report.objective_trace.tobytes() == longest[:report.iterations].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(37,), (12, 20), (6, 7, 8), (128, 128)])
+def test_data_and_callback_forms_give_the_same_bits(shape):
+    # the data form sums its data terms at the ring's flush: runs of every
+    # length from 1 to 2B + 1, of both solvers in both modes, with and
+    # without TV, end with the callback form's iterate and trace
+    y = np.random.default_rng(78).standard_normal(shape) + 1.0
+    forms = (denoise_problem(y), Problem(data=y))
+    slots = ring_slots(forms[0], SolverConfig(), y)
+    for solve, mode, lam in itertools.product((apgm, admm), ("aniso", "iso"), (0.0, 0.3)):
+        for max_iter in range(1, 2 * slots + 2):
+            cfg = SolverConfig(gamma=0.4, lam=lam, mode=mode, stop_tol=1e-300, max_iter=max_iter)
+            a, b = (solve(problem, cfg, np.zeros(shape)) for problem in forms)
+            assert (a.iterations, a.stop_reason) == (b.iterations, b.stop_reason) == (max_iter, "max-iter")
+            assert a.final_x.tobytes() == b.final_x.tobytes()
+            assert a.objective_trace.tobytes() == b.objective_trace.tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+def test_data_form_divergence_keeps_its_iteration(mode, lam):
+    # gamma = 20 overflows the objective inside a block of iterates: the data
+    # form finds it at the block's flush, and names the callback form's iteration
+    y = np.random.default_rng(68).standard_normal((8, 8))
+    cfg = SolverConfig(gamma=20.0, lam=lam, mode=mode, max_iter=2000)
+    errors = []
+    for problem in (denoise_problem(y), Problem(data=y)):
+        with pytest.warns(RuntimeWarning, match="exceeds 1/L"), pytest.raises(SolverDivergence) as caught:
+            apgm(problem, cfg, np.zeros_like(y))
+        errors.append(str(caught.value))
+    iteration = int(errors[0].rpartition(" ")[2])
+    assert errors[1] == errors[0] == f"apgm: objective became inf at iteration {iteration}"
+    slots = ring_slots(problem, cfg, y)
+    assert iteration % slots != slots - 1  # not the last of a block
 
 
 @pytest.mark.parametrize("max_iter", [10, 100])
