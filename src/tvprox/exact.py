@@ -204,9 +204,14 @@ def duality_gap(z, x, p, tau, mode="aniso", boundary="circular"):
     tau*(TV(x) - <Dx, p>), it can read slightly below zero at convergence
     from rounding (down to about -2e-16 * (1 + P(x)) on FPG outputs).
     """
-    z, x, p = validate_signal(z), validate_signal(x, "x"), np.asarray(p, dtype=np.float64)
+    z, x, p = validate_signal(z), validate_signal(x, "x"), np.asarray(p)
+    if np.iscomplexobj(p):
+        raise ValueError("p: complex values are not admitted")
+    p = np.asarray(p, dtype=np.float64)
     if x.shape != z.shape or p.shape != (z.ndim,) + z.shape:
         raise ValueError(f"shape mismatch: z {z.shape}, x {x.shape}, p {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError("p: non-finite values are not admitted")
     check_positive("tau", tau)
     check_mode(mode)
     check_choice("boundary", boundary, BOUNDARIES)

@@ -146,9 +146,8 @@ def psnr(reference, x):
 
 
 def cost_accuracy(f_hat, f_star):
-    """Relative objective gap (f_hat - f_star) / f_star."""
-    if f_star <= 0.0:
-        raise ValueError(f"baseline objective must be > 0, got {f_star}")
+    """Relative objective gap (f_hat - f_star) / f_star of a finite baseline f_star > 0."""
+    check_positive("baseline objective", f_star)
     return (f_hat - f_star) / f_star
 
 

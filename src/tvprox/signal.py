@@ -114,14 +114,17 @@ def save_csv(path, x):
 
 
 def load_csv(path):
-    """Read a signal written by ``save_csv``."""
+    """Read a signal written by ``save_csv``; every ValueError names the file."""
     with open(path) as f:
         header = f.readline().strip()
         if not header.startswith("shape="):
             raise ValueError(f"{path}: missing 'shape=' header")
-        shape = tuple(int(e) for e in header[len("shape="):].split("x"))
-        values = np.array([float(line) for line in f if line.strip()], dtype=np.float64)
+        try:
+            shape = tuple(int(e) for e in header[len("shape="):].split("x"))
+            values = np.array([float(line) for line in f if line.strip()], dtype=np.float64)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
     n = int(np.prod(shape))
     if values.size != n:
         raise ValueError(f"{path}: expected {n} values for shape {shape}, got {values.size}")
-    return validate_signal(values.reshape(shape))
+    return validate_signal(values.reshape(shape), str(path))

@@ -5,16 +5,16 @@ or the iterative FPG oracle, applied at scale tau = gamma * lambda. They
 stop when the relative iterate change drops below stop_tol.
 
 Each solve validates x0 at entry and binds its working set once (see
-_working_set): an approximate iteration makes the ufunc calls that
-approx_prox, tv and objective would make on fresh arrays, in the same
-order, on buffers bound once. Its Python-level calls are the bound prox,
-APGM's fista_momentum, a kernel that ends the iteration with the stop
-test and the callbacks of a Problem not given as data: three per aniso
-APGM iteration of the data form (iso: one helper more in the prox). The
-objective's TV pass and the data form's data terms run once per block of
-iterates, kept in a ring. The exact prox calls fpg_prox once per
-iteration. Iterates are not validated again: a non-finite one makes the
-objective non-finite, raising SolverDivergence.
+_working_set): an approximate iteration makes approx_prox's ufunc calls,
+in the same order, on buffers bound once. Its Python-level calls are the
+bound prox, APGM's fista_momentum, a kernel that ends the iteration with
+the stop test and the callbacks of a Problem not given as data: three per
+aniso APGM iteration of the data form (iso: one helper more in the prox).
+The objective's one kernel, _objectives, scores a block of iterates, kept
+in a ring, at once; objective() runs it on a ring of one signal. The
+exact prox calls fpg_prox once per iteration. Iterates are not validated
+again: a non-finite one makes the objective non-finite, raising
+SolverDivergence.
 """
 
 import math
@@ -28,10 +28,9 @@ import numpy as np
 
 from .exact import OracleConfig, fpg_prox
 from .frame import _grad_steps, _run
-from .operators import prox_g_denoise
 from .shrinkage import ProxParams, _bind_approx_prox
 from .signal import _aligned, check_choice, check_count, check_nonnegative, check_positive, l2_norm, validate_signal
-from .tv import _tv_terms, check_mode, tv
+from .tv import _tv_terms, check_mode
 
 
 class SolverDivergence(RuntimeError):
@@ -42,10 +41,10 @@ class SolverDivergence(RuntimeError):
 class Problem:
     """Smooth/data part of the composite objective g(x) + lambda*tv(x), given
     as callbacks or as data: the y of the denoising term g(x) = 0.5||x - y||^2,
-    from which the callbacks and L = 1 are derived. The solvers run the data
-    form's g on their own buffers and sum its terms once per block of B
-    iterates: a non-finite one is found up to B - 1 iterations late, and
-    SolverDivergence still names its iteration."""
+    kept with L (default 1) only. The solvers run the data form's g on their
+    own buffers and sum its terms once per block of B iterates: a non-finite
+    one is found up to B - 1 iterations late, and SolverDivergence still
+    names its iteration."""
 
     grad_g: callable = None
     objective_g: callable = None
@@ -57,15 +56,19 @@ class Problem:
         if self.data is not None:
             if any(f is not None for f in (self.grad_g, self.objective_g, self.prox_g)):
                 raise ValueError("Problem takes data or callbacks, not both")
-            y = self.data = np.ascontiguousarray(validate_signal(self.data, "data"))
-            self.grad_g = lambda x: x - y
-            self.objective_g = lambda x: 0.5 * float(np.add.reduce((y - x) ** 2, axis=None))
-            self.prox_g = lambda v, gamma: prox_g_denoise(v, gamma, y)
+            self.data = np.ascontiguousarray(validate_signal(self.data, "data"))
             self.lipschitz_L = 1.0 if self.lipschitz_L is None else self.lipschitz_L
         elif self.grad_g is None or self.objective_g is None:
             raise ValueError("Problem needs data, or grad_g and objective_g")
         if self.lipschitz_L is not None:
             check_positive("lipschitz_L", self.lipschitz_L)
+
+
+def _check_shape(problem, x, name):
+    """ValueError unless x has the shape of the problem's data, if it has data: y would broadcast against x."""
+    y = problem.data
+    if y is not None and x.shape != y.shape:
+        raise ValueError(f"{name} has shape {x.shape} but the data has shape {y.shape}")
 
 
 PROX_CHOICES = ("approx", "exact")
@@ -122,16 +125,40 @@ def fista_momentum(q_prev):
 
 
 def objective(problem, cfg, x):
-    """Composite objective g(x) + lambda * tv(x, mode).
-
-    A diverging iterate may overflow here; numpy's warning is silenced
-    because the caller's finiteness check raises SolverDivergence instead.
-    """
+    """Composite objective g(x) + lambda * tv(x, mode) of a signal x of the data's
+    shape: _objectives of the ring x[None] in fresh buffers, with the bits of the
+    solvers' trace entries. An overflow gives inf without numpy's warning."""
+    x, y = validate_signal(x), problem.data
+    _check_shape(problem, x, "objective: x")
+    ring, difs = x[None], np.empty((1, x.ndim) + x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        val = problem.objective_g(x)
-        if cfg.lam > 0:
-            val += cfg.lam * tv(x, cfg.mode)
-    return float(val)
+        data_terms = np.empty(1) if y is not None else np.array([problem.objective_g(x)])
+        return _objectives(ring, difs, _grad_steps(ring, difs, "circular", batch=1), cfg, y, data_terms)[0]
+
+
+def _objectives(ring, difs, tv_steps, cfg, y, data_terms):
+    """The list of g(x) + lambda * tv(x, mode) of each slot x of a (B, *shape) ring,
+    each with the bits of that slot alone: the one kernel of the composite objective.
+    tv_steps = _grad_steps(ring, difs, "circular", batch=1) write into the
+    (B, d, *shape) stack difs, which the kernel overwrites. data_terms holds each
+    slot's g, or receives it when the data y (g = 0.5||x - y||^2) is given."""
+    lam = cfg.lam
+    if lam > 0:
+        # at its smallest ufunc buffer numpy runs these strided rows in place (2.4x faster at 32^2);
+        # the sum stays at the caller's buffer size: a strided reduction's bits can follow the buffer's
+        bufsize = np.setbufsize(16)
+        try:
+            _run(tv_steps)
+            terms = _tv_terms(difs, cfg.mode, batch=1)
+        finally:
+            np.setbufsize(bufsize)
+        tvs = np.add.reduce(terms, axis=tuple(range(1, terms.ndim)))
+    if y is not None:
+        # y - x of every slot in the stack's block-0 slabs, dead once the TV is summed
+        squares = difs[:, 0]
+        np.square(np.subtract(y, ring, squares), squares)
+        np.multiply(np.add.reduce(squares, axis=tuple(range(1, ring.ndim)), out=data_terms), 0.5, data_terms)
+    return (np.add(np.multiply(tvs, lam, tvs), data_terms, tvs) if lam > 0 else data_terms).tolist()
 
 
 def _bind_tv_prox(cfg, z, xs, dif, tmp, fpg_solves):
@@ -171,51 +198,32 @@ def _working_set(problem, cfg, x0, algorithm):
     ndarray.dot of flat views bound once (_stopped decides when a squared
     norm is not a normal number, where l2_norm may rescale). flush(k), run
     when slot B - 1 is written, when a held data term is not finite and by
-    finish, takes the TV pass of every slot in one set of calls on the
-    (B, d, *shape) difference stack; the data form then writes y - x of
-    every slot into the stack's dead block-0 slabs, squares them and sums
-    each slot's in one call. flush appends each waiting iteration's
+    finish, scores every slot with one _objectives call on the ring and the
+    (B, d, *shape) difference stack, and appends each waiting iteration's
     objective up to k to the trace in order, raising SolverDivergence at
     the first one not finite. The approximate prox uses up the stack's
-    slot-0 block (its first block is the synthesis scratch) before a TV
-    pass overwrites it. finish(k, stop_reason), called after the loop,
+    slot-0 block (its first block is the synthesis scratch) before the
+    kernel overwrites it. finish(k, stop_reason), called after the loop,
     returns the RunReport: a copy of slot k % B, the trace, the wall time
     and, when the prox is exact, the FPG solves' counters.
     """
     t0 = time.perf_counter()
-    y = problem.data
-    if y is not None and x0.shape != y.shape:
-        raise ValueError(f"{algorithm}: x0 has shape {x0.shape} but the data has shape {y.shape}")
+    _check_shape(problem, x0, f"{algorithm}: x0")
     slots = max(2, min(RING_SLOTS, RING_BYTES // ((1 + x0.ndim) * x0.nbytes)))
     z, dx = _aligned(x0.shape), _aligned(x0.shape)
     ring = _aligned((slots,) + x0.shape, zero=True)
     ring[0], xs = x0, list(ring)
     difs = _aligned((slots, x0.ndim) + x0.shape)
     tv_steps = _grad_steps(ring, difs, "circular", batch=1)
-    objective_g = None if y is not None else problem.objective_g
-    lam, mode, stop_tol = cfg.lam, cfg.mode, cfg.stop_tol
+    y, objective_g, stop_tol = problem.data, problem.objective_g, cfg.stop_tol
     normal, dxf = sys.float_info.min, dx.reshape(-1)
-    data_terms, squares, per_slot = np.zeros(slots), difs[:, 0], tuple(range(1, 1 + x0.ndim))
-    trace, fpg_solves = [], []
+    data_terms, trace, fpg_solves = np.zeros(slots), [], []
 
     def flush(k):
         first = len(trace) + 1  # iterations first..k wait for their objectives
         if first > k:
             return
-        if lam > 0:
-            # at its smallest ufunc buffer numpy runs these strided rows in place (2.4x faster at 32^2);
-            # the sum stays at the caller's buffer size: a strided reduction's bits can follow the buffer's
-            bufsize = np.setbufsize(16)
-            try:
-                _run(tv_steps)
-                terms = _tv_terms(difs, mode, batch=1)
-            finally:
-                np.setbufsize(bufsize)
-            tvs = np.add.reduce(terms, axis=tuple(range(1, terms.ndim)))
-        if y is not None:
-            np.square(np.subtract(y, ring, squares), squares)
-            np.multiply(np.add.reduce(squares, axis=per_slot, out=data_terms), 0.5, data_terms)
-        objectives = (np.add(np.multiply(tvs, lam, tvs), data_terms, tvs) if lam > 0 else data_terms).tolist()
+        objectives = _objectives(ring, difs, tv_steps, cfg, y, data_terms)
         for j in range(first, k + 1):
             f = objectives[j % slots]
             if not math.isfinite(f):
@@ -315,8 +323,8 @@ def admm(problem, cfg, x0):
     (gamma*y in dx, which the prox and the stop test overwrite).
     """
     x0 = validate_signal(x0)
-    if problem.prox_g is None:
-        raise ValueError("admm requires problem.prox_g")
+    if problem.prox_g is None and problem.data is None:
+        raise ValueError("admm requires problem.prox_g or data")
     v, xs, dx, prox, ends, finish = _working_set(problem, cfg, x0, "admm")  # v: z + s, the TV prox input
     slots, s = len(xs), _aligned(x0.shape, zero=True)
     w = _aligned(x0.shape)  # x - s, the prox_g input

@@ -42,12 +42,9 @@ def _tv_terms(g, mode, batch=0):
     return np.sqrt(terms, out=terms)
 
 
-def _tv_of_differences(g, mode, batch=0):
-    """TV from differences g of shape (*lead, d, *signal_shape), `batch` lead axes; overwrites g. A
-    float when batch = 0, else one TV per signal, each summed as on that signal alone."""
-    terms = _tv_terms(g, mode, batch)
-    total = np.add.reduce(terms, axis=tuple(range(batch, terms.ndim)))
-    return float(total) if batch == 0 else total
+def _tv_of_differences(g, mode):
+    """TV, as a float, from differences g of shape (d, *signal_shape); overwrites g."""
+    return float(np.add.reduce(_tv_terms(g, mode), axis=None))
 
 
 def h_hat(u, mode):

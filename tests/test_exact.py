@@ -316,6 +316,14 @@ def test_duality_gap_validates_inputs():
         duality_gap(z, z, p, 0.5, boundary="mirror")
     with pytest.raises(ValueError, match="non-finite"):
         duality_gap(z, np.full((4, 5), np.nan), p, 0.5)
+    # a complex dual is not cast to its real part, and a NaN or inf one gives no gap
+    with pytest.raises(ValueError, match="p: complex"):
+        duality_gap(z, z, p + 1j, 0.5)
+    for bad in (np.nan, np.inf):
+        q = p.copy()
+        q[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="p: non-finite"):
+            duality_gap(z, z, q, 0.5)
 
 
 def fpg_solves(shape, place=np.asarray):

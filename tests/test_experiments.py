@@ -113,8 +113,9 @@ def test_psnr():
 def test_cost_accuracy():
     assert cost_accuracy(2.0, 2.0) == 0.0
     assert cost_accuracy(2.2, 2.0) == pytest.approx(0.1, rel=1e-12)
-    with pytest.raises(ValueError):
-        cost_accuracy(1.0, 0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="baseline objective must be finite and > 0"):
+            cost_accuracy(1.0, bad)
     # Table-scale magnitudes are representable
     assert cost_accuracy(1.0 + 1.157e-3, 1.0) == pytest.approx(1.157e-3, rel=1e-9)
 

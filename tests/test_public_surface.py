@@ -23,6 +23,7 @@ KEEP = (
     ("h_hat_subgradient", "the paper's eps-subgradient bound"),
     ("tautstring_prox_1d", "exact 1D reference that cross-validates FPG"),
     ("identity_operator", "the A = I operator of denoising checks"),
+    ("prox_g_denoise", "closed-form data prox; reference of the solvers' in-place data step"),
     ("load_csv", "the reader of the recon_*.csv artifacts"),
 )
 

@@ -3,6 +3,7 @@ and CSV I/O."""
 
 import math
 import numbers
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -103,6 +104,16 @@ def test_csv_round_trip(tmp_path):
         back = load_csv(path)
         assert back.shape == x.shape
         assert back.tobytes() == x.tobytes()
+
+
+def test_csv_parse_errors_name_the_file(tmp_path):
+    # a bad shape, a bad value and a bad signal each fail naming the path
+    path = tmp_path / "bad.csv"
+    for text in ("shape=4x\n", "shape=2x2\n1.0\n2.0\nabc\n4.0\n", "shape=2x2\n1\n2\nnan\n4\n",
+                 "shape=1x2\n1\n2\n", "shape=2x2\n1\n2\n3\n", "2x2\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_csv(path)
 
 
 def csv_per_value(x):

@@ -1,6 +1,7 @@
 """APGM / ADMM drivers: momentum schedule, objective bookkeeping, stopping
 protocol, and long-run oracles on tiny problems."""
 
+import dataclasses
 import hashlib
 import itertools
 import warnings
@@ -214,6 +215,27 @@ def test_problem_rejects_bad_input():
     with pytest.raises(ValueError, match="non-finite"):
         Problem(data=np.full((4, 4), np.nan))
     assert Problem(data=y).lipschitz_L == 1.0
+
+
+def test_data_form_survives_replace():
+    # the data form stores y and L only, so dataclasses.replace rebuilds it
+    y = np.random.default_rng(79).standard_normal((6, 6))
+    problem = dataclasses.replace(Problem(data=y), lipschitz_L=2.0)
+    assert problem.lipschitz_L == 2.0 and np.array_equal(problem.data, y)
+    assert (problem.grad_g, problem.objective_g, problem.prox_g) == (None, None, None)
+
+
+def test_objective_checks_its_signal():
+    # x is validated whatever lambda, and must have the data's shape (y would broadcast)
+    problem = Problem(data=np.ones((4, 4)))
+    with pytest.raises(ValueError, match=r"objective: x has shape \(4,\) but the data has shape \(4, 4\)"):
+        objective(problem, SolverConfig(lam=0.5), np.zeros(4))
+    for lam in (0.0, 0.5):
+        with pytest.raises(ValueError, match="non-finite"):
+            objective(problem, SolverConfig(lam=lam), np.full((4, 4), np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            objective(denoise_problem(np.ones((4, 4))), SolverConfig(lam=lam), np.full((4, 4), np.inf))
+    assert objective(problem, SolverConfig(lam=0.5), np.zeros((4, 4))) == 8.0
 
 
 def test_data_form_rejects_x0_of_another_shape():
@@ -438,8 +460,9 @@ def check_iteration_calls(problem, y, solver, mode):
     prox calls _project_ball when iso; a problem given as callbacks adds
     grad_g (APGM) or prox_g (ADMM) and, from that kernel, objective_g.
     Once per block the kernel that writes slot B - 1 calls flush, which
-    sets numpy's buffer size and sets it back around the difference calls
-    (_run) and the elementwise TV terms (_tv_terms), then sums them itself."""
+    calls the objective kernel _objectives once; it sets numpy's buffer
+    size and sets it back around the difference calls (_run) and the
+    elementwise TV terms (_tv_terms), then sums them itself."""
     solve = apgm if solver == "apgm" else admm
 
     def config(max_iter):
@@ -455,8 +478,8 @@ def check_iteration_calls(problem, y, solver, mode):
     if mode == "iso":
         per_iteration["prox", "_project_ball"] = 1
     assert {key: n for key, n in extra.items() if key[0] != "<lambda>" or key[1] == "<lambda>"} == {
-        **{key: slots * n for key, n in per_iteration.items()}, ("end", "flush"): 1, ("end", "setbufsize"): 2, ("end", "_run"): 1,
-        ("end", "_tv_terms"): 1}
+        **{key: slots * n for key, n in per_iteration.items()}, ("end", "flush"): 1, ("end", "_objectives"): 1,
+        ("end", "setbufsize"): 2, ("end", "_run"): 1, ("end", "_tv_terms"): 1}
 
 
 @pytest.mark.parametrize("mode", ["aniso", "iso"])

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from tvprox.frame import CoeffStack, _grad, w_forward
+from tvprox.frame import CoeffStack, _grad_steps, w_forward
 from tvprox.signal import l2_norm
-from tvprox.tv import MODES, _tv_of_differences, check_mode, h_hat, h_hat_subgradient, tv
+from tvprox.solvers import SolverConfig, _objectives
+from tvprox.tv import MODES, check_mode, h_hat, h_hat_subgradient, tv
 
 SHAPES = {1: (10,), 2: (6, 6), 3: (4, 4, 4)}
 
@@ -108,9 +109,20 @@ def test_subgradient_lemma1_bound():
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_tv_of_a_stack_of_differences_is_each_signals_tv(d, mode):
-    # a (B, d, *shape) stack gives one TV per signal, each the float of tv, bit for bit
+    # the objective kernel scores a (B, *shape) ring through one (B, d, *shape)
+    # difference stack: each slot's TV is the float of tv and its data term
+    # the sum over that signal alone, bit for bit
     rng = np.random.default_rng(77)
-    signals = rng.standard_normal((4,) + SHAPES[d]) * 10.0 ** rng.integers(-3, 4, (4,) + SHAPES[d])
-    tvs = _tv_of_differences(np.stack([_grad(x) for x in signals]), mode, batch=1)
-    assert tvs.shape == (4,)
-    assert tvs.tolist() == [tv(x, mode) for x in signals]
+    ring = rng.standard_normal((4,) + SHAPES[d]) * 10.0 ** rng.integers(-3, 4, (4,) + SHAPES[d])
+    y = rng.standard_normal(SHAPES[d])
+    difs = np.empty((4, d) + SHAPES[d])
+    steps = _grad_steps(ring, difs, "circular", batch=1)
+
+    def objectives(lam, data):
+        return _objectives(ring, difs, steps, SolverConfig(lam=lam, mode=mode), data, np.zeros(4))
+
+    tvs = [tv(x, mode) for x in ring]
+    data_terms = [0.5 * float(np.add.reduce((y - x) ** 2, axis=None)) for x in ring]
+    assert objectives(1.0, None) == tvs
+    assert objectives(0.0, y) == data_terms
+    assert objectives(0.3, y) == [0.3 * t + g for t, g in zip(tvs, data_terms)]
