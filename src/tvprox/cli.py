@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from .exact import OracleConfig, duality_gap, fpg_prox
-from .experiments import SOLVERS, TASKS, ExperimentConfig, run_sweep
+from .experiments import SOLVERS, TASKS, ExperimentConfig, run_sweep, sweep_data
 from .shrinkage import ProxParams, approx_prox
 from .signal import check_choice, check_count, l2_norm
 from .solvers import PROX_CHOICES
@@ -106,13 +106,15 @@ def _config_error(err):
 
 
 def _run_task(task, args):
+    """A sweep; bad settings, output directory or data (sweep_data) exit 2."""
     try:
         cfg = _build_config(task, _merged_options(args))
+        inputs = sweep_data(cfg)
         if cfg.output_dir:
             os.makedirs(cfg.output_dir, exist_ok=True)
     except (ValueError, OSError) as err:
         return _config_error(err)
-    result = run_sweep(cfg)
+    result = run_sweep(cfg, inputs)
     for row in result.rows:
         status = "FAILED" if row.failed else "ok"
         print(f"lambda={row.lam:g} gamma={row.gamma:g} cost_acc={row.cost_acc:.6e} "

@@ -18,7 +18,7 @@ import numpy as np
 
 from .frame import BOUNDARIES, _adjoint_steps, _grad, _grad_adjoint, _grad_steps, _run
 from .shrinkage import _clip, _project_ball
-from .signal import _aligned, check_choice, check_count, check_positive, validate_signal
+from .signal import _aligned, check_array, check_choice, check_count, check_positive, validate_signal
 from .tv import _tv_of_differences, check_mode
 
 
@@ -204,14 +204,8 @@ def duality_gap(z, x, p, tau, mode="aniso", boundary="circular"):
     tau*(TV(x) - <Dx, p>), it can read slightly below zero at convergence
     from rounding (down to about -2e-16 * (1 + P(x)) on FPG outputs).
     """
-    z, x, p = validate_signal(z), validate_signal(x, "x"), np.asarray(p)
-    if np.iscomplexobj(p):
-        raise ValueError("p: complex values are not admitted")
-    p = np.asarray(p, dtype=np.float64)
-    if x.shape != z.shape or p.shape != (z.ndim,) + z.shape:
-        raise ValueError(f"shape mismatch: z {z.shape}, x {x.shape}, p {p.shape}")
-    if not np.isfinite(p).all():
-        raise ValueError("p: non-finite values are not admitted")
+    z = validate_signal(z)
+    x, p = check_array("x", x, z.shape), check_array("p", p, (z.ndim,) + z.shape)
     check_positive("tau", tau)
     check_mode(mode)
     check_choice("boundary", boundary, BOUNDARIES)

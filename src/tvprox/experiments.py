@@ -22,7 +22,7 @@ from .operators import (
     prox_g_ct,
     radon_operator,
 )
-from .signal import SLAB, check_choice, check_count, check_nonnegative, check_positive, save_csv
+from .signal import SLAB, check_array, check_choice, check_count, check_nonnegative, check_positive, save_csv
 from .solvers import Problem, RunReport, SolverConfig, SolverDivergence, admm, apgm, objective
 from .tv import check_mode
 
@@ -135,10 +135,8 @@ def gen_foam_phantom(size, seed, n_disks=30):
 
 def psnr(reference, x):
     """Peak signal-to-noise ratio in dB for a unit peak; +inf when the inputs are identical."""
-    reference = np.asarray(reference, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if reference.shape != x.shape:
-        raise ValueError(f"shape mismatch: {reference.shape} vs {x.shape}")
+    reference = check_array("reference", reference)
+    x = check_array("x", x, reference.shape)
     mse = float(((x - reference) ** 2).mean())
     if mse == 0.0:
         return np.inf
@@ -156,13 +154,11 @@ def write_pgm(path, img):
     the image is constant): the header lines ``P2``, ``width height`` and
     ``255``, then one line per image row of space-separated ``%d`` values.
     The rows go in slabs of whole rows, at most SLAB values (but at least one
-    row) each, one ``%`` format and one write per slab; ValueError if not finite."""
-    img = np.asarray(img, dtype=np.float64)
+    row) each, one ``%`` format and one write per slab; ValueError unless a finite real image."""
+    img = check_array("write_pgm", img)
     if img.ndim != 2:
         raise ValueError(f"write_pgm: the image must be 2-D, got shape {img.shape}")
     lo, hi = img.min(), img.max()
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"write_pgm: non-finite values are not admitted, got values in [{lo}, {hi}]")
     pixels = np.subtract(img, lo) if hi != lo else np.zeros_like(img)  # scaled and rounded in place
     pixels /= hi - lo if hi != lo else 1.0
     np.rint(np.multiply(pixels, 255, out=pixels), out=pixels)
@@ -234,6 +230,13 @@ def _phantom_data(cfg, index, op):
     return gt, add_awgn(clean, cfg.noise_sigma, seed=cfg.seed * 1000 + 500 + index)
 
 
+def sweep_data(cfg):
+    """A sweep's Radon operator (None for denoise) and each phantom's (ground
+    truth, measurements); ValueError, before any solve, if the noise overflows."""
+    op = _ct_operator(cfg)
+    return op, [_phantom_data(cfg, i, op) for i in range(cfg.n_phantoms)]
+
+
 def _gamma_value(cfg, gamma, lipschitz_L):
     """Grid entries are absolute except for CT+APGM, where they are fractions
     of 1/L (Table-style '1/(kL)' rows expressed as 1/k)."""
@@ -244,8 +247,9 @@ def _gamma_value(cfg, gamma, lipschitz_L):
 
 def _gap(f_hat, f_star):
     """cost_accuracy, or the absolute gap where lambda = 0 makes the
-    baseline objective 0, so the row remains well defined."""
-    return cost_accuracy(f_hat, f_star) if f_star > 0 else f_hat - f_star
+    baseline objective 0, so the row remains well defined; any other f_star
+    goes to cost_accuracy, which rejects one that is not finite and > 0."""
+    return f_hat - f_star if f_star == 0 else cost_accuracy(f_hat, f_star)
 
 
 def _run_cell(cfg, lam, gamma, i, data, problem, refs):
@@ -303,17 +307,17 @@ def _row(cfg, records, k):
     )
 
 
-def run_sweep(cfg):
+def run_sweep(cfg, inputs=None):
     """Run the full (lambda, gamma, phantom) sweep and return averaged rows.
 
-    Writes table.csv (and table_fpg50.csv with fpg50_baseline), per-run
-    traces, and PGM/CSV reconstructions when cfg.output_dir is set. Solver
-    aborts mark the affected row failed and the sweep continues.
+    inputs is sweep_data(cfg), made here if not given. Writes table.csv (and
+    table_fpg50.csv with fpg50_baseline), per-run traces, and PGM/CSV
+    reconstructions when cfg.output_dir is set. Solver aborts mark the
+    affected row failed and the sweep continues.
     """
+    op, data = inputs or sweep_data(cfg)
     if cfg.output_dir:
         os.makedirs(cfg.output_dir, exist_ok=True)
-    op = _ct_operator(cfg)
-    data = [_phantom_data(cfg, i, op) for i in range(cfg.n_phantoms)]
     problems = [_make_problem(cfg, y, op) for _, y in data]
     budgets = (None, 50) if cfg.fpg50_baseline else (None,)
     tables = [[] for _ in budgets]  # table.csv rows, then table_fpg50.csv rows

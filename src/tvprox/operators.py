@@ -15,8 +15,8 @@ another phantom's, recomputes it).
 
 The public ``radon_forward`` validates its image and ``radon_adjoint`` checks
 the sinogram's shape, and both check a given ``out``; the ``radon_operator``
-closures check shapes only, and ``prox_g_ct`` checks ``v``'s shape and its inputs
-for finiteness once at entry instead of on every matvec (``y`` once per new sinogram).
+closures check shapes only, and ``prox_g_ct`` checks ``v`` and ``y`` with
+``check_array`` once at entry instead of on every matvec (``y`` once per new sinogram).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .signal import check_count, check_nonnegative, check_positive, l2_norm, validate_signal
+from .signal import check_array, check_count, check_nonnegative, check_positive, l2_norm, validate_signal
 
 CG_TOL = 1e-10  # relative residual at which prox_g_ct stops its CG
 
@@ -205,16 +205,18 @@ def lipschitz_power_iter(op, iters, tol, seed=0):
 
 
 def add_awgn(x, sigma, seed):
-    """Add i.i.d. Gaussian noise of standard deviation sigma, seeded."""
-    x = np.asarray(x, dtype=np.float64)
+    """Add i.i.d. Gaussian noise of standard deviation sigma, seeded;
+    ValueError if x is not a finite real array or the sum overflows."""
+    x = check_array("x", x)
     check_nonnegative("sigma", sigma)
     if sigma == 0.0:
         return x.copy()
     # Built in the noise buffer: n * sigma + x is x + sigma * n bit for bit.
     noisy = np.random.default_rng(seed).standard_normal(x.shape)
-    noisy *= sigma
-    noisy += x
-    return noisy
+    with np.errstate(over="ignore"):  # an overflow is raised below, naming sigma
+        noisy *= sigma
+        noisy += x
+    return check_array(f"x + noise of sigma {sigma!r}", noisy)
 
 
 def prox_g_denoise(v, gamma, y):
@@ -229,37 +231,31 @@ def prox_g_denoise(v, gamma, y):
 
 def _adjoint_of_data(op, y):
     """op.adjoint(y), memoised on op for the last y: reused only while y has the
-    same shape and bytes (so -0.0 is not 0.0). A miss checks y for
-    finiteness; a hit skips it, as y equals an array that passed the check."""
-    y = np.asarray(y, dtype=np.float64)
-    memo = op._data_adjoint
-    if memo is not None and memo[0] == (y.shape, y.tobytes()):
-        return memo[1]
-    if not np.isfinite(y).all():
-        raise ValueError("prox_g_ct: y holds non-finite values")
-    op._data_adjoint = (y.shape, y.tobytes()), op.adjoint(y).copy()
+    same dtype, shape and bytes (so -0.0 is not 0.0). A miss checks y with
+    check_array before any cast; a hit skips it, as y equals an array that passed."""
+    y = np.asarray(y)
+    key = (y.dtype, y.shape, y.tobytes())
+    if op._data_adjoint is None or op._data_adjoint[0] != key:
+        op._data_adjoint = key, op.adjoint(check_array("y", y, op.out_shape)).copy()
     return op._data_adjoint[1]
 
 
 def prox_g_ct(v, gamma, y, op, cg_max=200, return_info=False):
     """Prox of gamma * (1/2)||Ax - y||^2: solve (I + gamma A^T A) x = v + gamma A^T y
     by conjugate gradient warm-started at v, with scipy cg's operations in order
-    (bit-identical): stop before a step once ||r|| < CG_TOL ||b|| or after cg_max
+    (bit-identical; r = b - matvec(v) has b's bits at v = +-0, where scipy copies b):
+    stop before a step once ||r|| < CG_TOL ||b|| or after cg_max
     steps; x = b = 0 if ||b|| = 0. Each step takes one rho = r.r, which serves both
     the stop test (sqrt(rho) is numpy's 1-D norm, bit for bit) and the step. A^T y
     is memoised on op while y keeps its bits (_adjoint_of_data), so an ADMM solve
     makes it once. No CG step allocates: the image buffer holds q, alpha q, alpha p in turn.
     Raises ValueError on a non-finite or nonpositive gamma, a cg_max that is not an
-    integer >= 1, a v not of op.in_shape, and a non-finite v or y; warns unless the CG's
-    recursive ||r|| < CG_TOL ||b|| (a NaN warns too). return_info=True returns (x, {"iterations",
+    integer >= 1, and a v (of op.in_shape) or y (of op.out_shape) that check_array rejects;
+    warns unless the CG's recursive ||r|| < CG_TOL ||b|| (a NaN warns too). return_info=True returns (x, {"iterations",
     "converged": that test, "residual": the true ||(I + gamma A^T A)x - b|| / ||b||, one more Radon pair})."""
-    v = np.asarray(v, dtype=np.float64)
     check_positive("gamma", gamma)
     check_count("cg_max", cg_max)
-    if v.shape != op.in_shape:
-        raise ValueError(f"prox_g_ct: v has shape {v.shape}, the operator takes {op.in_shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("prox_g_ct: v holds non-finite values")
+    v = check_array("v", v, op.in_shape)
     b = (v + gamma * _adjoint_of_data(op, y)).ravel()
     sino, img = np.empty(op.out_shape), np.empty(op.in_shape)
     q = img.reshape(-1)
@@ -273,7 +269,7 @@ def prox_g_ct(v, gamma, y, op, cg_max=200, return_info=False):
     b_norm = math.sqrt(b.dot(b))
     if b_norm:
         x = v.flatten()
-        r = b - matvec(x) if x.any() else b.copy()
+        r = b - matvec(x)
         rho = r.dot(r)
         p = r.copy()
         while not (converged := math.sqrt(rho) < CG_TOL * b_norm) and steps < cg_max:

@@ -1,8 +1,8 @@
 """Dense d-dimensional signal conventions, argument checks, norm and text I/O.
 
-Signals are plain float64 numpy arrays in row-major order, 1 <= ndim <= 3,
-every extent >= 2, all values real and finite. ``validate_signal`` enforces
-the contract at public entry points.
+Arrays follow one contract: a public entry point passes each array argument
+through check_array (real, not cast from complex; float64; of a given shape;
+finite). Signals are such arrays of 1..3 axes, every extent >= 2 (validate_signal).
 
 Settings follow one contract too: every scale, tolerance, count and choice
 is checked by a check_* function here, so each rule is written once.
@@ -18,49 +18,48 @@ MAX_NDIM = 3
 SLAB = 4096  # the most signal values a text writer formats (one % each) and writes at once
 
 
-def validate_signal(x, name="signal"):
-    """Check the signal contract and return the array as float64.
-
-    Raises ValueError on complex input, wrong dimensionality, extents < 2,
-    or non-finite values. Integer and bool input is cast.
-    """
+def check_array(name, x, shape=None):
+    """Check an array argument and return it as float64: ValueError on
+    complex input, on a shape other than shape (when given), or on
+    non-finite values. Integer and bool input is cast."""
     a = np.asarray(x)
     if np.iscomplexobj(a):
         raise ValueError(f"{name}: complex values are not admitted")
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim < 1 or a.ndim > MAX_NDIM:
-        raise ValueError(f"{name}: dimension must be in 1..{MAX_NDIM}, got {a.ndim}")
-    if any(e < 2 for e in a.shape):
-        raise ValueError(f"{name}: every extent must be >= 2, got shape {a.shape}")
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{name}: expected shape {shape}, got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name}: non-finite values are not admitted")
     return a
 
 
-# An exact float or int skips the numbers.Real check (two Python-level ABC
-# calls); every other type, bool and numpy scalars too, still takes it.
-_EXACT_REALS = (float, int)
+def validate_signal(x, name="signal"):
+    """check_array, plus the signal rules: ValueError unless 1 <= ndim <= 3
+    and every extent >= 2."""
+    a = check_array(name, x)
+    if a.ndim < 1 or a.ndim > MAX_NDIM:
+        raise ValueError(f"{name}: dimension must be in 1..{MAX_NDIM}, got {a.ndim}")
+    if any(e < 2 for e in a.shape):
+        raise ValueError(f"{name}: every extent must be >= 2, got shape {a.shape}")
+    return a
 
 
 def check_positive(name, value):
     """A stopping tolerance or a scale: a finite number > 0 (a NaN
     tolerance would never stop; a NaN or inf scale makes the output NaN)."""
-    if not ((type(value) in _EXACT_REALS or isinstance(value, numbers.Real)) and math.isfinite(value)
-            and value > 0):
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def check_nonnegative(name, value):
     """A weight, noise level or threshold: a finite number >= 0."""
-    if not ((type(value) in _EXACT_REALS or isinstance(value, numbers.Real)) and math.isfinite(value)
-            and value >= 0):
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def check_count(name, value, least=1):
     """An iteration budget, size or seed: an integer >= least, not a bool."""
-    if (type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral))
-            or value < least):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 

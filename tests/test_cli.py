@@ -168,6 +168,16 @@ def test_bad_sweep_input_exits_2(argv, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task", ["denoise", "ct"])
+def test_noise_that_overflows_the_data_exits_2(task, tmp_path, capsys):
+    # the sweep's data generation is configuration: no traceback, no output directory
+    out = tmp_path / "o"
+    assert main([task, "--size", "16", "--phantoms", "1", "--sigma", "1e308", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "sigma 1e+308" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, phantoms, angles", [
     (["ct", "--paper-scale"], 10, 45),
     (["ct", "--angles", "30", "--phantoms", "2", "--paper-scale"], 2, 30),

@@ -304,9 +304,9 @@ def test_duality_gap_constant():
 def test_duality_gap_validates_inputs():
     z = np.zeros((4, 5))
     p = np.zeros((2, 4, 5))
-    with pytest.raises(ValueError, match="shape mismatch"):
+    with pytest.raises(ValueError, match="x: expected shape"):
         duality_gap(z, np.zeros((5, 4)), p, 0.5)
-    with pytest.raises(ValueError, match="shape mismatch"):
+    with pytest.raises(ValueError, match="p: expected shape"):
         duality_gap(z, z, np.zeros((1, 4, 5)), 0.5)
     with pytest.raises(ValueError, match="tau"):
         duality_gap(z, z, p, 0.0)

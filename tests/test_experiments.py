@@ -17,6 +17,7 @@ from tvprox.experiments import (
     TABLE_HEADER,
     ExperimentConfig,
     MetricsRow,
+    _gap,
     _phantom_data,
     _write_trace,
     cost_accuracy,
@@ -118,6 +119,16 @@ def test_cost_accuracy():
             cost_accuracy(1.0, bad)
     # Table-scale magnitudes are representable
     assert cost_accuracy(1.0 + 1.157e-3, 1.0) == pytest.approx(1.157e-3, rel=1e-9)
+
+
+def test_gap_is_absolute_only_for_a_zero_baseline():
+    # lambda = 0 makes f* = 0; every other f* goes through cost_accuracy, so a
+    # NaN, infinite or negative baseline objective raises instead of scoring
+    assert _gap(1.5, 0.0) == _gap(1.5, -0.0) == 1.5
+    assert _gap(2.2, 2.0) == cost_accuracy(2.2, 2.0)
+    for bad in (float("nan"), float("-inf"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="baseline objective must be finite and > 0"):
+            _gap(1.0, bad)
 
 
 def test_write_pgm(tmp_path):

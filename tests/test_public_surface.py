@@ -1,7 +1,7 @@
 """The package exports no dead surface: every name tvprox/__init__.py imports
-is used inside the package or kept on purpose. And every setting is checked
-through tvprox.signal's checkers: no other module writes its own finite,
-integer or choice check.
+is used inside the package or kept on purpose. And every setting and array
+argument is checked through tvprox.signal's checkers: no other module writes
+its own finite, integer, choice or complex check.
 
 The checks read the sources with ast, so names that appear only in
 docstrings, or local names that shadow an export, do not count as uses.
@@ -51,9 +51,9 @@ def test_every_export_is_used_or_kept():
     assert not stale, f"kept exports that the package now uses: {stale}"
 
 
-# The messages of signal's check_positive / check_nonnegative, check_count
-# and check_choice.
-CHECK_MESSAGES = ("must be finite", "must be an integer", "must be one of")
+# The messages of signal's check_positive / check_nonnegative, check_count,
+# check_choice and check_array.
+CHECK_MESSAGES = ("must be finite", "must be an integer", "must be one of", "values are not admitted")
 
 
 def test_setting_checks_are_written_only_in_signal():
@@ -68,6 +68,9 @@ def test_setting_checks_are_written_only_in_signal():
                  if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings]
         own = [text for text in texts if any(message in text for message in CHECK_MESSAGES)]
         assert not own, f"{path.name} writes its own setting check: {own}"
+        complex_tests = [node.lineno for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute) and node.attr == "iscomplexobj"]
+        assert not complex_tests, f"{path.name} tests for complex input itself, lines {complex_tests}"
 
 
 def test_public_dataclass_type_hints_resolve():

@@ -1,15 +1,19 @@
-"""Signal contract, settings checks, norm, the solvers' relative-change stop
-and CSV I/O."""
+"""Array and signal contracts, settings checks, norm, the solvers'
+relative-change stop and CSV I/O."""
 
 import math
 import numbers
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from placement import line_offset
 
+from tvprox.exact import duality_gap
+from tvprox.experiments import psnr, write_pgm
+from tvprox.operators import CtGeometry, add_awgn, prox_g_ct, radon_operator
 from tvprox.shrinkage import ProxParams, approx_prox
 from tvprox.signal import (
     SLAB,
@@ -91,6 +95,47 @@ def test_complex_signals_are_rejected():
         validate_signal(z + 0j)
     with pytest.raises(ValueError, match="complex"):
         approx_prox(z + 1j, ProxParams(0.1))
+
+
+Z, P, IMG = np.zeros((4, 5)), np.zeros((2, 4, 5)), np.arange(6.0).reshape(2, 3)
+GEO = CtGeometry(n_pixels=8, n_angles=4)
+V, Y = np.ones((8, 8)), np.ones(GEO.sinogram_shape)
+# Every public entry point that takes an array through check_array: (the call on
+# one array argument and a directory, a valid array, an array of a wrong shape
+# where the call fixes one, the name its errors give).
+ARRAY_ENTRY_POINTS = {
+    "duality_gap.x": (lambda a, _: duality_gap(Z, a, P, 0.5), Z, np.zeros((5, 4)), "x"),
+    "duality_gap.p": (lambda a, _: duality_gap(Z, Z, a, 0.5), P, np.zeros((1, 4, 5)), "p"),
+    "prox_g_ct.v": (lambda a, _: prox_g_ct(a, 1e-2, Y, radon_operator(GEO)), V, np.ones((8, 9)), "v"),
+    "prox_g_ct.y": (lambda a, _: prox_g_ct(V, 1e-2, a, radon_operator(GEO)), Y, V, "y"),
+    "add_awgn.x": (lambda a, _: add_awgn(a, 0.1, 0), IMG, None, "x"),
+    "psnr.reference": (lambda a, _: psnr(a, IMG), IMG, None, "reference"),
+    "psnr.x": (lambda a, _: psnr(IMG, a), IMG, IMG.T, "x"),
+    "write_pgm": (lambda a, path: write_pgm(path / "img.pgm", a), IMG, None, "write_pgm"),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry, (_, _, wrong_shape, _) in ARRAY_ENTRY_POINTS.items()
+    for bad in ("complex", "nan", "inf", "-inf") + ("shape",) * (wrong_shape is not None)])
+def test_array_entry_points_reject_bad_arrays(tmp_path, entry, bad):
+    # a complex array is rejected, not cast to its real part with a warning;
+    # a NaN or infinite entry, or a wrong shape where the call fixes one, raises
+    # a ValueError that names the argument
+    call, good, wrong_shape, name = ARRAY_ENTRY_POINTS[entry]
+    call(good, tmp_path)
+    if bad == "shape":
+        arg, message = wrong_shape, f"{name}: expected shape {good.shape}, got {wrong_shape.shape}"
+    elif bad == "complex":
+        arg, message = good + 1j, f"{name}: complex values are not admitted"
+    else:
+        arg = good.copy()
+        arg.flat[1] = float(bad)
+        message = f"{name}: non-finite values are not admitted"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call(arg, tmp_path)
 
 
 def test_csv_round_trip(tmp_path):
@@ -175,8 +220,8 @@ SETTINGS = [
 
 @pytest.mark.parametrize("value", SETTINGS, ids=repr)
 def test_settings_checks_decide_as_before(value):
-    # an exact float or int skips the ABC check; every value is accepted, or
-    # raises the same exception type and message as the numbers.Real path
+    # every value is accepted, or raises the same exception type and message,
+    # as under the numbers.Real / numbers.Integral checks
     def outcome(check, *args):
         try:
             check("s", value, *args)
