@@ -4,13 +4,14 @@ fpg_prox runs an accelerated projected-gradient method on the dual of the
 TV-prox problem (per-entry or per-location dual-ball constraints for the
 anisotropic / isotropic case), with one difference and one adjoint pass of
 the shared slicing kernel per iteration. Its first iteration from p = 0 is
-the closed-form approximate prox of tvprox.shrinkage; duality_gap certifies
-its output with its final dual. tautstring_prox_1d is an exact
-non-iterative solver for the 1D free-boundary problem, used to
-cross-validate FPG.
+the closed-form approximate prox of tvprox.shrinkage; every solve stops on
+its certified relative duality gap, and duality_gap certifies its output
+with its final dual. tautstring_prox_1d is an exact non-iterative solver
+for the 1D free-boundary problem, used to cross-validate FPG.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -26,25 +27,23 @@ from .tv import _tv_of_differences, check_mode
 class OracleConfig:
     """Iteration budget and stopping rule of the dual FPG oracle.
 
-    By default fpg_prox stops on the relative change of its primal iterate
-    (tol). Setting gap_tol switches it to a certified mode: momentum
-    restarts, and a stop when the duality gap relative to the primal
-    objective is at most gap_tol; tol is then unused.
+    fpg_prox stops once the duality gap relative to the primal objective is
+    at most tol, or after max_iter iterations. restart turns on momentum
+    restarts (O'Donoghue and Candes, 2015).
     """
 
     max_iter: int = 500
     tol: float = 1e-10
     mode: str = "aniso"
     boundary: str = "circular"
-    gap_tol: float | None = None
+    restart: bool = False
 
     def __post_init__(self):
         check_count("max_iter", self.max_iter)
         check_positive("tol", self.tol)
-        if self.gap_tol is not None:
-            check_positive("gap_tol", self.gap_tol)
         check_mode(self.mode)
         check_choice("boundary", self.boundary, BOUNDARIES)
+        check_choice("restart", self.restart, (False, True))
 
 
 def fpg_prox(z, tau, cfg=None, return_info=False):
@@ -52,21 +51,17 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
 
     Minimizes 0.5*||x - z||^2 + tau*tv(x, mode) with x = z - tau*D^T p and
     p constrained to the dual unit balls. Dual step 1/(4d), zero dual
-    initialization, standard momentum. Two stopping rules:
-
-    - cfg.gap_tol None (budgeted): no restarts; stop when the relative
-      change of the primal iterate drops below cfg.tol.
-    - cfg.gap_tol set (certified): restart the momentum whenever
-      <q - p+, p+ - p> > 0 (the gradient scheme of O'Donoghue and Candes,
-      2015), and every 50 iterations and at max_iter stop when the duality
-      gap is at most gap_tol times the primal objective P(x).
+    initialization, standard momentum, restarted when cfg.restart whenever
+    <q - p+, p+ - p> > 0 (the gradient scheme of O'Donoghue and Candes,
+    2015). Every 50 iterations and at max_iter it stops when the duality
+    gap is at most cfg.tol times the primal objective P(x).
 
     Hitting max_iter first warns, unless return_info asks for (x, info)
-    with "iterations", "converged", "p" and either "rel_change" or, when
-    certified, "gap" (the relative gap of the last check). p is the final
-    projected dual iterate, feasible and with x = z - tau*D^T p bit for
-    bit, for duality_gap to certify x. That identity makes the gap
-    tau*(TV(x) - <Dx, p>), one difference pass into the spare dual buffer.
+    with "iterations", "gap" (the relative gap of the last check),
+    "converged" and "p", the final projected dual iterate: feasible and
+    with x = z - tau*D^T p bit for bit, for duality_gap to certify x. That
+    identity makes the gap tau*(TV(x) - <Dx, p>), one difference pass into
+    the spare dual buffer.
 
     One adjoint per iteration: D^T is linear, so the primal point
     z - tau*D^T q of the extrapolated dual q = p + beta*(p - p_prev) is
@@ -80,27 +75,26 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     place to the primal point of q and, once the difference pass has read
     it, overwritten with tau*D^T p. x is then formed over it and the new dx
     over the old x, so the primal buffers swap roles every iteration, as p
-    and g do; the stop test's ||x_prev||^2 and the gap's ||tau*D^T p||^2
-    are taken first. The iso projection works in dx and the scratch.
+    and g do; the gap's ||tau*D^T p||^2 is taken first. The iso projection
+    works in dx and the scratch.
 
     The views of the difference pair and the flat views the dots read are
     built once per call, one set per parity of the swaps, and the scalar
     operands are 0-d arrays bound once. An iteration then makes C-level
     calls only (ufuncs with positional outs, ndarray.dot; aniso projects
-    with the clip ufunc), but for _project_ball when iso and, when
-    certified, the gap check every 50 iterations.
+    with the clip ufunc), but for _project_ball when iso and the gap check
+    every 50 iterations.
     """
     z = validate_signal(z)
     check_positive("tau", tau)
     cfg = cfg or OracleConfig()
-    max_iter, tol, gap_tol, mode, boundary = cfg.max_iter, cfg.tol, cfg.gap_tol, cfg.mode, cfg.boundary
-    d = z.ndim
-    certify, aniso = gap_tol is not None, mode == "aniso"
+    max_iter, tol, restart, mode, boundary = cfg.max_iter, cfg.tol, cfg.restart, cfg.mode, cfg.boundary
+    d, aniso = z.ndim, mode == "aniso"
     step, tau_, beta_, lo, hi = (np.array(v, dtype=np.float64) for v in (1.0 / (4.0 * d * tau), tau, 0.0, -1.0, 1.0))
 
     p, q, g = _aligned((d,) + z.shape, zero=True), _aligned((d,) + z.shape, zero=True), _aligned((d,) + z.shape)
-    # C order, whatever z's layout: the dots read both primal buffers
-    # through flat views, and reshape(-1) of another layout is a copy.
+    # C order, whatever z's layout: the gap reads tau*D^T p through a flat
+    # view, and reshape(-1) of another layout is a copy.
     x, dx = _aligned(z.shape), _aligned(z.shape, zero=True)
     x[...] = z
     tmp = None if aniso else _aligned(z.shape)
@@ -108,20 +102,17 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     # odd k), swaps it into p and reads D^T p from the same buffer into dx,
     # through block 0 of the other dual buffer, by then the spare g. x and
     # dx start in their own buffers on even k and swapped on odd k; the gap
-    # steps write D x, by then in dx's buffer, into the spare g. The flat
-    # views are those the dots read: p+ - p in the other dual buffer for the
-    # restart test, x_prev (x's buffer) for the stop test and tau*D^T p
-    # (dx's) for the gap.
+    # steps write D x, by then in dx's buffer, into the spare g. The dots
+    # read p+ - p (restart test) and tau*D^T p (gap) through flat views.
     steps = [
         (_grad_steps(dxb, buf, boundary), _adjoint_steps(buf, dxb, spare[0], boundary),
-         spare.reshape(-1), xb.reshape(-1), dxb.reshape(-1), _grad_steps(dxb, spare, boundary))
-        for buf, spare, xb, dxb in ((g, p, x, dx), (p, g, dx, x))
+         spare.reshape(-1), dxb.reshape(-1), _grad_steps(dxb, spare, boundary))
+        for buf, spare, dxb in ((g, p, dx), (p, g, x))
     ]
-    qf = q.reshape(-1)
-    t_prev, iters, change, gap = 1.0, 0, np.inf, np.inf
+    qf, t_prev = q.reshape(-1), 1.0
     for k in range(max_iter):
         # Projected dual step at q; its primal point is x + beta*(x - x_prev).
-        grad_steps, adjoint_steps, pf, xf, dxf, gap_steps = steps[k % 2]
+        grad_steps, adjoint_steps, pf, dxf, gap_steps = steps[k % 2]
         np.multiply(dx, beta_, dx)
         np.add(dx, x, dx)
         for ufunc, a, b, out in grad_steps:
@@ -135,7 +126,7 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
         t = (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev)) / 2.0
         beta = (t_prev - 1.0) / t
         np.subtract(g, p, p)  # p+ - p; the old dual is not read again
-        if certify:  # restart when <q - p+, p+ - p> > 0
+        if restart:  # when <q - p+, p+ - p> > 0
             np.subtract(q, g, q)
             if qf.dot(pf) > 0.0:
                 t, beta = 1.0, 0.0
@@ -147,32 +138,20 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
             ufunc(a, b, out)
         np.multiply(dx, tau_, dx)  # tau*D^T p
         iters = k + 1
-        check = certify and (iters % 50 == 0 or iters == max_iter)
+        check = iters % 50 == 0 or iters == max_iter
         if check:
             dtp_sq = dxf.dot(dxf)
-        elif not certify:
-            prev_sq = xf.dot(xf)
         np.subtract(z, dx, dx)
         x, dx = dx, x
         if check:
             gap = _relative_gap(gap_steps, g, p, dtp_sq, tau, mode)
-            if gap <= gap_tol:
+            if gap <= tol:
                 break
         np.subtract(x, dx, dx)
-        if certify:
-            continue
-        if k > 0:
-            num, denom = math.sqrt(xf.dot(xf)), math.sqrt(prev_sq)
-            change = num / denom if denom > 0 else num
-        if change <= tol:
-            break
-    converged = gap <= gap_tol if certify else change <= tol
-    if not converged and not return_info:
-        achieved = f"relative gap {gap:.3e}" if certify else f"relative change {change:.3e}"
-        warnings.warn(f"fpg_prox: max_iter={max_iter} reached, achieved {achieved}", RuntimeWarning)
     if return_info:
-        stat = {"gap": gap} if certify else {"rel_change": change}
-        return x, {"iterations": iters, **stat, "converged": converged, "p": p}
+        return x, {"iterations": iters, "gap": gap, "converged": gap <= tol, "p": p}
+    if not gap <= tol:  # a NaN gap included
+        warnings.warn(f"fpg_prox: max_iter={max_iter} reached, achieved relative gap {gap:.3e}", RuntimeWarning)
     return x
 
 
@@ -182,14 +161,20 @@ def _relative_gap(grad_steps, dif, p, dtp_sq, tau, mode):
 
     grad_steps write D x into dif, which the TV pass then overwrites. For
     such an x the gap is tau*(TV(x) - <Dx, p>) and P(x) is
-    0.5*dtp_sq + tau*TV(x); the gap stays absolute where P(x) = 0.
+    0.5*dtp_sq + tau*TV(x); the gap stays absolute where P(x) = 0 (both
+    terms are). It is NaN, which no tolerance admits, where dtp_sq or P(x)
+    overflows or falls below the normal range, as the gap's terms then
+    round to 0 however far x is from the prox.
     """
     _run(grad_steps)
     coupling = float(np.vdot(dif, p))  # before _tv_of_differences overwrites dif
     tv_x = _tv_of_differences(dif, mode)
     gap = tau * (tv_x - coupling)
+    if dtp_sq == tv_x == 0.0:
+        return gap
     primal = 0.5 * float(dtp_sq) + tau * tv_x
-    return gap / primal if primal > 0 else gap
+    normal = sys.float_info.min
+    return gap / primal if normal <= dtp_sq < math.inf and normal <= primal < math.inf else math.nan
 
 
 def duality_gap(z, x, p, tau, mode="aniso", boundary="circular"):

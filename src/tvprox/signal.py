@@ -87,7 +87,11 @@ def _aligned(shape, zero=False):
 def l2_norm(a):
     """Euclidean norm sqrt(<a, a>), bit-identical to np.linalg.norm's path
     unless the squares of finite entries overflow, or their sum of a nonzero
-    array falls below the normal range: then it rescales by max|a|."""
+    array falls below the normal range: then it rescales by max|a|. Real
+    input only (ValueError on complex); non-finite input gives inf or NaN."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise ValueError("l2_norm: complex values are not admitted")
     a = np.asarray(a, dtype=np.float64).ravel()
     squares = a.dot(a)
     norm = math.sqrt(squares)

@@ -4,12 +4,12 @@ and against simple grid/bisection oracles."""
 
 import hashlib
 import math
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 from call_counts import python_calls
+from oracles import oracle
 from placement import at_offset, line_offset
 
 from tvprox.exact import (
@@ -18,6 +18,7 @@ from tvprox.exact import (
     fpg_prox,
     tautstring_prox_1d,
 )
+from tvprox.experiments import gen_foam_phantom
 from tvprox.frame import _grad
 from tvprox.signal import l2_norm
 from tvprox.tv import _tv_of_differences, tv
@@ -36,23 +37,24 @@ def test_oracle_config_validation():
         OracleConfig(boundary="mirror")
 
 
-# A 1D step with a one-sample notch, free boundaries, tau = 1: the
-# relative-change stop can end far from the prox (ROADMAP, "One FPG stop rule"). Both
-# rules are held to the 1e-6 gate of the drawn taut-string property.
+# A 1D step with a one-sample notch, free boundaries, tau = 1: the iterate
+# stops changing long before it reaches the prox (after 2013 iterations
+# its relative change is 1e-12, 2.4e-6 from it). The restarted and the
+# unrestarted solve are held to the 1e-6 gate of the drawn taut-string
+# property.
 NOTCH = np.array([6.0] * 7 + [0.0] + [6.0] * 26)
 
 
 def test_certified_fpg_solves_the_notch():
-    cfg = OracleConfig(max_iter=50000, gap_tol=1e-14, boundary="free")
+    cfg = OracleConfig(max_iter=50000, tol=1e-14, restart=True, boundary="free")
     x, info = fpg_prox(NOTCH, 1.0, cfg, return_info=True)
     assert info["converged"]
     assert np.max(np.abs(x - tautstring_prox_1d(NOTCH, 1.0))) <= 1e-6
 
 
-@pytest.mark.xfail(strict=True, reason="the budgeted stop ends 2.4e-6 from the prox after 2013 iterations; "
-                                       "one certified stop rule is the ROADMAP item 'One FPG stop rule'")
-def test_budgeted_fpg_solves_the_notch():
-    x = fpg_prox(NOTCH, 1.0, OracleConfig(max_iter=50000, tol=1e-12, boundary="free"))
+def test_unrestarted_fpg_solves_the_notch():
+    x, info = fpg_prox(NOTCH, 1.0, OracleConfig(max_iter=50000, tol=1e-12, boundary="free"), return_info=True)
+    assert info["converged"]
     assert np.max(np.abs(x - tautstring_prox_1d(NOTCH, 1.0))) <= 1e-6
 
 
@@ -98,7 +100,8 @@ def test_fpg_n2_closed_form():
 
 def roll_fpg_reference(z, tau, cfg):
     # the textbook dual FPG loop with np.roll differences and two adjoints
-    # per iteration, kept as an independent oracle for fpg_prox
+    # per iteration, unrestarted, with the relative duality gap checked
+    # every 50 iterations and at the cap; kept as an independent oracle
     def grad(x):
         g = np.empty((x.ndim,) + x.shape)
         for j in range(x.ndim):
@@ -121,20 +124,23 @@ def roll_fpg_reference(z, tau, cfg):
             return np.clip(p, -1.0, 1.0)
         return p / np.maximum(np.sqrt((p**2).sum(axis=0)), 1.0)
 
+    def tv_of(g):
+        return np.abs(g).sum() if cfg.mode == "aniso" else np.sqrt((g**2).sum(axis=0)).sum()
+
     step = 1.0 / (4.0 * z.ndim * tau)
     p = q = np.zeros((z.ndim,) + z.shape)
-    t_prev, x_prev, change = 1.0, None, np.inf
+    t_prev = 1.0
     for k in range(cfg.max_iter):
         p_new = project(q + step * grad(z - tau * grad_adjoint(q)))
         t = (1.0 + np.sqrt(1.0 + 4.0 * t_prev**2)) / 2.0
         q = p_new + ((t_prev - 1.0) / t) * (p_new - p)
         p, t_prev = p_new, t
         x = z - tau * grad_adjoint(p)
-        if x_prev is not None:
-            change = l2_norm(x - x_prev) / l2_norm(x_prev)
-        x_prev = x
-        if change <= cfg.tol:
-            break
+        if (k + 1) % 50 == 0 or k + 1 == cfg.max_iter:
+            gx = grad(x)
+            primal = 0.5 * l2_norm(x - z) ** 2 + tau * tv_of(gx)
+            if tau * (tv_of(gx) - np.vdot(gx, p)) <= cfg.tol * primal:
+                break
     return x, k + 1
 
 
@@ -225,7 +231,7 @@ def test_oracle_agreement_fpg_vs_tautstring():
 
 
 def certified(**kwargs):
-    return OracleConfig(**{"max_iter": 20000, "gap_tol": 1e-11, **kwargs})
+    return OracleConfig(**{"max_iter": 20000, "tol": 1e-11, "restart": True, **kwargs})
 
 
 def test_certified_fpg_agrees_with_tautstring():
@@ -257,16 +263,33 @@ def test_certified_gap_matches_duality_gap(mode, boundary):
         assert info["iterations"] % 50 == 0 or info["iterations"] == 20000
 
 
+def test_gap_does_not_certify_out_of_range_arithmetic():
+    # z and tau scaled by 2^k, exactly: ||tau*D^T p||^2 and P(x) overflow
+    # (k = 515, 520) or fall below the normal range (k = -530, -560), where
+    # the gap's terms round to 0. A solve then runs on, or stops on the
+    # scaled unit-scale solution
+    rng = np.random.default_rng(0)
+    z = gen_foam_phantom(32, 0) + 0.1 * rng.standard_normal((32, 32))
+    cfg = certified(max_iter=1000)
+    x_unit, info = fpg_prox(z, 0.05, cfg, return_info=True)
+    assert info["converged"]
+    for k in (-560, -530, 515, 520):
+        scale = math.ldexp(1.0, k)
+        with np.errstate(over="ignore"):
+            x, info = fpg_prox(z * scale, 0.05 * scale, cfg, return_info=True)
+        assert not info["converged"] or np.max(np.abs(x / scale - x_unit)) <= 1e-6
+
+
 def test_unreachable_tolerances_use_the_whole_budget():
-    # neither stop rule ends the loop early; the certified one still checks
-    # its gap at the cap, which is not a multiple of 50
+    # neither solve ends the loop early; each still checks its gap at the
+    # cap, which is not a multiple of 50
     rng = np.random.default_rng(53)
     z = rng.standard_normal((9, 11))
-    for cfg, stat in ((OracleConfig(max_iter=73, tol=1e-300), "rel_change"),
-                      (OracleConfig(max_iter=73, gap_tol=1e-300), "gap")):
+    for restart in (False, True):
+        cfg = OracleConfig(max_iter=73, tol=1e-300, restart=restart)
         x, info = fpg_prox(z, 0.4, cfg, return_info=True)
         assert info["iterations"] == 73 and not info["converged"]
-        assert 0.0 < info[stat] < np.inf
+        assert 0.0 < info["gap"] < np.inf
         with pytest.warns(RuntimeWarning, match="max_iter=73"):
             fpg_prox(z, 0.4, cfg)
 
@@ -328,16 +351,16 @@ def test_duality_gap_validates_inputs():
 
 def fpg_solves(shape, place=np.asarray):
     """Every solve of one shape, as (z, tau, cfg, x, info): both modes, both
-    boundaries, budgeted and certified, short and long budgets. place(a)
+    boundaries, unrestarted and restarted, short and long budgets. place(a)
     puts z in memory."""
     rng = np.random.default_rng(54)
     z = place(rng.standard_normal(shape))
     tau = 0.7 / len(shape)
     for mode in ("aniso", "iso"):
         for boundary in ("circular", "free"):
-            for gap_tol in (None, 1e-9):
+            for restart_tol in (None, 1e-9):
                 for max_iter in (7, 300):
-                    cfg = OracleConfig(max_iter=max_iter, mode=mode, boundary=boundary, gap_tol=gap_tol)
+                    cfg = oracle(restart_tol, max_iter=max_iter, mode=mode, boundary=boundary)
                     yield z, tau, cfg, *fpg_prox(z, tau, cfg, return_info=True)
 
 
@@ -345,7 +368,7 @@ def fpg_solves(shape, place=np.asarray):
 # final dual p and the iteration count of every solve of fpg_solves. A
 # rework of the loop must leave each solve bit-identical.
 FPG_DIGESTS = {
-    (37,): "10c9ea0c838eac57e04937007fc546cbd928038c6c9e356ea7bb9880475ebe58",
+    (37,): "f1c914eb7c888ad34c859d1ebf1d3402bd4af0f194c601726f5f7850342ed38c",
     (16, 16): "3d4513be73004433a2cd75878f9c7ab197bc2e38fd62756f3a54c1493a422b68",
     (12, 20): "d8511f9c2fadcdfe6fbf0eb24e055efcaa2822aab44c8be3351afa3fd8fa10db",
     (6, 7, 8): "4dbd70dcf20a438e993bad10391fa4b81b4e272be9ed1a4203d67b75ca4a65d0",
@@ -387,9 +410,9 @@ def test_fpg_working_set_starts_on_a_cache_line(mode):
     # 64-byte line, from either primal buffer (odd and even budgets) and
     # either dual one; an array over 1 MiB is allocated at its exact size
     z = at_offset(np.random.default_rng(58).standard_normal((32, 32)), 8)
-    for gap_tol in (None, 1e-300):
+    for restart in (False, True):
         for max_iter in (1, 2, 51):
-            cfg = OracleConfig(max_iter=max_iter, tol=1e-300, mode=mode, gap_tol=gap_tol)
+            cfg = OracleConfig(max_iter=max_iter, tol=1e-300, mode=mode, restart=restart)
             x, info = fpg_prox(z, 0.3, cfg, return_info=True)
             assert line_offset(x) == line_offset(info["p"]) == 0
     x, info = fpg_prox(np.ones((363, 363)), 0.3, OracleConfig(max_iter=1, mode=mode), return_info=True)
@@ -398,65 +421,57 @@ def test_fpg_working_set_starts_on_a_cache_line(mode):
 
 @pytest.mark.parametrize("shape", list(FPG_DIGESTS))
 def test_fpg_reports_its_last_stop_statistic(shape):
-    # rel_change and gap sum through BLAS ddot, whose summation order
-    # depends on the CPU, so they are recomputed here rather than pinned
+    # the gap sums through BLAS ddot, whose summation order depends on the
+    # CPU, so it is recomputed here rather than pinned
     for z, tau, cfg, x, info in fpg_solves(shape):
-        if cfg.gap_tol is None:
-            # a budgeted solve is deterministic: one iteration less is x_prev
-            x_prev, _ = fpg_prox(z, tau, replace(cfg, max_iter=info["iterations"] - 1), return_info=True)
-            stat, expected = info["rel_change"], l2_norm(x - x_prev) / l2_norm(x_prev)
-        else:
-            primal = 0.5 * l2_norm(x - z) ** 2 + tau * _tv_of_differences(_grad(x, cfg.boundary), cfg.mode)
-            stat = info["gap"]
-            expected = duality_gap(z, x, info["p"], tau, cfg.mode, cfg.boundary) / primal
-        assert stat == pytest.approx(expected, rel=1e-9, abs=1e-15)
-        assert info["converged"] == (stat <= (cfg.tol if cfg.gap_tol is None else cfg.gap_tol))
+        primal = 0.5 * l2_norm(x - z) ** 2 + tau * _tv_of_differences(_grad(x, cfg.boundary), cfg.mode)
+        expected = duality_gap(z, x, info["p"], tau, cfg.mode, cfg.boundary) / primal
+        assert info["gap"] == pytest.approx(expected, rel=1e-9, abs=1e-15)
+        assert info["converged"] == (info["gap"] <= cfg.tol)
 
 
-@pytest.mark.parametrize("gap_tol", [None, 1e-9])
+@pytest.mark.parametrize("restart_tol", [None, 1e-9])
 @pytest.mark.parametrize("shape", [(16, 12), (8, 7, 6)])
-def test_fpg_does_not_depend_on_the_signal_layout(shape, gap_tol):
+def test_fpg_does_not_depend_on_the_signal_layout(shape, restart_tol):
     # a transposed z is Fortran-ordered; its solve must be that of its
     # C-ordered copy, bit for bit and over as many iterations
     z = np.random.default_rng(56).standard_normal(shape).T
-    cfg = OracleConfig(max_iter=300, gap_tol=gap_tol)
+    cfg = oracle(restart_tol, max_iter=300)
     x, info = fpg_prox(z, 0.3, cfg, return_info=True)
     x_c, info_c = fpg_prox(np.ascontiguousarray(z), 0.3, cfg, return_info=True)
     assert info["iterations"] == info_c["iterations"] > 50
     assert x.tobytes() == x_c.tobytes() and info["p"].tobytes() == info_c["p"].tobytes()
-    stat = "rel_change" if gap_tol is None else "gap"
-    assert info[stat] == info_c[stat] and info["converged"] == info_c["converged"]
+    assert info["gap"] == info_c["gap"] and info["converged"] == info_c["converged"]
 
 
-@pytest.mark.parametrize("gap_tol", [None, 1e-300])
+@pytest.mark.parametrize("restart_tol", [None, 1e-300])
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("mode", ["aniso", "iso"])
-def test_fpg_prox_never_writes_z(mode, order, gap_tol):
+def test_fpg_prox_never_writes_z(mode, order, restart_tol):
     # x is formed in each of the two primal buffers by turns, never in z:
     # odd and even budgets return either buffer, and z's bytes stay as they were
     z = np.asarray(np.random.default_rng(57).standard_normal((9, 11)), order=order)
     before = z.tobytes(order="A")
     for max_iter in (1, 2, 51):
-        x = fpg_prox(z, 0.3, OracleConfig(max_iter=max_iter, tol=1e-300, mode=mode, gap_tol=gap_tol),
-                     return_info=True)[0]
+        x = fpg_prox(z, 0.3, oracle(restart_tol, max_iter=max_iter, tol=1e-300, mode=mode), return_info=True)[0]
         assert x is not z and not np.shares_memory(x, z)
     assert z.tobytes(order="A") == before and z.flags.f_contiguous == (order == "F")
 
 
-@pytest.mark.parametrize("gap_tol", [None, 1e-300])
+@pytest.mark.parametrize("restart_tol", [None, 1e-300])
 @pytest.mark.parametrize("mode", ["aniso", "iso"])
-def test_fpg_iteration_calls_only_the_projection(mode, gap_tol):
+def test_fpg_iteration_calls_only_the_projection(mode, restart_tol):
     # unreachable tolerances: both solves run their whole budget, so the
     # calls the longer one adds are those of 100 iterations, among them
-    # two certified gap checks (every 50 iterations). An aniso iteration
-    # clips through the ufunc and makes no Python-level call; iso makes one.
+    # two gap checks (every 50 iterations). An aniso iteration clips
+    # through the ufunc and makes no Python-level call; iso makes one.
     z = np.random.default_rng(55).standard_normal((12, 20))
 
     def calls(max_iter):
-        cfg = OracleConfig(max_iter=max_iter, tol=1e-300, mode=mode, gap_tol=gap_tol)
+        cfg = oracle(restart_tol, max_iter=max_iter, tol=1e-300, mode=mode)
         return python_calls(fpg_prox, z, 0.35, cfg, return_info=True)
 
     extra = calls(200) - calls(100)
     per_iteration = {key: n for key, n in extra.items() if key[0] != "_relative_gap"}
     assert per_iteration == ({} if mode == "aniso" else {("_project_ball", "_project_ball"): 100})
-    assert extra["_relative_gap", "_relative_gap"] == (0 if gap_tol is None else 2)
+    assert extra["_relative_gap", "_relative_gap"] == 2

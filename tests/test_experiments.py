@@ -2,6 +2,7 @@
 full trend runs live in test_acceptance)."""
 
 import hashlib
+import math
 import re
 import warnings
 from types import SimpleNamespace
@@ -109,6 +110,18 @@ def test_psnr():
     b = rng.random((8, 8))
     mse = np.mean((a - b) ** 2)
     assert psnr(a, b) == pytest.approx(10 * np.log10(1.0 / mse), abs=1e-10)
+
+
+def test_psnr_of_far_apart_finite_inputs_is_finite():
+    # the squared error overflows: the inputs are scaled before they are
+    # subtracted, and the PSNR is that of the root-mean-square error, with
+    # no overflow or divide-by-zero warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for reference, x, want in ((np.zeros(4), np.full(4, 1e300), -6000.0),
+                                   (np.full(4, -1.5e308), np.full(4, 1.5e308), -20.0 * (308 + math.log10(3.0))),
+                                   (np.zeros(2), np.array([1e200, 0.0]), -4000.0 + 10.0 * math.log10(2.0))):
+            assert psnr(reference, x) == pytest.approx(want, rel=1e-15)
 
 
 def test_cost_accuracy():

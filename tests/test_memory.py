@@ -6,8 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import oracle
 
-from tvprox.exact import OracleConfig, fpg_prox
+from tvprox.exact import fpg_prox
 from tvprox.experiments import ExperimentConfig, _make_problem, write_pgm
 from tvprox.operators import CtGeometry, prox_g_ct, radon_operator
 from tvprox.shrinkage import ProxParams, _bind_approx_prox, approx_prox
@@ -31,13 +32,13 @@ def peak_in_signals(call, unit=Z.nbytes):
     return (peak - start) / unit
 
 
-@pytest.mark.parametrize("gap_tol", [None, 1e-12])
+@pytest.mark.parametrize("restart_tol", [None, 1e-12])
 @pytest.mark.parametrize("mode", MODES)
-def test_fpg_prox_runs_on_3d_plus_2_signals_and_an_iso_scratch(mode, gap_tol):
+def test_fpg_prox_runs_on_3d_plus_2_signals_and_an_iso_scratch(mode, restart_tol):
     # p, q and the spare dual g (2 signals each at d = 2) and the two primal
     # buffers that take turns holding x and dx, plus the iso projection's
-    # scratch; 60 iterations include a certified gap check
-    cfg = OracleConfig(max_iter=60, mode=mode, gap_tol=gap_tol)
+    # scratch; 60 iterations include a gap check
+    cfg = oracle(restart_tol, max_iter=60, mode=mode)
     bound = 8.1 if mode == "aniso" else 9.1
     assert peak_in_signals(lambda: fpg_prox(Z, 0.1, cfg, return_info=True)) <= bound
 

@@ -6,16 +6,18 @@ Shapes have d = 1..3 axes with every extent in 2..9, so extent-2 axes,
 where the slicing kernel's boundary slab is half the axis, are drawn too.
 Runs are derandomized, so every run checks the same examples. The FPG
 loop's bit-identity reference also runs on a fixed grid of shapes, modes,
-boundaries, stop rules and budgets.
+boundaries, restart settings and budgets.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles import oracle
 
 from tvprox.exact import OracleConfig, duality_gap, fpg_prox, tautstring_prox_1d
 from tvprox.frame import CoeffStack, _grad, _grad_adjoint, w_adjoint, w_forward
@@ -155,11 +157,10 @@ def unbound_fpg_reference(z, tau, cfg):
     # fpg_prox's loop with the difference pair called unbound on every
     # iteration, on its own buffers: fresh views, a fresh adjoint scratch,
     # a separate tau*D^T p array and an allocating projection, with the
-    # certified gap transcribed from _relative_gap. The same arithmetic in
-    # the same order, so every output must be bit-identical.
+    # gap transcribed from _relative_gap. The same arithmetic in the same
+    # order, so every output must be bit-identical.
     d = z.ndim
     step = 1.0 / (4.0 * d * tau)
-    certify = cfg.gap_tol is not None
     p = np.zeros((d,) + z.shape)
     q = np.zeros_like(p)
     g = np.empty_like(p)
@@ -167,7 +168,7 @@ def unbound_fpg_reference(z, tau, cfg):
     x_prev = np.empty_like(z)
     dx = np.zeros_like(z)
     dtp = np.empty_like(z)
-    t_prev, beta, change, gap = 1.0, 0.0, np.inf, np.inf
+    t_prev, beta = 1.0, 0.0
     for k in range(cfg.max_iter):
         dx *= beta
         dx += x
@@ -178,7 +179,7 @@ def unbound_fpg_reference(z, tau, cfg):
         t = (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev)) / 2.0
         beta = (t_prev - 1.0) / t
         np.subtract(g, p, out=p)
-        if certify:
+        if cfg.restart:
             np.subtract(q, g, out=q)
             if np.vdot(q, p) > 0.0:
                 t, beta = 1.0, 0.0
@@ -190,25 +191,20 @@ def unbound_fpg_reference(z, tau, cfg):
         dtp *= tau
         np.subtract(z, dtp, out=x)
         np.subtract(x, x_prev, out=dx)
-        if certify:
-            if (k + 1) % 50 == 0 or k + 1 == cfg.max_iter:
-                dif = _grad(x, cfg.boundary)
-                coupling = float(np.vdot(dif, p))
-                tv_x = _tv_of_differences(dif, cfg.mode)
-                primal = 0.5 * float(np.vdot(dtp, dtp)) + tau * tv_x
-                gap = tau * (tv_x - coupling)
-                gap = gap / primal if primal > 0 else gap
-                if gap <= cfg.gap_tol:
-                    break
-            continue
-        if k > 0:
-            num = math.sqrt(np.vdot(dx, dx))
-            denom = math.sqrt(np.vdot(x_prev, x_prev))
-            change = num / denom if denom > 0 else num
-        if change <= cfg.tol:
-            break
-    stat = {"gap": gap} if certify else {"rel_change": change}
-    return x, {"iterations": k + 1, "p": p, **stat}
+        if (k + 1) % 50 == 0 or k + 1 == cfg.max_iter:
+            dif = _grad(x, cfg.boundary)
+            coupling = float(np.vdot(dif, p))
+            tv_x = _tv_of_differences(dif, cfg.mode)
+            dtp_sq = float(np.vdot(dtp, dtp))
+            primal = 0.5 * dtp_sq + tau * tv_x
+            gap = tau * (tv_x - coupling)
+            if not dtp_sq == tv_x == 0.0:
+                normal = sys.float_info.min
+                in_range = normal <= dtp_sq < math.inf and normal <= primal < math.inf
+                gap = gap / primal if in_range else math.nan
+            if gap <= cfg.tol:
+                break
+    return x, {"iterations": k + 1, "p": p, "gap": gap}
 
 
 def assert_fpg_matches_unbound_loop(z, tau, cfg):
@@ -217,8 +213,7 @@ def assert_fpg_matches_unbound_loop(z, tau, cfg):
     assert np.array_equal(got[0], want[0])
     assert got[1]["iterations"] == want[1]["iterations"]
     assert np.array_equal(got[1]["p"], want[1]["p"])
-    stat = "gap" if cfg.gap_tol is not None else "rel_change"
-    assert got[1][stat] == want[1][stat]
+    assert got[1]["gap"] == want[1]["gap"] or math.isnan(got[1]["gap"]) and math.isnan(want[1]["gap"])
 
 
 @settings(PROPERTY, max_examples=60)
@@ -228,23 +223,23 @@ def assert_fpg_matches_unbound_loop(z, tau, cfg):
 @example(np.arange(18.0).reshape(2, 9) % 5, 0.3, "iso", "free", None)
 @example(np.arange(12.0).reshape(3, 2, 2) % 7, 0.2, "iso", "circular", 1e-6)
 @example(np.arange(8.0).reshape(2, 2, 2) ** 2, 0.7, "aniso", "circular", 1e-6)
-def test_fpg_prox_bit_identical_to_unbound_loop(z, tau, mode, boundary, gap_tol):
-    cfg = OracleConfig(max_iter=300, tol=1e-10, mode=mode, boundary=boundary, gap_tol=gap_tol)
+def test_fpg_prox_bit_identical_to_unbound_loop(z, tau, mode, boundary, restart_tol):
+    cfg = oracle(restart_tol, max_iter=300, tol=1e-10, mode=mode, boundary=boundary)
     assert_fpg_matches_unbound_loop(z, tau, cfg)
 
 
-@pytest.mark.parametrize("gap_tol", [None, 1e-7])
+@pytest.mark.parametrize("restart_tol", [None, 1e-7])
 @pytest.mark.parametrize("boundary", ["circular", "free"])
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("shape", [(29,), (6, 7), (3, 4, 5)])
-def test_fpg_prox_bit_identical_to_unbound_loop_grid(shape, mode, boundary, gap_tol):
-    # budgets off and on the 50-iteration gap check, so the certified runs
-    # also end on the check at max_iter, and odd and even ones, so each of
+def test_fpg_prox_bit_identical_to_unbound_loop_grid(shape, mode, boundary, restart_tol):
+    # budgets off and on the 50-iteration gap check, so the runs also end
+    # on the check at max_iter, and odd and even ones, so each of
     # fpg_prox's two primal buffers is the one returned, at the cap and at
-    # a certified check
+    # a gap check
     z = np.random.default_rng(sum(shape)).standard_normal(shape)
     for max_iter, tau in ((37, 0.4), (123, 0.05), (173, 0.9), (1, 0.4), (2, 0.05), (50, 0.9), (124, 0.05)):
-        cfg = OracleConfig(max_iter=max_iter, tol=1e-7, mode=mode, boundary=boundary, gap_tol=gap_tol)
+        cfg = oracle(restart_tol, max_iter=max_iter, tol=1e-7, mode=mode, boundary=boundary)
         assert_fpg_matches_unbound_loop(z, tau, cfg)
 
 

@@ -70,6 +70,14 @@ def test_norms_of_huge_finite_signals_do_not_overflow():
         assert not _stopped(np.array([1e200, 1e140]) - x_prev, x_prev, 1e-60 * (1 - 1e-14))
 
 
+def test_l2_norm_rejects_complex_input():
+    # not cast to its real part (3.0 for [3 + 4j]) with only a warning; real
+    # non-finite input still gives inf or NaN, which the stop tests read
+    with pytest.raises(ValueError, match="^l2_norm: complex values are not admitted$"):
+        l2_norm(np.array([3 + 4j]))
+    assert l2_norm([np.inf, 1.0]) == np.inf and math.isnan(l2_norm([np.nan, 1.0]))
+
+
 def test_rel_change_zero_denominator():
     # never stops against a zero previous iterate
     assert not _stopped(np.ones(3), np.zeros(3), 1e300)

@@ -69,7 +69,7 @@ _TOLS = (np.nan, np.inf, 0.0, -1e-9)
 _BUDGETS = (2.5, 0, np.float64(100.0), True)
 # constructor -> {setting: (a well-formed value, invalid values)}
 _SETTINGS = {
-    OracleConfig: {"tol": (np.float64(1e-9), _TOLS), "gap_tol": (np.float64(1e-9), _TOLS),
+    OracleConfig: {"tol": (np.float64(1e-9), _TOLS), "restart": (np.bool_(True), ("a", None, 2, np.nan)),
                    "max_iter": (np.int64(7), _BUDGETS)},
     SolverConfig: {"stop_tol": (np.float64(1e-9), _TOLS), "max_iter": (np.int64(7), _BUDGETS),
                    "gamma": (np.float64(0.5), ("a", np.nan)), "lam": (np.float64(0.0), ("a", -np.inf)),
