@@ -85,7 +85,7 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     with the clip ufunc), but for _project_ball when iso and the gap check
     every 50 iterations.
     """
-    z = validate_signal(z)
+    z = validate_signal(z, "z")
     check_positive("tau", tau)
     cfg = cfg or OracleConfig()
     max_iter, tol, restart, mode, boundary = cfg.max_iter, cfg.tol, cfg.restart, cfg.mode, cfg.boundary
@@ -189,7 +189,7 @@ def duality_gap(z, x, p, tau, mode="aniso", boundary="circular"):
     tau*(TV(x) - <Dx, p>), it can read slightly below zero at convergence
     from rounding (down to about -2e-16 * (1 + P(x)) on FPG outputs).
     """
-    z = validate_signal(z)
+    z = validate_signal(z, "z")
     x, p = check_array("x", x, z.shape), check_array("p", p, (z.ndim,) + z.shape)
     check_positive("tau", tau)
     check_mode(mode)
@@ -207,7 +207,7 @@ def tautstring_prox_1d(z, tau):
     path through the tube of half-width tau around the running sums of z,
     tracked with linear lower/upper string segments. O(n) in practice.
     """
-    y = validate_signal(z)
+    y = validate_signal(z, "z")
     if y.ndim != 1:
         raise ValueError("tautstring_prox_1d expects a 1D signal")
     check_positive("tau", tau)

@@ -166,7 +166,7 @@ def w_forward(z):
     The difference blocks are scaled after the subtraction, the rounding
     that approx_prox's output depends on.
     """
-    z = validate_signal(z)
+    z = validate_signal(z, "z")
     scale = 1.0 / (2.0 * np.sqrt(z.ndim))
     dif = _grad(z)
     dif *= scale

@@ -146,7 +146,7 @@ def _csr_product(kernel, x, shape, out):
 def radon_forward(img, geo, *, check_finite=True, out=None):
     """Project a square image to its sinogram (one row per angle), into out if given.
     check_finite=False (the operator closure) checks the shape only."""
-    img = validate_signal(img) if check_finite else np.asarray(img, dtype=np.float64)
+    img = validate_signal(img, "img") if check_finite else np.asarray(img, dtype=np.float64)
     if img.shape != (geo.n_pixels, geo.n_pixels):
         raise ValueError(f"image shape {img.shape} does not match geometry {geo.n_pixels}")
     if geo._kernels is None:
@@ -221,10 +221,8 @@ def add_awgn(x, sigma, seed):
 
 def prox_g_denoise(v, gamma, y):
     """Closed-form prox of gamma * (1/2)||y - x||^2: (v + gamma*y)/(1 + gamma)."""
-    v = np.asarray(v, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if v.shape != y.shape:
-        raise ValueError(f"shape mismatch: {v.shape} vs {y.shape}")
+    v = check_array("v", v)
+    y = check_array("y", y, v.shape)
     check_positive("gamma", gamma)
     return (v + gamma * y) / (1.0 + gamma)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import CoeffStack, _adjoint_steps, _grad_steps, _run, w_forward
-from .signal import check_nonnegative, check_positive
+from .signal import check_array, check_nonnegative, check_positive
 from .tv import check_mode
 
 # The clip ufunc that ndarray.clip reaches only through numpy's Python
@@ -62,7 +62,7 @@ def shrink_aniso(t, lam):
     Vectorizes over numpy arrays elementwise.
     """
     check_nonnegative("threshold", lam)
-    t = np.asarray(t, dtype=np.float64)
+    t = check_array("t", t)
     out = np.maximum(np.abs(t) - lam, 0.0) * np.sign(t)
     return float(out) if out.ndim == 0 else out
 
@@ -73,7 +73,7 @@ def shrink_iso(v, lam):
     over locations.
     """
     check_nonnegative("threshold", lam)
-    v = np.asarray(v, dtype=np.float64)
+    v = check_array("v", v)
     norms = np.sqrt((v**2).sum(axis=0))
     safe = np.where(norms > 0.0, norms, 1.0)
     factor = np.maximum(norms - lam, 0.0) / safe

@@ -107,7 +107,7 @@ def save_csv(path, x):
     value per line in row-major order, each as ``%.17g`` (lossless for
     float64). The values go in slabs of at most SLAB, one ``%`` format and
     one write each, so no whole-signal list of Python floats is built."""
-    a = validate_signal(x)
+    a = validate_signal(x, "x")
     flat = a.ravel()
     with open(path, "w") as f:
         f.write("shape=" + "x".join(str(e) for e in a.shape) + "\n")

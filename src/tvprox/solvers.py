@@ -10,8 +10,12 @@ in the same order, on buffers bound once. Its Python-level calls are the
 bound prox, APGM's fista_momentum, a kernel that ends the iteration with
 the stop test and the callbacks of a Problem not given as data: three per
 aniso APGM iteration of the data form (iso: one helper more in the prox).
-The objective's one kernel, _objectives, scores a block of iterates, kept
-in a ring, at once; objective() runs it on a ring of one signal. The
+The loops' scalar operands (gamma, APGM's extrapolation weight, ADMM's
+1 + gamma) are 0-d arrays bound once per solve, which numpy does not
+convert again on every call, and each in-place update is a positional
+ufunc call. The objective's one kernel, _objectives, scores a block of
+iterates, kept in a ring, at once, the data terms in the dead difference
+stack's contiguous head; objective() runs it on a ring of one signal. The
 exact prox calls fpg_prox once per iteration. Iterates are not validated
 again: a non-finite one makes the objective non-finite, raising
 SolverDivergence.
@@ -128,7 +132,7 @@ def objective(problem, cfg, x):
     """Composite objective g(x) + lambda * tv(x, mode) of a signal x of the data's
     shape: _objectives of the ring x[None] in fresh buffers, with the bits of the
     solvers' trace entries. An overflow gives inf without numpy's warning."""
-    x, y = validate_signal(x), problem.data
+    x, y = validate_signal(x, "x"), problem.data
     _check_shape(problem, x, "objective: x")
     ring, difs = x[None], np.empty((1, x.ndim) + x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -140,8 +144,9 @@ def _objectives(ring, difs, tv_steps, cfg, y, data_terms):
     """The list of g(x) + lambda * tv(x, mode) of each slot x of a (B, *shape) ring,
     each with the bits of that slot alone: the one kernel of the composite objective.
     tv_steps = _grad_steps(ring, difs, "circular", batch=1) write into the
-    (B, d, *shape) stack difs, which the kernel overwrites. data_terms holds each
-    slot's g, or receives it when the data y (g = 0.5||x - y||^2) is given."""
+    C-contiguous (B, d, *shape) stack difs, which the kernel overwrites: the TV
+    terms, then y - x of every slot in its first B * n values. data_terms holds
+    each slot's g, or receives it when the data y (g = 0.5||x - y||^2) is given."""
     lam = cfg.lam
     if lam > 0:
         # at its smallest ufunc buffer numpy runs these strided rows in place (2.4x faster at 32^2);
@@ -154,8 +159,9 @@ def _objectives(ring, difs, tv_steps, cfg, y, data_terms):
             np.setbufsize(bufsize)
         tvs = np.add.reduce(terms, axis=tuple(range(1, terms.ndim)))
     if y is not None:
-        # y - x of every slot in the stack's block-0 slabs, dead once the TV is summed
-        squares = difs[:, 0]
+        # y - x of every slot in the stack's head, dead once the TV is summed: a C-contiguous
+        # (B, *shape) view, where each slot's squares are summed over its own n values in a row
+        squares = difs.reshape(-1)[:ring.size].reshape(ring.shape)
         np.square(np.subtract(y, ring, squares), squares)
         np.multiply(np.add.reduce(squares, axis=tuple(range(1, ring.ndim)), out=data_terms), 0.5, data_terms)
     return (np.add(np.multiply(tvs, lam, tvs), data_terms, tvs) if lam > 0 else data_terms).tolist()
@@ -279,11 +285,12 @@ def apgm(problem, cfg, x0):
 
     Per iteration: z = s - gamma*grad_g(s); x = prox(z) at tau = gamma*lam;
     s extrapolates x with the accelerated momentum weights. z, s and
-    x - x_prev are formed in place, and x - x_prev serves both the
-    extrapolation and the stop test. The data form takes grad_g(s) = s - y
-    in z, with the bits of the callback's temporary.
+    x - x_prev are formed in place, with gamma and the weight as 0-d
+    operands, and x - x_prev serves both the extrapolation and the stop
+    test. The data form takes grad_g(s) = s - y in z, with the bits of the
+    callback's temporary.
     """
-    x0 = validate_signal(x0)
+    x0 = validate_signal(x0, "x0")
     if problem.lipschitz_L is not None and cfg.gamma > 1.0 / problem.lipschitz_L:
         warnings.warn(
             f"apgm: gamma={cfg.gamma} exceeds 1/L={1.0 / problem.lipschitz_L:.3e}",
@@ -292,7 +299,8 @@ def apgm(problem, cfg, x0):
     z, xs, dx, prox, ends, finish = _working_set(problem, cfg, x0, "apgm")
     slots, s = len(xs), _aligned(x0.shape)
     s[...] = x0
-    y, grad_g, gamma = problem.data, problem.grad_g, cfg.gamma
+    y, grad_g = problem.data, problem.grad_g
+    gamma, weight = np.array(cfg.gamma, dtype=np.float64), np.array(0.0)  # weight: set each iteration
     q_prev = 1.0
     stop_reason = "max-iter"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -306,8 +314,9 @@ def apgm(problem, cfg, x0):
             if ends[i](k):
                 stop_reason = "tolerance-met"
                 break
-            np.multiply(dx, (q_prev - 1.0) / q, s)
-            s += xs[i]
+            weight[()] = (q_prev - 1.0) / q
+            np.multiply(dx, weight, s)
+            np.add(s, xs[i], s)
             q_prev = q
         return finish(k, stop_reason)
 
@@ -317,31 +326,33 @@ def admm(problem, cfg, x0):
 
     Per iteration: z = prox_{gamma g}(x - s); x = prox_tv(z + s) at
     tau = gamma*lam; s += x - z. Uses the freshly computed z in the
-    x-update. x - s, z + s and the dual s are formed in place; the primal
+    x-update. x - s, z + s and the dual s are formed in place, with gamma
+    and 1 + gamma as 0-d operands (prox_g takes gamma as given); the primal
     residual ||x - z|| is taken once, of the last iteration. The data form
     takes z = (w + gamma*y) / (1 + gamma), prox_g_denoise's arithmetic, in w
     (gamma*y in dx, which the prox and the stop test overwrite).
     """
-    x0 = validate_signal(x0)
+    x0 = validate_signal(x0, "x0")
     if problem.prox_g is None and problem.data is None:
         raise ValueError("admm requires problem.prox_g or data")
     v, xs, dx, prox, ends, finish = _working_set(problem, cfg, x0, "admm")  # v: z + s, the TV prox input
     slots, s = len(xs), _aligned(x0.shape, zero=True)
     w = _aligned(x0.shape)  # x - s, the prox_g input
-    y, prox_g, gamma = problem.data, problem.prox_g, cfg.gamma
+    y, prox_g = problem.data, problem.prox_g
+    gamma, scale = np.array(cfg.gamma, dtype=np.float64), np.array(1.0 + cfg.gamma, dtype=np.float64)
     stop_reason = "max-iter"
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iter + 1):
             # iteration k writes x_new into slot k % B of the ring; x is in the one before
             i = k % slots
             np.subtract(xs[i - 1], s, w)
-            z = prox_g(w, gamma) if y is None else np.divide(np.add(w, np.multiply(y, gamma, dx), w), 1.0 + gamma, w)
+            z = prox_g(w, cfg.gamma) if y is None else np.divide(np.add(w, np.multiply(y, gamma, dx), w), scale, w)
             np.add(z, s, v)
             prox[i]()
             # Dual ascent sign matches the (x - s) / (z + s) prox arguments above:
             # the multiplier estimate grows along z - x, not x - z.
-            s += z
-            s -= xs[i]
+            np.add(s, z, s)
+            np.subtract(s, xs[i], s)
             if ends[i](k):
                 stop_reason = "tolerance-met"
                 break

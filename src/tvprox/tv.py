@@ -26,7 +26,7 @@ def tv(x, mode):
     iso: sum over locations of the l2 norm of the per-location
     difference vector across axes.
     """
-    x = validate_signal(x)
+    x = validate_signal(x, "x")
     check_mode(mode)
     return _tv_of_differences(_grad(x), mode)
 
