@@ -2,10 +2,13 @@
 
 The CT projector splats each pixel center onto the two nearest detector
 bins with linear weights (detector spacing = pixel size). The weights are
-assembled once into a sparse matrix, cached with its CSR transpose, so the
-adjoint is exact and every view conserves the total projected mass exactly.
-The Radon pair runs scipy's private ``_sparsetools.csr_matvec`` (the kernel of
-``csr_matrix @ x``, so the bits match) into ``out`` buffers: ``@`` cannot write into one.
+assembled once into CSR arrays of A and of its transpose, so the adjoint is
+exact and every view conserves the total projected mass exactly. They are built
+and applied by scipy's private compiled ``_sparsetools`` kernels, loaded from their
+extension file without ``import scipy.sparse``: ``coo_tocsr``, ``csr_sort_indices``
+and ``csr_tocsc`` are what ``csr_matrix((vals, (rows, cols)))`` and ``.T.tocsr()`` run,
+and ``csr_matvec`` is the kernel of ``csr_matrix @ x``, so the bits match; it writes
+into ``out`` buffers, which ``@`` cannot. Only ``system_matrix`` imports scipy.sparse.
 The CT data prox is an in-place conjugate gradient on buffers bound once per call,
 stopped, and warning if it stalls, on its recursive ||r|| < CG_TOL ||b|| (one r.r per
 step): only return_info=True spends a Radon pair on the true residual. Its right-hand
@@ -13,18 +16,22 @@ side needs A^T y, which the operator memoises for the last sinogram ``y``: a lat
 reuses it only while ``y`` holds the same bits (a sinogram changed in place, or
 another phantom's, recomputes it).
 
-The public ``radon_forward`` validates its image and ``radon_adjoint`` checks
-the sinogram's shape, and both check a given ``out``; the ``radon_operator``
+The public ``radon_forward`` and ``radon_adjoint`` validate their image and
+sinogram with ``check_array``, and both check a given ``out``; the ``radon_operator``
 closures check shapes only, and ``prox_g_ct`` checks ``v`` and ``y`` with
 ``check_array`` once at entry instead of on every matvec (``y`` once per new sinogram).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -73,14 +80,14 @@ def identity_operator(shape):
 class CtGeometry:
     """Parallel-beam geometry: square image, equispaced angles over [0, pi), unit pixels
     and ceil(n_pixels sqrt 2) unit bins, rounded up to n_pixels' parity: 0-degree rays hit bin centers.
-    Only n_pixels (>= 2) and n_angles are set; the rest, system_matrix's caches too, is derived."""
+    Only n_pixels (>= 2) and n_angles are set; the rest is derived, the Radon kernels and system_matrix on first use."""
 
     n_pixels: int
     n_angles: int
     angles: np.ndarray = field(init=False)
     n_detectors: int = field(init=False)
     sinogram_shape: tuple = field(init=False)  # (n_angles, n_detectors)
-    _matrix: object = field(default=None, init=False, repr=False)  # scipy.sparse.csr_matrix, built on first use
+    _matrix: object = field(default=None, init=False, repr=False)  # system_matrix's csr_matrix over _kernels' A
     _kernels: tuple = field(default=None, init=False, repr=False)  # kernel(x, out) adds A x, A^T x to out
 
     def __post_init__(self):
@@ -93,40 +100,78 @@ class CtGeometry:
         self.sinogram_shape = (self.n_angles, self.n_detectors)
 
 
-def system_matrix(geo):
-    """Sparse (n_angles*n_detectors) x n_pixels^2 projection matrix, cached with A's and A^T's CSR kernels."""
-    if geo._matrix is not None:
-        return geo._matrix
-    # Imported here: scipy.sparse costs ~0.24 s and ~22 MB RSS (2-core Xeon VM) that denoise runs never need.
-    import scipy.sparse as sp
-    from scipy.sparse._sparsetools import csr_matvec
+def _sparsetools():
+    """scipy's compiled sparse kernels, loaded from scipy/sparse/_sparsetools.* alone:
+    ``import scipy.sparse`` runs scipy's array-API layer, which imports numpy.f2py,
+    numpy.testing and numpy.ma (0.14-0.22 s and ~14 MB RSS on a 2-core Xeon VM)
+    for kernels that need none of it. ImportError if the file is missing."""
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and FileFinder(os.path.join(scipy.submodule_search_locations[0], "sparse"),
+                                (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec("scipy.sparse._sparsetools")
+    if spec is None:
+        raise ImportError("no scipy/sparse/_sparsetools extension file to load")
+    loaded = spec.name in sys.modules  # by scipy.sparse; the load then returns that module
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not loaded:  # the extension put itself in sys.modules: out again, so scipy.sparse loads it as its own
+        del sys.modules[spec.name]
+    return module
 
+
+def _radon_triplets(geo):
+    """(rows, cols, vals) of A's nonzeros: each pixel's two nearest bins per angle, weights > 0.
+    They run angle by angle and pixel by pixel, so coo_tocsr leaves each row's columns
+    sorted and csr_sort_indices has no entry to move."""
     n, m = geo.n_pixels, geo.n_detectors
     c = np.arange(n) - (n - 1) / 2.0
     ys, xs = np.meshgrid(c, c, indexing="ij")
     xs = xs.ravel()
     ys = ys.ravel()
-    pix = np.arange(n * n)
+    pix = np.repeat(np.arange(n * n), 2)  # a pixel's two bins side by side
 
     rows, cols, vals = [], [], []
     for k, theta in enumerate(geo.angles):
-        t = xs * np.cos(theta) + ys * np.sin(theta)
-        u = t + (m - 1) / 2.0
+        u = xs * np.cos(theta) + ys * np.sin(theta) + (m - 1) / 2.0
         m0 = np.floor(u).astype(np.int64)
         w1 = u - m0
-        for bins, w in ((m0, 1.0 - w1), (m0 + 1, w1)):
-            ok = (bins >= 0) & (bins < m) & (w > 0)
-            rows.append(k * m + bins[ok])
-            cols.append(pix[ok])
-            vals.append(w[ok])
-    mat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(geo.n_angles * m, n * n),
-    )
-    geo._matrix = mat
-    mat_t = mat.T.tocsr()  # sorted indices: sums in A.T @ s order, no transpose per call
-    geo._kernels = tuple(partial(csr_matvec, *a.shape, a.indptr, a.indices, a.data) for a in (mat, mat_t))
-    return mat
+        bins = np.stack((m0, m0 + 1), axis=1).ravel()
+        w = np.stack((1.0 - w1, w1), axis=1).ravel()
+        ok = (bins >= 0) & (bins < m) & (w > 0)
+        rows.append(k * m + bins[ok])
+        cols.append(pix[ok])
+        vals.append(w[ok])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _bind_radon(geo):
+    """Build A and A^T in CSR with the kernels that csr_matrix((vals, (rows, cols))) and
+    .T.tocsr() run, so the arrays keep scipy's bits (its sum of repeated (row, col) entries
+    is left out: the triplets repeat none), and bind csr_matvec to each as geo._kernels."""
+    st = _sparsetools()
+    rows, cols, vals = _radon_triplets(geo)
+    shape = geo.n_angles * geo.n_detectors, geo.n_pixels**2
+    nnz = vals.size
+    idx = np.int32 if max(nnz, *shape) <= np.iinfo(np.int32).max else np.int64  # scipy's index dtype rule
+    csr = np.empty(shape[0] + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+    st.coo_tocsr(*shape, nnz, rows.astype(idx), cols.astype(idx), vals, *csr)
+    st.csr_sort_indices(shape[0], *csr)
+    csr_t = np.empty(shape[1] + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+    st.csr_tocsc(*shape, *csr, *csr_t)  # A's CSC is A^T's CSR, with sorted indices
+    geo._kernels = partial(st.csr_matvec, *shape, *csr), partial(st.csr_matvec, *shape[::-1], *csr_t)
+
+
+def system_matrix(geo):
+    """A, the (n_angles*n_detectors) x n_pixels^2 projection matrix, as a cached
+    scipy.sparse.csr_matrix over the arrays that A's CSR kernel binds. The Radon pair
+    never calls it: this is the one place that imports scipy.sparse."""
+    if geo._matrix is None:
+        import scipy.sparse as sp
+
+        if geo._kernels is None:
+            _bind_radon(geo)
+        n_rows, n_cols, indptr, indices, data = geo._kernels[0].args
+        geo._matrix = sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
+    return geo._matrix
 
 
 def _csr_product(kernel, x, shape, out):
@@ -150,28 +195,30 @@ def radon_forward(img, geo, *, check_finite=True, out=None):
     if img.shape != (geo.n_pixels, geo.n_pixels):
         raise ValueError(f"image shape {img.shape} does not match geometry {geo.n_pixels}")
     if geo._kernels is None:
-        system_matrix(geo)
+        _bind_radon(geo)
     return _csr_product(geo._kernels[0], img, geo.sinogram_shape, out)
 
 
-def radon_adjoint(sino, geo, *, out=None):
-    """Exact adjoint of radon_forward (transposed accumulation), into out if given."""
-    sino = np.asarray(sino, dtype=np.float64)
+def radon_adjoint(sino, geo, *, check_finite=True, out=None):
+    """Exact adjoint of radon_forward (transposed accumulation), into out if given.
+    check_finite=False (the operator closure) checks the shape only."""
+    sino = check_array("sino", sino) if check_finite else np.asarray(sino, dtype=np.float64)
     if sino.shape != geo.sinogram_shape:
         raise ValueError(f"sinogram shape {sino.shape} does not match geometry {geo.sinogram_shape}")
     if geo._kernels is None:
-        system_matrix(geo)
+        _bind_radon(geo)
     return _csr_product(geo._kernels[1], sino, (geo.n_pixels, geo.n_pixels), out)
 
 
 def radon_operator(geo):
-    """The Radon pair of geo as closures over radon_forward, without its
-    finiteness scan, and radon_adjoint. geo's system matrix and CSR kernels
-    are built here, so no matvec calls system_matrix."""
-    system_matrix(geo)
+    """The Radon pair of geo as closures over radon_forward and radon_adjoint,
+    without their finiteness scans. geo's CSR kernels are bound here (scipy.sparse
+    is not imported), so no matvec builds them."""
+    if geo._kernels is None:
+        _bind_radon(geo)
     return LinearOperator(
         apply=lambda x, out=None: radon_forward(x, geo, check_finite=False, out=out),
-        adjoint=lambda r, out=None: radon_adjoint(r, geo, out=out),
+        adjoint=lambda r, out=None: radon_adjoint(r, geo, check_finite=False, out=out),
         in_shape=(geo.n_pixels, geo.n_pixels),
         out_shape=geo.sinogram_shape,
     )

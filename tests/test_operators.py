@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from call_counts import python_calls
 
@@ -22,6 +23,7 @@ from tvprox.operators import (
     CG_TOL,
     CtGeometry,
     LinearOperator,
+    _radon_triplets,
     add_awgn,
     identity_operator,
     lipschitz_power_iter,
@@ -260,6 +262,24 @@ def test_radon_pair_zero_fills_out():
             out = np.full(want.shape, np.nan)
             assert fn(arg, geo, out=out) is out
             assert out.tobytes() == want.tobytes()
+
+
+def test_radon_kernels_hold_scipys_csr_pair_bitwise():
+    # an oracle independent of system_matrix, which wraps the bound arrays:
+    # scipy.sparse's own construction from the builder's triplets
+    rng = np.random.default_rng(60)
+    for n, angles in (*CT_SIZES, (33, 7), (2, 1)):
+        geo = CtGeometry(n_pixels=n, n_angles=angles)
+        radon_operator(geo)
+        rows, cols, vals = _radon_triplets(geo)
+        mat = sp.csr_matrix((vals, (rows, cols)), shape=(angles * geo.n_detectors, n * n))
+        for kernel, want in zip(geo._kernels, (mat, mat.T.tocsr())):
+            assert kernel.args[:2] == want.shape
+            for got, arr in zip(kernel.args[2:], (want.indptr, want.indices, want.data)):
+                assert got.dtype == arr.dtype and np.array_equal(got, arr)
+        x, s = rng.standard_normal((n, n)), rng.standard_normal(geo.sinogram_shape)
+        assert np.array_equal(radon_forward(x, geo), (mat @ x.ravel()).reshape(geo.sinogram_shape))
+        assert np.array_equal(radon_adjoint(s, geo), (mat.T @ s.ravel()).reshape(n, n))
 
 
 def test_radon_adjoint_is_matrix_transpose_bitwise():
@@ -513,22 +533,25 @@ def test_radon_operator_skips_the_finiteness_scan():
 
 
 def test_import_leaves_scipy_sparse_linalg_out(tmp_path):
-    # scipy.sparse loads only when a CT system matrix is first built: when a Radon operator is
+    # the Radon kernels load from scipy's extension file alone: denoise, prox-check
+    # and CT runs leave scipy.sparse out, and only system_matrix imports it
     src = str(Path(tvprox.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = f"""
 import sys
+import numpy as np
 import tvprox
 from tvprox import cli
-assert "scipy.sparse.linalg" not in sys.modules
-assert cli.main(["denoise", "--size", "16", "--phantoms", "1", "--out", {str(tmp_path)!r}]) == 0
+from tvprox.operators import CtGeometry, prox_g_ct, radon_operator, system_matrix
+assert cli.main(["denoise", "--size", "16", "--phantoms", "1", "--out", {str(tmp_path / "denoise")!r}]) == 0
 assert cli.main(["prox-check"]) == 0
-assert "scipy.sparse" not in sys.modules
-from tvprox.operators import CtGeometry, radon_operator, system_matrix
 geo = CtGeometry(16, 8)
-radon_operator(geo)
-assert "scipy.sparse" in sys.modules
+op = radon_operator(geo)
+prox_g_ct(np.zeros((16, 16)), 1e-2, np.ones(geo.sinogram_shape), op)
+assert cli.main(["ct", "--size", "16", "--phantoms", "1", "--gamma", "0.01", "--out", {str(tmp_path / "ct")!r}]) == 0
+assert "scipy.sparse" not in sys.modules
 assert system_matrix(geo).shape == (8 * 24, 16 * 16)
+assert "scipy.sparse" in sys.modules
 """
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

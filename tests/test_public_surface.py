@@ -113,6 +113,7 @@ ARRAY_ARGUMENTS = {
                     (lambda a, _: tvprox.duality_gap(SIG, SIG, a, 0.1), np.zeros((2, 2, 3)), "p")],
     "tautstring_prox_1d": [(lambda a, _: tvprox.tautstring_prox_1d(a, 0.1), LINE, "z")],
     "radon_forward": [(lambda a, _: tvprox.radon_forward(a, GEO), IMG, "img")],
+    "radon_adjoint": [(lambda a, _: tvprox.radon_adjoint(a, GEO), SINO, "sino")],
     "add_awgn": [(lambda a, _: tvprox.add_awgn(a, 0.1, 0), SIG, "x")],
     "prox_g_denoise": [(lambda a, _: tvprox.prox_g_denoise(a, 0.5, SIG), SIG, "v"),
                        (lambda a, _: tvprox.prox_g_denoise(SIG, 0.5, a), SIG, "y")],
@@ -127,7 +128,6 @@ ARRAY_ARGUMENTS = {
 COEFFS = "takes a CoeffStack, the frame coefficients that w_forward makes of a checked signal"
 ARRAY_EXEMPT = (
     ("l2_norm", "inf or NaN in gives inf or NaN out by design: _stopped and ADMM's residuals read it"),
-    ("radon_adjoint", "the operator closure calls it once per CG matvec, with no check_finite switch to skip a scan"),
     ("w_adjoint", COEFFS),
     ("h_hat", COEFFS),
     ("h_hat_subgradient", COEFFS),
