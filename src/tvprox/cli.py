@@ -161,6 +161,18 @@ def _run_prox_check(args):
     print(f"error bound: ||prox - S|| <= ||fpg - S|| + sqrt(2*gap)={dist:.6e} (gap {gap:.1e}) "
           f"<= 4*tau*d*sqrt(n)={bound:.6e}  [{verdict}]")
     ok &= verdict != "FAIL"
+
+    # With no exact solve: S is FPG's first step from p = 0, whose dual p1 is feasible, so
+    # 0.5*||S - prox||^2 <= duality_gap(z, S, p1, tau). The FPG solve above cross-checks it:
+    # ||fpg - S|| <= ||fpg - prox|| + ||prox - S|| <= sqrt(2*gap) + certificate.
+    _, first = fpg_prox(z, tau, OracleConfig(max_iter=1, mode=mode), return_info=True)
+    certificate = np.sqrt(2.0 * max(duality_gap(z, s, first["p"], tau, mode), 0.0))
+    floor = l2_norm(fpg - s) - np.sqrt(2.0 * max(gap, 0.0))
+    verdict = "vacuous" if not np.isfinite(certificate) else \
+        "pass" if floor <= certificate * (1 + 1e-9) + 1e-12 else "FAIL"
+    print(f"certified: ||S - prox|| <= sqrt(2*duality_gap(z, S, p1, tau))={certificate:.6e} "
+          f">= ||fpg - S|| - sqrt(2*gap)={floor:.6e}  [{verdict}]")
+    ok &= verdict != "FAIL"
     return 0 if ok else 3
 
 

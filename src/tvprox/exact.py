@@ -14,10 +14,20 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .frame import BOUNDARIES, _adjoint_steps, _grad, _grad_adjoint, _grad_steps, _run
+from .frame import (
+    BOUNDARIES,
+    _adjoint_steps,
+    _both,
+    _grad,
+    _grad_adjoint,
+    _grad_steps,
+    _row_halves,
+    _run,
+)
 from .shrinkage import _clip, _project_ball
 from .signal import _aligned, check_array, check_choice, check_count, check_positive, validate_signal
 from .tv import _tv_of_differences, check_mode
@@ -69,21 +79,30 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
 
     The working set is the dual stacks p, q and g and two primal buffers,
     3d + 2 arrays of the signal's size (3d + 3 when iso, with the
-    projection's scratch), allocated once per call, each starting on a
-    64-byte cache line up to 1 MiB (signal._aligned), and updated in place.
-    One primal buffer holds x, the other dx = x - x_prev, extrapolated in
-    place to the primal point of q and, once the difference pass has read
-    it, overwritten with tau*D^T p. x is then formed over it and the new dx
-    over the old x, so the primal buffers swap roles every iteration, as p
-    and g do; the gap's ||tau*D^T p||^2 is taken first. The iso projection
-    works in dx and the scratch.
+    projection's scratch; 3d + 4 when iso runs as halves, below),
+    allocated once per call, each starting on a 64-byte cache line up to
+    1 MiB (signal._aligned), and updated in place. One primal buffer holds
+    x, the other dx = x - x_prev, extrapolated in place to the primal point
+    of q and, once the difference pass has read it, overwritten with
+    tau*D^T p. x is then formed over it and the new dx over the old x, so
+    the primal buffers swap roles every iteration, as p and g do; the gap's
+    ||tau*D^T p||^2 is taken first. The iso projection works in dx and the
+    scratch.
 
-    The views of the difference pair and the flat views the dots read are
-    built once per call, one set per parity of the swaps, and the scalar
-    operands are 0-d arrays bound once. An iteration then makes C-level
-    calls only (ufuncs with positional outs, ndarray.dot; aniso projects
-    with the clip ufunc), but for _project_ball when iso and the gap check
-    every 50 iterations.
+    The iteration's calls are bound once per call, one set per parity of
+    the swaps, as lists of five phases (_phase_calls) on views of the
+    working set, with the scalar operands as 0-d arrays: the extrapolation;
+    the rest of the dual step through p+ - p; the momentum, adjoint and
+    scale; z - dx; and x - dx. The restart and gap dots stay whole-array
+    ndarray.dot calls on the caller's thread, between the phases. Below
+    frame.SPLIT_MIN samples an iteration makes C-level calls only (ufuncs
+    with positional outs, ndarray.dot, the clip ufunc through a partial
+    when aniso), but for _project_ball when iso and the gap check every 50
+    iterations. From it on, on two CPUs, each phase runs as two halves of
+    the rows at once, the second on frame's worker thread: five handoffs an
+    iteration, and the same bits, as no phase reads the rows of its
+    outputs that the other half writes (the iso norms then get their own
+    block, since the difference pass reads dx across the halves).
     """
     z = validate_signal(z, "z")
     check_positive("tau", tau)
@@ -97,62 +116,88 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     # view, and reshape(-1) of another layout is a copy.
     x, dx = _aligned(z.shape), _aligned(z.shape, zero=True)
     x[...] = z
-    tmp = None if aniso else _aligned(z.shape)
+    halves = _row_halves(z.shape)
+    # the iso projection's scratch: the norms go in dx, or in a second
+    # block when the phases run as halves (dx's rows are read across them)
+    tmp = None if aniso else _aligned(((2,) if halves else ()) + z.shape)
     # Iteration k writes D dx into the buffer g holds (g on even k, p on
     # odd k), swaps it into p and reads D^T p from the same buffer into dx,
     # through block 0 of the other dual buffer, by then the spare g. x and
     # dx start in their own buffers on even k and swapped on odd k; the gap
     # steps write D x, by then in dx's buffer, into the spare g. The dots
     # read p+ - p (restart test) and tau*D^T p (gap) through flat views.
-    steps = [
-        (_grad_steps(dxb, buf, boundary), _adjoint_steps(buf, dxb, spare[0], boundary),
-         spare.reshape(-1), dxb.reshape(-1), _grad_steps(dxb, spare, boundary))
-        for buf, spare, dxb in ((g, p, dx), (p, g, x))
-    ]
+    phases, scalars = [], (step, tau_, beta_, lo, hi)
+    for pb, gb, xb, dxb in ((p, g, x, dx), (g, p, dx, x)):
+        if halves:
+            first, second = (_phase_calls(z, pb, gb, xb, dxb, q, r, scalars, cfg, tmp)
+                             for r in halves)
+            calls = [[(_both, a, b, None)] for a, b in zip(first, second)]
+        else:
+            calls = _phase_calls(z, pb, gb, xb, dxb, q, None, scalars, cfg, (dxb, tmp))
+        extrapolation, ascent, descent, primal, difference = calls
+        phases.append((extrapolation + ascent, pb.reshape(-1), descent, dxb.reshape(-1), primal,
+                       _grad_steps(dxb, pb, boundary), difference))
     qf, t_prev = q.reshape(-1), 1.0
     for k in range(max_iter):
+        ascent, pf, descent, dxf, primal, gap_steps, difference = phases[k % 2]
         # Projected dual step at q; its primal point is x + beta*(x - x_prev).
-        grad_steps, adjoint_steps, pf, dxf, gap_steps = steps[k % 2]
-        np.multiply(dx, beta_, dx)
-        np.add(dx, x, dx)
-        for ufunc, a, b, out in grad_steps:
+        # Then p+ - p into p, whose old dual is not read again.
+        for ufunc, a, b, out in ascent:
             ufunc(a, b, out)
-        np.multiply(g, step, g)
-        np.add(g, q, g)
-        if aniso:
-            _clip(g, lo, hi, g)
-        else:
-            _project_ball(g, 1.0, mode, dx, tmp)
         t = (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev)) / 2.0
         beta = (t_prev - 1.0) / t
-        np.subtract(g, p, p)  # p+ - p; the old dual is not read again
-        if restart:  # when <q - p+, p+ - p> > 0
-            np.subtract(q, g, q)
-            if qf.dot(pf) > 0.0:
-                t, beta = 1.0, 0.0
+        if restart and qf.dot(pf) > 0.0:  # when <q - p+, p+ - p> > 0
+            t, beta = 1.0, 0.0
         beta_[()] = beta
-        np.multiply(p, beta_, q)
-        np.add(q, g, q)
-        p, g, t_prev = g, p, t
-        for ufunc, a, b, out in adjoint_steps:
+        # q = p+ + beta*(p+ - p), then tau*D^T p+ into dx
+        for ufunc, a, b, out in descent:
             ufunc(a, b, out)
-        np.multiply(dx, tau_, dx)  # tau*D^T p
+        p, g, t_prev = g, p, t
         iters = k + 1
         check = iters % 50 == 0 or iters == max_iter
         if check:
             dtp_sq = dxf.dot(dxf)
-        np.subtract(z, dx, dx)
+        for ufunc, a, b, out in primal:
+            ufunc(a, b, out)
         x, dx = dx, x
         if check:
             gap = _relative_gap(gap_steps, g, p, dtp_sq, tau, mode)
             if gap <= tol:
                 break
-        np.subtract(x, dx, dx)
+        for ufunc, a, b, out in difference:
+            ufunc(a, b, out)
     if return_info:
         return x, {"iterations": iters, "gap": gap, "converged": gap <= tol, "p": p}
     if not gap <= tol:  # a NaN gap included
         warnings.warn(f"fpg_prox: max_iter={max_iter} reached, achieved relative gap {gap:.3e}", RuntimeWarning)
     return x
+
+
+def _phase_calls(z, p, g, x, dx, q, rows, scalars, cfg, scratch):
+    """The calls (ufunc, a, b, out) of fpg_prox's five phases for one
+    parity of the swaps: the extrapolation, the rest of the dual step
+    through p+ - p (iso: projecting with the norms and squares in the
+    scratch pair), the momentum, adjoint and scale, z - dx, and x - dx.
+
+    rows=(r0, r1) keeps the calls that write rows r0:r1 along axis 0, each
+    sample getting those of the whole phase in the same order. A phase
+    does not read the rows of its outputs that the other half writes, so
+    the two halves of each phase run at once.
+    """
+    step, tau_, beta_, lo, hi = scalars
+    r = slice(*rows) if rows else slice(None)
+    s = (slice(None), r)
+    xr, dxr, gs, ps, qs = x[r], dx[r], g[s], p[s], q[s]
+    project = (partial(_clip, gs), lo, hi, gs) if cfg.mode == "aniso" else \
+        (partial(_project_ball, gs, 1.0), cfg.mode, scratch[0][r], scratch[1][r])
+    ascent = _grad_steps(dx, g, cfg.boundary, rows=rows) + [
+        (np.multiply, gs, step, gs), (np.add, gs, qs, gs), project, (np.subtract, gs, ps, ps)]
+    if cfg.restart:
+        ascent.append((np.subtract, qs, gs, qs))
+    descent = [(np.multiply, ps, beta_, qs), (np.add, qs, gs, qs),
+               *_adjoint_steps(g, dx, p[0], cfg.boundary, rows=rows), (np.multiply, dxr, tau_, dxr)]
+    return ([(np.multiply, dxr, beta_, dxr), (np.add, dxr, xr, dxr)], ascent, descent,
+            [(np.subtract, z[r], dxr, dxr)], [(np.subtract, dxr, xr, xr)])
 
 
 def _relative_gap(grad_steps, dif, p, dtp_sq, tau, mode):

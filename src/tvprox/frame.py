@@ -16,17 +16,34 @@ all its slots as leading batch axes, build them once and run only the calls.
 
 Under circular boundaries W^T W = I exactly: w_adjoint(w_forward(z)) == z.
 The approximate prox analyses with w_forward.
+
+Every step is made by _step, which splits a call over SPLIT_MIN samples or
+more (a 1024^2 image's primal and dual-stack calls, none at 512^2) into two
+halves, run at once: the second on one persistent worker thread, the first
+on the caller's. numpy releases the GIL inside the kernels, so both cores
+work, and an elementwise call gives the same bits on either half as on the
+whole. A split step is still one (ufunc, a, b, out) tuple, (_both, first
+calls, second calls, None), so every loop runs split and whole step lists
+alike. fpg_prox splits coarser: the step builders' rows= argument gives
+the calls that write a range of rows, and each phase of its iteration runs
+as two halves of the rows (_row_halves), one handoff for a dozen calls.
 """
 
+import _queue
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .signal import validate_signal
 
 BOUNDARIES = ("circular", "free")
+# a kernel call over at least this many samples runs as two halves (_step)
+SPLIT_MIN = 1 << 20
 # the free boundary's operands, as 0-d arrays that numpy does not convert again on every call
 _ZERO, _ONE, _MINUS_ONE = np.array(0.0), np.array(1.0), np.array(-1.0)
 
@@ -73,7 +90,130 @@ def _axis_slices(shape):
     )
 
 
-def _grad_steps(x, out, boundary, batch=0):
+def _step(fn, *args, n=None):
+    """The step (fn, a, b, out) of the kernel call fn(*args), whose last
+    argument is its output.
+
+    The call counts n samples, by default its output's size. From SPLIT_MIN
+    on, when calls may split (_splits), it is the split step (_both, [first
+    half], [second half], None): the halves cut every operand of the
+    output's shape at the middle of the output's longest axis and share the
+    0-d ones. A call with any other operand, or whose output overlaps an
+    input other than itself, runs whole.
+    """
+    out = args[-1]
+    if (out.size if n is None else n) >= SPLIT_MIN and _splits():
+        halves = _halves(args)
+        if halves is not None:
+            return (_both, [_call(fn, halves[0])], [_call(fn, halves[1])], None)
+    return _call(fn, args)
+
+
+def _call(fn, args):
+    """The 4-tuple (fn, a, b, out) of fn(*args): a 3-input ufunc (the clip)
+    binds its first input."""
+    return (fn,) + args if len(args) == 3 else (partial(fn, args[0]),) + args[1:]
+
+
+def _halves(args):
+    """The arguments of _step's two halves, or None where it runs whole."""
+    out = args[-1]
+    axis = out.shape.index(max(out.shape))
+    m = out.shape[axis] // 2
+    if m == 0:
+        return None
+    cut = (slice(None),) * axis
+    first, second = [], []
+    for a in args:
+        if np.ndim(a) == 0:
+            first.append(a)
+            second.append(a)
+        elif a.shape == out.shape and (a is out or not np.may_share_memory(a, out)):
+            first.append(a[cut + (slice(None, m),)])
+            second.append(a[cut + (slice(m, None),)])
+        else:
+            return None
+    return tuple(first), tuple(second)
+
+
+def _row_halves(shape):
+    """The row ranges ((0, m), (m, rows)) along axis 0 of the two halves
+    that fpg_prox runs each phase of a signal of `shape` as, from SPLIT_MIN
+    samples on when calls split; else None."""
+    if math.prod(shape) < SPLIT_MIN or not _splits():
+        return None
+    m = shape[0] // 2
+    return (0, m), (m, shape[0])
+
+
+def _splits():
+    """Whether a large call splits: on two or more CPUs, and on numpy 2,
+    whose context carries errstate and setbufsize to the worker (numpy 1
+    keeps them per thread)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus >= 2 and int(np.__version__.split(".")[0]) >= 2
+
+
+_tasks = None  # the worker's queue of (context, calls, done), made with it on the first split call
+_starting = threading.Lock()
+
+
+def _calls(calls):
+    """Make the calls (fn, a, b, out) of one half, in order."""
+    for fn, a, b, out in calls:
+        fn(a, b, out)
+
+
+def _both(first, second, _):
+    """Run a split step: the calls of the second half on the worker, under a
+    copy of the caller's context, and those of the first here. An exception
+    in either half is raised here once both have ended (the first half's,
+    if both raise)."""
+    done = _queue.SimpleQueue()
+    (_tasks or _start()).put((contextvars.copy_context(), second, done))
+    try:
+        _calls(first)
+    finally:
+        error = done.get()
+    if error is not None:
+        raise error
+
+
+def _start():
+    """Start the worker: one daemon thread, so it never holds up exit."""
+    global _tasks
+    with _starting:
+        if _tasks is None:
+            tasks = _queue.SimpleQueue()
+            threading.Thread(target=_work, args=(tasks,), name="tvprox-half", daemon=True).start()
+            _tasks = tasks
+    return _tasks
+
+
+def _work(tasks):
+    """The worker's loop: run each half given, and report how it ended."""
+    while True:
+        context, calls, done = tasks.get()
+        error = None
+        try:
+            context.run(_calls, calls)
+        except BaseException as err:  # raised again in the caller
+            error = err
+        del context, calls  # hold no operand once the half has run
+        done.put(error)
+        del done, error
+
+
+def _forget_worker():
+    global _tasks, _starting
+    _tasks, _starting = None, threading.Lock()  # a forked child has no worker
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _grad_steps(x, out, boundary, batch=0, rows=None):
     """Kernel calls (ufunc, a, b, out) that write D x into `out`.
 
     out[j]_i = x_i - x_{i+1} along axis j. circular: the last sample pairs
@@ -86,21 +226,37 @@ def _grad_steps(x, out, boundary, batch=0):
     of that stack with the bits of one call per signal. When `x` and `out`
     are C-contiguous, every array a, b and out is a view of one of them,
     so the calls can be run again after those buffers change; the flat
-    view of any other layout is a copy, read once.
+    view of any other layout is a copy, read once. Each step is a _step;
+    a per-axis subtraction counts the n samples of x.
+
+    rows=(r0, r1) keeps the part of each call that writes rows r0:r1 along
+    the signal's axis 0, as plain calls that never split, in the same order
+    for each sample: fpg_prox runs each phase of a large signal as two such
+    halves at once. They read x up to row r1 (and row 0 for the circular
+    last row).
     """
     lead, shape = x.shape[:batch], x.shape[batch:]
+    r0, r1 = rows or (0, shape[0])
+    size, row = math.prod(shape), math.prod(shape[1:])
+    n, m = (x.size, None) if rows is None else (0, 0)  # samples a subtraction, a slab counts
     xf, of = x.reshape(lead + (-1,)), out.reshape(lead + (len(shape), -1))
     steps = []
-    for j, (s, (first, _), (last, block_last), _) in enumerate(_axis_slices(shape)):
-        steps.append((np.subtract, xf[..., :-s], xf[..., s:], of[..., j, :-s]))
+    for j, (s, (first, _), (last, _), _) in enumerate(_axis_slices(shape)):
+        lo, hi = r0 * row, min(r1 * row, size - s)
+        if lo < hi:
+            steps.append(_step(np.subtract, xf[..., lo:hi], xf[..., lo + s:hi + s], of[..., j, lo:hi], n=n))
+        if j == 0 and r1 < shape[0]:
+            continue  # axis 0's last slab is the last row
+        if j and rows:
+            first, last = (slice(r0, r1),) + first[1:], (slice(r0, r1),) + last[1:]
         if boundary == "circular":
-            steps.append((np.subtract, x[(...,) + last], x[(...,) + first], out[(...,) + block_last]))
+            steps.append(_step(np.subtract, x[(...,) + last], x[(...,) + first], out[(..., j) + last], n=m))
         else:
-            steps.append((np.multiply, _ZERO, _ZERO, out[(...,) + block_last]))
+            steps.append(_step(np.multiply, _ZERO, _ZERO, out[(..., j) + last], n=m))
     return steps
 
 
-def _adjoint_steps(p, out, scratch, boundary):
+def _adjoint_steps(p, out, scratch, boundary, rows=None):
     """Kernel calls (ufunc, a, b, out) that write D^T p into `out`.
 
     D^T p is the sum over axes of p[j]_i - p[j]_{i-1}. circular: p[j]_{-1}
@@ -113,20 +269,34 @@ def _adjoint_steps(p, out, scratch, boundary):
     may be p[0], which the axis-0 calls read before any later axis writes
     it (the calls then use up p), or a block of a stack whose contents are
     dead; it must not alias `out` or p[1:]. Copy and negation are
-    multiplications by 1 and -1, which are exact.
+    multiplications by 1 and -1, which are exact. Each step is a _step; a
+    per-axis subtraction counts the n samples of out. rows=(r0, r1) keeps,
+    as for _grad_steps, the part that writes rows r0:r1 of out (and of
+    scratch); it reads p from row r0 - 1 (and the last rows, at the
+    boundaries of axis 0).
     """
+    r0, r1 = rows or (0, out.shape[0])
+    row = math.prod(out.shape[1:])
+    n, m = (out.size, None) if rows is None else (0, 0)  # samples a subtraction, a slab counts
     pf = p.reshape(len(p), -1)
     steps = []
     work = out
-    for j, (s, (first, block_first), (last, block_last), (_, block_penult)) in enumerate(_axis_slices(out.shape)):
-        steps.append((np.subtract, pf[j, s:], pf[j, :-s], work.reshape(-1)[s:]))
-        if boundary == "circular":
-            steps.append((np.subtract, p[block_first], p[block_last], work[first]))
-        else:
-            steps.append((np.multiply, p[block_first], _ONE, work[first]))
-            steps.append((np.multiply, p[block_penult], _MINUS_ONE, work[last]))
+    for j, (s, (first, _), (last, _), (penult, _)) in enumerate(_axis_slices(out.shape)):
+        lo, hi = max(r0 * row, s), r1 * row
+        if lo < hi:
+            steps.append(_step(np.subtract, pf[j, lo:hi], pf[j, lo - s:hi - s], work.reshape(-1)[lo:hi], n=n))
+        if j and rows:
+            first, last, penult = ((slice(r0, r1),) + i[1:] for i in (first, last, penult))
+        if j or r0 == 0:  # axis 0's first slab is the first row
+            if boundary == "circular":
+                steps.append(_step(np.subtract, p[(j,) + first], p[(j,) + last], work[first], n=m))
+            else:
+                steps.append(_step(np.multiply, p[(j,) + first], _ONE, work[first], n=m))
+        if boundary == "free" and (j or r1 == out.shape[0]):
+            steps.append(_step(np.multiply, p[(j,) + penult], _MINUS_ONE, work[last], n=m))
         if j > 0:
-            steps.append((np.add, out, work, out))
+            o, w = (out, work) if rows is None else (out[r0:r1], work[r0:r1])
+            steps.append(_step(np.add, o, w, o, n=m))
         work = scratch
     return steps
 

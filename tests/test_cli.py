@@ -102,6 +102,29 @@ def test_prox_check_finishes_at_huge_tau(mode, capsys):
     assert _error_bound_line(out).endswith("[vacuous]")
 
 
+def _certified_line(out):
+    (line,) = [s for s in out.splitlines() if s.startswith("certified:")]
+    return line
+
+
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+@pytest.mark.parametrize("tau", [1e-3, 1e-2, 0.5])
+def test_prox_check_certifies_s_without_an_exact_solve(mode, tau, capsys):
+    # the certificate sqrt(2*duality_gap(z, S, p1, tau)) bounds ||S - prox||, so it is at
+    # least what the certified FPG solve leaves of ||fpg - S|| once its own gap is taken off
+    assert main(["prox-check", "--size", "12", "--seed", "3", "--tau", str(tau), "--mode", mode]) == 0
+    line = _certified_line(capsys.readouterr().out)
+    certificate, floor = (float(part.split("=")[-1].split()[0]) for part in line.split(">="))
+    assert line.endswith("[pass]")
+    assert 0.0 < floor <= certificate
+
+
+@pytest.mark.parametrize("mode", ["aniso", "iso"])
+def test_prox_check_certificate_is_vacuous_at_huge_tau(mode, capsys):
+    assert main(["prox-check", "--size", "8", "--tau", "1e308", "--mode", mode]) == 0
+    assert _certified_line(capsys.readouterr().out).endswith("[vacuous]")
+
+
 def test_byte_identical_tables(tmp_path):
     args = ["denoise", "--size", "16", "--phantoms", "1", "--seed", "4",
             "--lambda", "0.5", "--gamma", "1e-1"]
