@@ -79,15 +79,14 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
 
     The working set is the dual stacks p, q and g and two primal buffers,
     3d + 2 arrays of the signal's size (3d + 3 when iso, with the
-    projection's scratch; 3d + 4 when iso runs as halves, below),
-    allocated once per call, each starting on a 64-byte cache line up to
-    1 MiB (signal._aligned), and updated in place. One primal buffer holds
-    x, the other dx = x - x_prev, extrapolated in place to the primal point
-    of q and, once the difference pass has read it, overwritten with
-    tau*D^T p. x is then formed over it and the new dx over the old x, so
-    the primal buffers swap roles every iteration, as p and g do; the gap's
-    ||tau*D^T p||^2 is taken first. The iso projection works in dx and the
-    scratch.
+    projection's scratch), allocated once per call, each starting on a
+    64-byte cache line up to 1 MiB (signal._aligned), and updated in
+    place. One primal buffer holds x, the other dx = x - x_prev,
+    extrapolated in place to the primal point of q and, once the
+    difference pass has read it, overwritten with tau*D^T p. x is then
+    formed over it and the new dx over the old x, so the primal buffers
+    swap roles every iteration, as p and g do; the gap's ||tau*D^T p||^2
+    is taken first. The iso projection works in dx and the scratch.
 
     The iteration's calls are bound once per call, one set per parity of
     the swaps, as lists of five phases (_phase_calls) on views of the
@@ -98,11 +97,13 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     frame.SPLIT_MIN samples an iteration makes C-level calls only (ufuncs
     with positional outs, ndarray.dot, the clip ufunc through a partial
     when aniso), but for _project_ball when iso and the gap check every 50
-    iterations. From it on, on two CPUs, each phase runs as two halves of
-    the rows at once, the second on frame's worker thread: five handoffs an
-    iteration, and the same bits, as no phase reads the rows of its
-    outputs that the other half writes (the iso norms then get their own
-    block, since the difference pass reads dx across the halves).
+    iterations. From it on, on two CPUs and when aniso, each phase (and
+    the gap's difference pass) runs as two halves of the rows at once, the
+    second on frame's worker thread: five handoffs an iteration, the same
+    working set, and the same bits, as no phase reads the rows of its
+    outputs that the other half writes. An iso solve runs whole: its
+    projection keeps its norms in dx, whose rows the difference pass reads
+    across the halves.
     """
     z = validate_signal(z, "z")
     check_positive("tau", tau)
@@ -116,10 +117,8 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     # view, and reshape(-1) of another layout is a copy.
     x, dx = _aligned(z.shape), _aligned(z.shape, zero=True)
     x[...] = z
-    halves = _row_halves(z.shape)
-    # the iso projection's scratch: the norms go in dx, or in a second
-    # block when the phases run as halves (dx's rows are read across them)
-    tmp = None if aniso else _aligned(((2,) if halves else ()) + z.shape)
+    halves = _row_halves(z.shape) if aniso else None
+    tmp = None if aniso else _aligned(z.shape)
     # Iteration k writes D dx into the buffer g holds (g on even k, p on
     # odd k), swaps it into p and reads D^T p from the same buffer into dx,
     # through block 0 of the other dual buffer, by then the spare g. x and
@@ -129,14 +128,15 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     phases, scalars = [], (step, tau_, beta_, lo, hi)
     for pb, gb, xb, dxb in ((p, g, x, dx), (g, p, dx, x)):
         if halves:
-            first, second = (_phase_calls(z, pb, gb, xb, dxb, q, r, scalars, cfg, tmp)
-                             for r in halves)
+            first, second = (_phase_calls(z, pb, gb, xb, dxb, q, r, scalars, cfg, None) for r in halves)
             calls = [[(_both, a, b, None)] for a, b in zip(first, second)]
+            gap_steps = [(_both, *(_grad_steps(dxb, pb, boundary, rows=r) for r in halves), None)]
         else:
-            calls = _phase_calls(z, pb, gb, xb, dxb, q, None, scalars, cfg, (dxb, tmp))
+            calls = _phase_calls(z, pb, gb, xb, dxb, q, None, scalars, cfg, tmp)
+            gap_steps = _grad_steps(dxb, pb, boundary)
         extrapolation, ascent, descent, primal, difference = calls
         phases.append((extrapolation + ascent, pb.reshape(-1), descent, dxb.reshape(-1), primal,
-                       _grad_steps(dxb, pb, boundary), difference))
+                       gap_steps, difference))
     qf, t_prev = q.reshape(-1), 1.0
     for k in range(max_iter):
         ascent, pf, descent, dxf, primal, gap_steps, difference = phases[k % 2]
@@ -173,23 +173,23 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     return x
 
 
-def _phase_calls(z, p, g, x, dx, q, rows, scalars, cfg, scratch):
+def _phase_calls(z, p, g, x, dx, q, rows, scalars, cfg, tmp):
     """The calls (ufunc, a, b, out) of fpg_prox's five phases for one
     parity of the swaps: the extrapolation, the rest of the dual step
-    through p+ - p (iso: projecting with the norms and squares in the
-    scratch pair), the momentum, adjoint and scale, z - dx, and x - dx.
+    through p+ - p (iso: projecting with the norms in dx and the squares
+    in tmp), the momentum, adjoint and scale, z - dx, and x - dx.
 
-    rows=(r0, r1) keeps the calls that write rows r0:r1 along axis 0, each
-    sample getting those of the whole phase in the same order. A phase
-    does not read the rows of its outputs that the other half writes, so
-    the two halves of each phase run at once.
+    rows=(r0, r1), aniso only, keeps the calls that write rows r0:r1 along
+    axis 0, each sample getting those of the whole phase in the same
+    order. A phase does not read the rows of its outputs that the other
+    half writes, so the two halves of each phase run at once.
     """
     step, tau_, beta_, lo, hi = scalars
     r = slice(*rows) if rows else slice(None)
     s = (slice(None), r)
     xr, dxr, gs, ps, qs = x[r], dx[r], g[s], p[s], q[s]
     project = (partial(_clip, gs), lo, hi, gs) if cfg.mode == "aniso" else \
-        (partial(_project_ball, gs, 1.0), cfg.mode, scratch[0][r], scratch[1][r])
+        (partial(_project_ball, g, 1.0), cfg.mode, dx, tmp)
     ascent = _grad_steps(dx, g, cfg.boundary, rows=rows) + [
         (np.multiply, gs, step, gs), (np.add, gs, qs, gs), project, (np.subtract, gs, ps, ps)]
     if cfg.restart:

@@ -17,16 +17,17 @@ all its slots as leading batch axes, build them once and run only the calls.
 Under circular boundaries W^T W = I exactly: w_adjoint(w_forward(z)) == z.
 The approximate prox analyses with w_forward.
 
-Every step is made by _step, which splits a call over SPLIT_MIN samples or
-more (a 1024^2 image's primal and dual-stack calls, none at 512^2) into two
-halves, run at once: the second on one persistent worker thread, the first
-on the caller's. numpy releases the GIL inside the kernels, so both cores
-work, and an elementwise call gives the same bits on either half as on the
-whole. A split step is still one (ufunc, a, b, out) tuple, (_both, first
-calls, second calls, None), so every loop runs split and whole step lists
-alike. fpg_prox splits coarser: the step builders' rows= argument gives
-the calls that write a range of rows, and each phase of its iteration runs
-as two halves of the rows (_row_halves), one handoff for a dozen calls.
+fpg_prox uses the second core on large signals. From SPLIT_MIN samples
+on (a 1024^2 image, not 512^2), on two CPUs (_row_halves), it runs each
+phase of its iteration as two halves of the signal's rows at once: the
+step builders' rows= argument gives the calls that write a range of rows,
+and the split step (_both, first calls, second calls, None) runs the
+second half on one persistent worker thread, kept off the CPU of the
+thread that started it, and the first on the caller's. numpy releases
+the GIL inside the kernels, so both cores work, and each sample gets the
+same calls on the same inputs, so the same bits. A split step is still
+one (ufunc, a, b, out) tuple, so every loop runs split and whole step
+lists alike.
 """
 
 import _queue
@@ -35,14 +36,14 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .signal import validate_signal
 
 BOUNDARIES = ("circular", "free")
-# a kernel call over at least this many samples runs as two halves (_step)
+# fpg_prox runs each phase of a signal of at least this many samples as two halves (_row_halves)
 SPLIT_MIN = 1 << 20
 # the free boundary's operands, as 0-d arrays that numpy does not convert again on every call
 _ZERO, _ONE, _MINUS_ONE = np.array(0.0), np.array(1.0), np.array(-1.0)
@@ -74,15 +75,14 @@ class CoeffStack:
 def _axis_slices(shape):
     """Per-axis (stride, first, last, penult) of a C-ordered signal shape:
     the flat distance between neighbours along the axis, and index tuples
-    of the first, last and second-to-last slab along it. Each slab index
-    is a pair: into the signal, and into block j of a (d, *shape) stack.
-    Past 1-D it is an integer, dropping the axis, so a 2-D signal's column
-    is a 1-D view, which numpy runs without copying it through its buffer."""
+    of the first, last and second-to-last slab along it (block j of a
+    (d, *shape) stack prefixes j). Past 1-D it is an integer, dropping the
+    axis, so a 2-D signal's column is a 1-D view, which numpy runs without
+    copying it through its buffer."""
     full = (slice(None),) * len(shape)
 
     def slab(j, k):
-        index = full[:j] + (k if len(shape) > 1 else slice(k, k + 1 or None),) + full[j + 1 :]
-        return index, (j,) + index
+        return full[:j] + (k if len(shape) > 1 else slice(k, k + 1 or None),) + full[j + 1 :]
 
     return tuple(
         (math.prod(shape[j + 1 :]), slab(j, 0), slab(j, -1), slab(j, -2))
@@ -90,78 +90,28 @@ def _axis_slices(shape):
     )
 
 
-def _step(fn, *args, n=None):
-    """The step (fn, a, b, out) of the kernel call fn(*args), whose last
-    argument is its output.
-
-    The call counts n samples, by default its output's size. From SPLIT_MIN
-    on, when calls may split (_splits), it is the split step (_both, [first
-    half], [second half], None): the halves cut every operand of the
-    output's shape at the middle of the output's longest axis and share the
-    0-d ones. A call with any other operand, or whose output overlaps an
-    input other than itself, runs whole.
-    """
-    out = args[-1]
-    if (out.size if n is None else n) >= SPLIT_MIN and _splits():
-        halves = _halves(args)
-        if halves is not None:
-            return (_both, [_call(fn, halves[0])], [_call(fn, halves[1])], None)
-    return _call(fn, args)
-
-
-def _call(fn, args):
-    """The 4-tuple (fn, a, b, out) of fn(*args): a 3-input ufunc (the clip)
-    binds its first input."""
-    return (fn,) + args if len(args) == 3 else (partial(fn, args[0]),) + args[1:]
-
-
-def _halves(args):
-    """The arguments of _step's two halves, or None where it runs whole."""
-    out = args[-1]
-    axis = out.shape.index(max(out.shape))
-    m = out.shape[axis] // 2
-    if m == 0:
-        return None
-    cut = (slice(None),) * axis
-    first, second = [], []
-    for a in args:
-        if np.ndim(a) == 0:
-            first.append(a)
-            second.append(a)
-        elif a.shape == out.shape and (a is out or not np.may_share_memory(a, out)):
-            first.append(a[cut + (slice(None, m),)])
-            second.append(a[cut + (slice(m, None),)])
-        else:
-            return None
-    return tuple(first), tuple(second)
-
-
 def _row_halves(shape):
     """The row ranges ((0, m), (m, rows)) along axis 0 of the two halves
     that fpg_prox runs each phase of a signal of `shape` as, from SPLIT_MIN
-    samples on when calls split; else None."""
-    if math.prod(shape) < SPLIT_MIN or not _splits():
-        return None
+    samples on when halves run at once (_splits); else None."""
     m = shape[0] // 2
+    if math.prod(shape) < SPLIT_MIN or m == 0 or not _splits():
+        return None
     return (0, m), (m, shape[0])
 
 
 def _splits():
-    """Whether a large call splits: on two or more CPUs, and on numpy 2,
-    whose context carries errstate and setbufsize to the worker (numpy 1
-    keeps them per thread)."""
+    """Whether halves run at once: when the process may run on two or more
+    CPUs, and on numpy 2, whose context carries errstate and setbufsize to
+    the worker (numpy 1 keeps them per thread). CPU affinity is all it
+    sees: neither a cgroup's CPU quota nor the thread variables
+    (OMP_NUM_THREADS and its kin) hold the worker back."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return cpus >= 2 and int(np.__version__.split(".")[0]) >= 2
 
 
-_tasks = None  # the worker's queue of (context, calls, done), made with it on the first split call
+_tasks = None  # the worker's queue of (context, calls, done), made with it on the first split step
 _starting = threading.Lock()
-
-
-def _calls(calls):
-    """Make the calls (fn, a, b, out) of one half, in order."""
-    for fn, a, b, out in calls:
-        fn(a, b, out)
 
 
 def _both(first, second, _):
@@ -172,7 +122,7 @@ def _both(first, second, _):
     done = _queue.SimpleQueue()
     (_tasks or _start()).put((contextvars.copy_context(), second, done))
     try:
-        _calls(first)
+        _run(first)
     finally:
         error = done.get()
     if error is not None:
@@ -180,23 +130,43 @@ def _both(first, second, _):
 
 
 def _start():
-    """Start the worker: one daemon thread, so it never holds up exit."""
+    """Start the worker: one daemon thread, so it never holds up exit, on
+    the CPUs but the starting caller's (_other_cpus)."""
     global _tasks
     with _starting:
         if _tasks is None:
             tasks = _queue.SimpleQueue()
-            threading.Thread(target=_work, args=(tasks,), name="tvprox-half", daemon=True).start()
+            threading.Thread(target=_work, args=(tasks, _other_cpus()), name="tvprox-half", daemon=True).start()
             _tasks = tasks
     return _tasks
 
 
-def _work(tasks):
-    """The worker's loop: run each half given, and report how it ended."""
+def _other_cpus():
+    """The CPUs the process may run on but the one the calling thread runs
+    on, or None where that is not known or none is left. A cpuset that does
+    not balance load keeps a new thread on its creator's CPU, where the two
+    halves would take turns instead of running at once."""
+    try:
+        with open("/proc/thread-self/stat") as f:
+            cpu = int(f.read().rsplit(")", 1)[1].split()[36])  # field 39, after the command name
+        return os.sched_getaffinity(0) - {cpu} or None
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _work(tasks, cpus):
+    """The worker's loop, on `cpus` when given: run each half given, and
+    report how it ended."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus)  # this thread only
+        except OSError:
+            pass  # the cpuset changed since: the halves run anyway, perhaps in turns
     while True:
         context, calls, done = tasks.get()
         error = None
         try:
-            context.run(_calls, calls)
+            context.run(_run, calls)
         except BaseException as err:  # raised again in the caller
             error = err
         del context, calls  # hold no operand once the half has run
@@ -226,33 +196,32 @@ def _grad_steps(x, out, boundary, batch=0, rows=None):
     of that stack with the bits of one call per signal. When `x` and `out`
     are C-contiguous, every array a, b and out is a view of one of them,
     so the calls can be run again after those buffers change; the flat
-    view of any other layout is a copy, read once. Each step is a _step;
-    a per-axis subtraction counts the n samples of x.
+    view of any other layout is a copy, read once.
 
     rows=(r0, r1) keeps the part of each call that writes rows r0:r1 along
-    the signal's axis 0, as plain calls that never split, in the same order
-    for each sample: fpg_prox runs each phase of a large signal as two such
-    halves at once. They read x up to row r1 (and row 0 for the circular
-    last row).
+    the signal's axis 0, in the same order for each sample: fpg_prox runs
+    each phase of a large signal as two such halves at once. They read x
+    up to row r1 (and row 0 for the circular last row).
     """
     lead, shape = x.shape[:batch], x.shape[batch:]
     r0, r1 = rows or (0, shape[0])
+    if r0 == r1:
+        return []
     size, row = math.prod(shape), math.prod(shape[1:])
-    n, m = (x.size, None) if rows is None else (0, 0)  # samples a subtraction, a slab counts
     xf, of = x.reshape(lead + (-1,)), out.reshape(lead + (len(shape), -1))
     steps = []
-    for j, (s, (first, _), (last, _), _) in enumerate(_axis_slices(shape)):
+    for j, (s, first, last, _) in enumerate(_axis_slices(shape)):
         lo, hi = r0 * row, min(r1 * row, size - s)
         if lo < hi:
-            steps.append(_step(np.subtract, xf[..., lo:hi], xf[..., lo + s:hi + s], of[..., j, lo:hi], n=n))
+            steps.append((np.subtract, xf[..., lo:hi], xf[..., lo + s:hi + s], of[..., j, lo:hi]))
         if j == 0 and r1 < shape[0]:
             continue  # axis 0's last slab is the last row
         if j and rows:
             first, last = (slice(r0, r1),) + first[1:], (slice(r0, r1),) + last[1:]
         if boundary == "circular":
-            steps.append(_step(np.subtract, x[(...,) + last], x[(...,) + first], out[(..., j) + last], n=m))
+            steps.append((np.subtract, x[(...,) + last], x[(...,) + first], out[(..., j) + last]))
         else:
-            steps.append(_step(np.multiply, _ZERO, _ZERO, out[(..., j) + last], n=m))
+            steps.append((np.multiply, _ZERO, _ZERO, out[(..., j) + last]))
     return steps
 
 
@@ -269,40 +238,40 @@ def _adjoint_steps(p, out, scratch, boundary, rows=None):
     may be p[0], which the axis-0 calls read before any later axis writes
     it (the calls then use up p), or a block of a stack whose contents are
     dead; it must not alias `out` or p[1:]. Copy and negation are
-    multiplications by 1 and -1, which are exact. Each step is a _step; a
-    per-axis subtraction counts the n samples of out. rows=(r0, r1) keeps,
-    as for _grad_steps, the part that writes rows r0:r1 of out (and of
+    multiplications by 1 and -1, which are exact. rows=(r0, r1) keeps, as
+    for _grad_steps, the part that writes rows r0:r1 of out (and of
     scratch); it reads p from row r0 - 1 (and the last rows, at the
     boundaries of axis 0).
     """
     r0, r1 = rows or (0, out.shape[0])
+    if r0 == r1:
+        return []
     row = math.prod(out.shape[1:])
-    n, m = (out.size, None) if rows is None else (0, 0)  # samples a subtraction, a slab counts
     pf = p.reshape(len(p), -1)
     steps = []
     work = out
-    for j, (s, (first, _), (last, _), (penult, _)) in enumerate(_axis_slices(out.shape)):
+    for j, (s, first, last, penult) in enumerate(_axis_slices(out.shape)):
         lo, hi = max(r0 * row, s), r1 * row
         if lo < hi:
-            steps.append(_step(np.subtract, pf[j, lo:hi], pf[j, lo - s:hi - s], work.reshape(-1)[lo:hi], n=n))
+            steps.append((np.subtract, pf[j, lo:hi], pf[j, lo - s:hi - s], work.reshape(-1)[lo:hi]))
         if j and rows:
             first, last, penult = ((slice(r0, r1),) + i[1:] for i in (first, last, penult))
         if j or r0 == 0:  # axis 0's first slab is the first row
             if boundary == "circular":
-                steps.append(_step(np.subtract, p[(j,) + first], p[(j,) + last], work[first], n=m))
+                steps.append((np.subtract, p[(j,) + first], p[(j,) + last], work[first]))
             else:
-                steps.append(_step(np.multiply, p[(j,) + first], _ONE, work[first], n=m))
+                steps.append((np.multiply, p[(j,) + first], _ONE, work[first]))
         if boundary == "free" and (j or r1 == out.shape[0]):
-            steps.append(_step(np.multiply, p[(j,) + penult], _MINUS_ONE, work[last], n=m))
+            steps.append((np.multiply, p[(j,) + penult], _MINUS_ONE, work[last]))
         if j > 0:
             o, w = (out, work) if rows is None else (out[r0:r1], work[r0:r1])
-            steps.append(_step(np.add, o, w, o, n=m))
+            steps.append((np.add, o, w, o))
         work = scratch
     return steps
 
 
 def _run(steps):
-    """Make the kernel calls of _grad_steps or _adjoint_steps, in order."""
+    """Make the kernel calls (ufunc, a, b, out) of a step list, in order."""
     for ufunc, a, b, out in steps:
         ufunc(a, b, out)
 

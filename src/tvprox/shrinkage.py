@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import CoeffStack, _adjoint_steps, _grad_steps, _run, _step, w_forward
+from .frame import CoeffStack, _adjoint_steps, _grad_steps, _run, w_forward
 from .signal import check_array, check_nonnegative, check_positive
 from .tv import check_mode
 
@@ -129,8 +129,7 @@ def _synthesis_steps(z, dif, out):
     """Kernel calls (ufunc, a, b, out) that end S_tau once dif is projected:
     z - D^T dif / (2 sqrt d) into out, using dif up (dif[0] is the scratch)."""
     scale = np.array(1.0 / (2.0 * math.sqrt(len(dif))))
-    return _adjoint_steps(dif, out, dif[0], "circular") + [
-        _step(np.multiply, out, scale, out), _step(np.subtract, z, out, out)]
+    return _adjoint_steps(dif, out, dif[0], "circular") + [(np.multiply, out, scale, out), (np.subtract, z, out, out)]
 
 
 def approx_prox(z, params):
@@ -155,17 +154,14 @@ def _bind_approx_prox(z, outs, dif, tmp, params):
     """One kernel per buffer of outs that writes S_tau of what z holds into it.
 
     The analysis steps write w_forward's difference half into the stack
-    dif, with the clip when aniso; after the iso projection (in out and tmp,
-    a dead signal-sized buffer) the _synthesis_steps of out run. The scalar
-    operands are 0-d arrays bound once. Nothing is validated: the caller
-    checks the iterates.
+    dif; after the projection (iso: in out and tmp, a dead signal-sized
+    buffer) the _synthesis_steps of out run. The scalar operands are 0-d
+    arrays bound once. Nothing is validated: the caller checks the iterates.
     """
     d, mode = z.ndim, params.mode
     radius = params.threshold(d)
     lo, hi = np.array(-radius), np.array(radius)
-    analysis = _grad_steps(z, dif, "circular") + [_step(np.multiply, dif, np.array(1.0 / (2.0 * math.sqrt(d))), dif)]
-    if mode == "aniso":
-        analysis.append(_step(_clip, dif, lo, hi, dif))
+    analysis = _grad_steps(z, dif, "circular") + [(np.multiply, dif, np.array(1.0 / (2.0 * math.sqrt(d))), dif)]
 
     def bind(out):
         synthesis = _synthesis_steps(z, dif, out)
@@ -173,7 +169,9 @@ def _bind_approx_prox(z, outs, dif, tmp, params):
         def prox():
             for ufunc, a, b, o in analysis:
                 ufunc(a, b, o)
-            if mode == "iso":
+            if mode == "aniso":
+                _clip(dif, lo, hi, dif)
+            else:
                 _project_ball(dif, radius, mode, out, tmp)
             for ufunc, a, b, o in synthesis:
                 ufunc(a, b, o)

@@ -1,9 +1,10 @@
-"""Split kernel calls: a step over frame.SPLIT_MIN samples or more runs as
-two halves, the second on the worker thread. Every output keeps its bits,
-which SPLIT_MIN lowered to a few samples shows on small signals, the
-worker keeps the caller's errstate, and nothing it leaves running holds up
-exit."""
+"""Split steps: from frame.SPLIT_MIN samples on, an aniso fpg_prox runs each
+phase of its iteration as two halves of the rows, the second on the worker
+thread. Every output keeps its bits, which SPLIT_MIN lowered to a few
+samples shows on small signals, the worker keeps the caller's errstate, and
+nothing it leaves running holds up exit."""
 
+import os
 import subprocess
 import sys
 import textwrap
@@ -16,8 +17,9 @@ from oracles import oracle
 
 from tvprox import exact, frame
 from tvprox.exact import OracleConfig, duality_gap, fpg_prox
-from tvprox.shrinkage import ProxParams, _bind_approx_prox, approx_prox
-from tvprox.solvers import Problem, SolverConfig, admm, apgm
+from tvprox.frame import _adjoint_steps, _grad_steps, _run
+from tvprox.shrinkage import ProxParams, approx_prox
+from tvprox.solvers import Problem, SolverConfig, apgm
 from tvprox.tv import tv
 
 # odd extents, so that no cut falls on a boundary of the difference stencil's slabs
@@ -26,8 +28,9 @@ SHAPES = [(37,), (15, 21), (5, 7, 9)]
 
 @pytest.fixture
 def split_calls(monkeypatch):
-    """Split every step whose output has two or more samples along its
-    longest axis, on any host, and count the split calls made."""
+    """Run a function with nothing split, then with every signal of two or
+    more samples split on any host; return both results and the number of
+    split steps the second run made."""
     calls = []
     both = frame._both
 
@@ -45,8 +48,7 @@ def split_calls(monkeypatch):
         monkeypatch.setattr(frame, "SPLIT_MIN", 2)
         del calls[:]
         halves = run()
-        assert calls, "no call was split"
-        return whole, halves
+        return whole, halves, len(calls)
 
     return split
 
@@ -61,101 +63,99 @@ def fpg_bits(z, tau, cfg):
 @pytest.mark.parametrize("mode", ["aniso", "iso"])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_split_fpg_keeps_every_bit(split_calls, shape, mode, boundary, restart_tol):
+    # an iso solve runs whole at every size; an aniso one splits its five
+    # phases each iteration (but the last x - dx of a converged solve), and
+    # its gap's difference pass
     z = np.random.default_rng(60).standard_normal(shape)
     for max_iter in (1, 2, 60):
         cfg = oracle(restart_tol, max_iter=max_iter, mode=mode, boundary=boundary)
-        whole, halves = split_calls(lambda: fpg_bits(z, 0.4 / len(shape), cfg))
+        whole, halves, splits = split_calls(lambda: fpg_bits(z, 0.4 / len(shape), cfg))
         assert whole == halves
+        iters, converged = halves[3:]
+        assert splits == (5 * iters + (iters + 49) // 50 - converged if mode == "aniso" else 0)
 
 
 @pytest.mark.parametrize("mode", ["aniso", "iso"])
-@pytest.mark.parametrize("shape", SHAPES)
-def test_split_approx_prox_tv_and_gap_keep_every_bit(split_calls, shape, mode):
+def test_only_fpg_splits(split_calls, mode):
+    # the approximate prox, tv, the gap and the solvers make whole calls at every size
     rng = np.random.default_rng(61)
-    z = rng.standard_normal(shape)
+    z = rng.standard_normal((15, 21))
     x, info = fpg_prox(z, 0.3, OracleConfig(max_iter=40, mode=mode), return_info=True)
-    params = ProxParams(0.3, mode)
+    cfg = SolverConfig(gamma=0.5, lam=0.2, mode=mode, max_iter=10)
 
     def run():
-        return (approx_prox(z, params).tobytes(), tv(z, mode),
-                duality_gap(z, x, info["p"], 0.3, mode), duality_gap(z, x, info["p"], 0.3, mode, "free"))
+        return (approx_prox(z, ProxParams(0.3, mode)).tobytes(), tv(z, mode),
+                duality_gap(z, x, info["p"], 0.3, mode, "free"),
+                apgm(Problem(data=z), cfg, z).final_x.tobytes())
 
-    whole, halves = split_calls(run)
-    assert whole == halves
-
-
-@pytest.mark.parametrize("mode", ["aniso", "iso"])
-@pytest.mark.parametrize("shape", SHAPES)
-def test_split_bound_prox_keeps_every_bit(split_calls, shape, mode):
-    z = np.random.default_rng(62).standard_normal(shape)
-
-    def run():
-        outs = [np.empty(shape) for _ in range(2)]
-        dif, tmp = np.empty((len(shape),) + shape), np.empty(shape)
-        for prox in _bind_approx_prox(z, outs, dif, tmp, ProxParams(0.05, mode)):
-            prox()
-        return [out.tobytes() for out in outs]
-
-    whole, halves = split_calls(run)
-    assert whole == halves == [approx_prox(z, ProxParams(0.05, mode)).tobytes()] * 2
+    whole, halves, splits = split_calls(run)
+    assert whole == halves and splits == 0
 
 
-@pytest.mark.parametrize("solver", [apgm, admm])
-def test_split_solves_keep_every_bit(split_calls, solver):
-    # the iterate ring's difference steps run over its slots as a batch axis
-    y = np.random.default_rng(63).standard_normal((15, 21))
-    cfg = SolverConfig(gamma=0.5, lam=0.2, mode="iso", max_iter=40)
+@pytest.mark.parametrize("boundary", ["circular", "free"])
+@pytest.mark.parametrize("shape", SHAPES + [(2, 3), (3, 2, 2)])
+def test_row_halves_of_the_difference_pair_give_the_whole_pair(shape, boundary):
+    # the steps of rows (0, m) and (m, n) together write every sample once,
+    # with the whole call's bits (an empty range makes no call)
+    rng = np.random.default_rng(66)
+    x, p = rng.standard_normal(shape), rng.standard_normal((len(shape),) + shape)
+    n = shape[0]
+    for m in sorted({0, n // 2, n}):
+        halves = ((0, m), (m, n))
+        grad, split = np.empty(p.shape), np.full(p.shape, np.nan)
+        _run(_grad_steps(x, grad, boundary))
+        for rows in halves:
+            _run(_grad_steps(x, split, boundary, rows=rows))
+        assert grad.tobytes() == split.tobytes()
+        adjoint, split = np.empty(shape), np.full(shape, np.nan)
+        _run(_adjoint_steps(p, adjoint, np.empty(shape), boundary))
+        scratch = np.empty(shape)
+        for rows in halves:
+            _run(_adjoint_steps(p, split, scratch, boundary, rows=rows))
+        assert adjoint.tobytes() == split.tobytes()
 
-    def run():
-        report = solver(Problem(data=y), cfg, y)
-        return report.final_x.tobytes(), report.objective_trace.tobytes(), report.stop_reason
 
-    whole, halves = split_calls(run)
-    assert whole == halves
-
-
-def fpg_binds(monkeypatch, shape, mode):
+def fpg_splits(monkeypatch, shape, mode):
     """The row ranges fpg_prox binds its phases over for a signal of shape
-    (None: the whole signal), and (output shape, split) of every step it
-    makes with _step."""
+    (None: the whole signal), and the split steps one iteration makes."""
     monkeypatch.setattr(frame, "_splits", lambda: True)
-    step, half_calls, steps, halves = frame._step, exact._phase_calls, [], []
+    phase_calls, both, rows, splits = exact._phase_calls, frame._both, [], []
 
-    def spy_step(fn, *args, n=None):
-        entry = step(fn, *args, n=n)
-        steps.append((args[-1].shape, entry[0] is frame._both))
-        return entry
+    def spy_phases(*args):
+        rows.append(args[6])
+        return phase_calls(*args)
 
-    def spy_halves(*args):
-        halves.append(args[6])
-        return half_calls(*args)
+    def spy_both(first, second, _):
+        splits.append(len(first))
+        both(first, second, _)
 
-    monkeypatch.setattr(frame, "_step", spy_step)
-    monkeypatch.setattr(exact, "_phase_calls", spy_halves)
+    monkeypatch.setattr(exact, "_phase_calls", spy_phases)
+    monkeypatch.setattr(exact, "_both", spy_both)
     fpg_prox(np.zeros(shape), 0.1, OracleConfig(max_iter=1, mode=mode), return_info=True)
-    return halves, steps
+    return rows, len(splits)
 
 
 @pytest.mark.parametrize("mode", ["aniso", "iso"])
 def test_fpg_splits_its_phases_at_1024_and_nothing_at_512(monkeypatch, mode):
-    # at 512^2 each parity's phases are bound whole, and no call splits
-    halves, steps = fpg_binds(monkeypatch, (512, 512), mode)
-    assert halves == [None, None] and not any(split for _, split in steps)
-    # at 1024^2 each phase runs as two halves of the rows, one pair per
-    # parity of the swaps, and of the gap check's difference calls the two
-    # contiguous subtractions split (its slab fixes, one row or column, do not)
-    halves, steps = fpg_binds(monkeypatch, (1024, 1024), mode)
-    assert halves == [(0, 512), (512, 1024)] * 2
-    assert {shape for shape, split in steps if split} == {(1024 * 1023,), (1024 * 1024 - 1,)}
+    # at 512^2 each parity's phases are bound whole, and nothing splits
+    assert fpg_splits(monkeypatch, (512, 512), mode) == ([None, None], 0)
+    # at 1024^2 an aniso solve runs each phase as two halves of the rows, one
+    # pair per parity of the swaps: the iteration splits its four phases up
+    # to the gap check and the check's difference pass (the zero signal's
+    # gap is 0, so it stops before x - dx); an iso solve runs whole
+    rows, splits = fpg_splits(monkeypatch, (1024, 1024), mode)
+    if mode == "aniso":
+        assert (rows, splits) == ([(0, 512), (512, 1024)] * 2, 5)
+    else:
+        assert (rows, splits) == ([None, None], 0)
 
 
-@pytest.mark.parametrize("mode", ["aniso", "iso"])
-def test_fpg_at_1024_keeps_every_bit(mode):
+def test_fpg_at_1024_keeps_every_bit():
     # the real threshold: the phase halves against whole calls, on a host with two CPUs
     if not frame._splits():
-        pytest.skip("calls split only on two CPUs or more")
+        pytest.skip("halves run at once only on two CPUs or more")
     z = np.random.default_rng(64).standard_normal((1024, 1024))
-    cfg = OracleConfig(max_iter=3, tol=1e-300, mode=mode, restart=True)
+    cfg = OracleConfig(max_iter=3, tol=1e-300, restart=True)
     halves = fpg_bits(z, 0.2, cfg)
     try:
         frame.SPLIT_MIN = 1 << 40
@@ -165,53 +165,36 @@ def test_fpg_at_1024_keeps_every_bit(mode):
     assert halves == whole
 
 
-def test_a_split_step_is_one_entry_of_the_step_loop(monkeypatch):
-    monkeypatch.setattr(frame, "_splits", lambda: True)
-    monkeypatch.setattr(frame, "SPLIT_MIN", 4)
-    a, out = np.arange(9.0).reshape(3, 3), np.empty((3, 3))
-    steps = [frame._step(np.multiply, a, np.array(2.0), out), frame._step(exact._clip, out, 1.0, 9.0, out)]
-    # a broadcast operand and a partly overlapping output run whole
-    steps += [frame._step(np.add, out, np.ones(3), out), frame._step(np.add, a[:2], a[:2], a[1:])]
-    assert [s[0] is frame._both for s in steps] == [True, True, False, False]
-    frame._run(steps)
-    assert out.tolist() == [[2.0, 3.0, 5.0], [7.0, 9.0, 10.0], [10.0, 10.0, 10.0]]
-    assert a.tolist() == [[0.0, 1.0, 2.0], [0.0, 2.0, 4.0], [6.0, 8.0, 10.0]]
-
-
-def overflow_step(monkeypatch, half):
+def overflow_step(half):
     """A split multiplication that overflows in the given half only (0: the
     caller's, 1: the worker's), and its output."""
-    monkeypatch.setattr(frame, "_splits", lambda: True)
-    monkeypatch.setattr(frame, "SPLIT_MIN", 4)
-    a = np.ones(64)
+    a, big, out = np.ones(64), np.array(1e300), np.empty(64)
     a[32 * half:32 * half + 32] = 1e300
-    out = np.empty(64)
-    step = frame._step(np.multiply, a, np.array(1e300), out)
-    assert step[0] is frame._both
+    step = (frame._both, [(np.multiply, a[:32], big, out[:32])], [(np.multiply, a[32:], big, out[32:])], None)
     return step, out
 
 
 @pytest.mark.parametrize("half", [0, 1])
-def test_an_error_in_either_half_is_raised_in_the_caller(monkeypatch, half):
-    step, out = overflow_step(monkeypatch, half)
+def test_an_error_in_either_half_is_raised_in_the_caller(half):
+    step, out = overflow_step(half)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        frame._run([step])
-    # the worker is still there, and the next split call runs both halves
+        _run([step])
+    # the worker is still there, and the next split step runs both halves
     with np.errstate(over="ignore"):
-        frame._run([step])
+        _run([step])
     assert np.isinf(out[32 * half:32 * half + 32]).all() and (out[32 * (1 - half):32 * (2 - half)] == 1e300).all()
-    ok, _ = overflow_step(monkeypatch, 1 - half)
+    ok, _ = overflow_step(1 - half)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        frame._run([ok])
+        _run([ok])
 
 
 @pytest.mark.parametrize("half", [0, 1])
-def test_an_ignored_overflow_in_either_half_warns_nowhere(monkeypatch, half):
-    step, out = overflow_step(monkeypatch, half)
+def test_an_ignored_overflow_in_either_half_warns_nowhere(half):
+    step, out = overflow_step(half)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
-            frame._run([step])
+            _run([step])
     assert np.isinf(out).sum() == 32
 
 
@@ -221,7 +204,7 @@ def test_callers_on_several_threads_share_the_worker(monkeypatch):
     monkeypatch.setattr(frame, "_splits", lambda: True)
     rng = np.random.default_rng(65)
     zs = [rng.standard_normal((15, 21)) for _ in range(6)]
-    cfg = OracleConfig(max_iter=30, mode="iso", restart=True)
+    cfg = OracleConfig(max_iter=30, restart=True)
     expected = [fpg_bits(z, 0.3, cfg) for z in zs]
     monkeypatch.setattr(frame, "SPLIT_MIN", 2)
     results = [None] * len(zs)
@@ -243,6 +226,13 @@ def test_callers_on_several_threads_share_the_worker(monkeypatch):
     assert results == [[e] * 3 for e in expected]
 
 
+def run_script(script):
+    """Run a Python script in a new process that imports this tvprox."""
+    src = os.path.dirname(os.path.dirname(frame.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+
+
 def test_the_worker_does_not_hold_up_exit():
     # one split solve starts the worker; the process still exits at once
     script = textwrap.dedent("""
@@ -255,6 +245,28 @@ def test_the_worker_does_not_hold_up_exit():
         fpg_prox(np.ones((20, 20)), 0.1, OracleConfig(max_iter=3), return_info=True)
         print(sorted(t.name for t in threading.enumerate()))
     """)
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    done = run_script(script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "['MainThread', 'tvprox-half']"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="the worker is placed only where the process may run on two CPUs or more")
+def test_the_worker_runs_off_the_cpu_of_the_thread_that_started_it():
+    # where the cpuset does not balance load, a thread left on its creator's
+    # CPU would take turns with it; the worker may run on every other CPU
+    script = textwrap.dedent("""
+        import os, threading
+        import numpy as np
+        from tvprox import frame
+        from tvprox.exact import OracleConfig, fpg_prox
+        frame._splits = lambda: True
+        frame.SPLIT_MIN = 64
+        fpg_prox(np.ones((20, 20)), 0.1, OracleConfig(max_iter=3), return_info=True)
+        (worker,) = [t for t in threading.enumerate() if t.name == "tvprox-half"]
+        print(len(os.sched_getaffinity(0)), len(os.sched_getaffinity(worker.native_id)))
+    """)
+    done = run_script(script)
+    assert done.returncode == 0, done.stderr
+    cpus, worker_cpus = map(int, done.stdout.split())
+    assert worker_cpus == cpus - 1
