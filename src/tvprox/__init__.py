@@ -1,16 +1,17 @@
 """Approximate total-variation proximal operator toolkit.
 
 Provides the closed-form frame-shrinkage approximation of the TV proximal
-operator, exact TV prox oracles (dual fast projected gradient, 1D taut
-string), APGM/ADMM solvers with pluggable prox, and measurement models for
-denoising and sparse-view CT benchmarks.
+operator, an exact TV prox oracle (dual fast projected gradient) with its
+duality-gap certificate, APGM/ADMM solvers with pluggable prox, and
+measurement models for denoising and sparse-view CT benchmarks. Every
+difference is circular.
 """
 
 from .signal import l2_norm, load_csv, save_csv
 from .frame import CoeffStack, w_forward, w_adjoint
 from .tv import tv, h_hat, h_hat_subgradient, check_mode
 from .shrinkage import ProxParams, shrink_aniso, shrink_iso, threshold_stack, approx_prox
-from .exact import OracleConfig, fpg_prox, duality_gap, tautstring_prox_1d
+from .exact import OracleConfig, fpg_prox, duality_gap
 from .operators import (
     LinearOperator,
     CtGeometry,

@@ -6,8 +6,7 @@ anisotropic / isotropic case), with one difference and one adjoint pass of
 the shared slicing kernel per iteration. Its first iteration from p = 0 is
 the closed-form approximate prox of tvprox.shrinkage; every solve stops on
 its certified relative duality gap, and duality_gap certifies its output
-with its final dual. tautstring_prox_1d is an exact non-iterative solver
-for the 1D free-boundary problem, used to cross-validate FPG.
+with its final dual. Every difference is circular, as in the frame.
 """
 
 import math
@@ -18,16 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .frame import (
-    BOUNDARIES,
-    _adjoint_steps,
-    _both,
-    _grad,
-    _grad_adjoint,
-    _grad_steps,
-    _row_halves,
-    _run,
-)
+from .frame import _adjoint_steps, _both, _grad, _grad_adjoint, _grad_steps, _row_halves, _run
 from .shrinkage import _clip, _project_ball
 from .signal import _aligned, check_array, check_choice, check_count, check_positive, validate_signal
 from .tv import _tv_of_differences, check_mode
@@ -45,25 +35,23 @@ class OracleConfig:
     max_iter: int = 500
     tol: float = 1e-10
     mode: str = "aniso"
-    boundary: str = "circular"
     restart: bool = False
 
     def __post_init__(self):
         check_count("max_iter", self.max_iter)
         check_positive("tol", self.tol)
         check_mode(self.mode)
-        check_choice("boundary", self.boundary, BOUNDARIES)
         check_choice("restart", self.restart, (False, True))
 
 
 def fpg_prox(z, tau, cfg=None, return_info=False):
     """TV proximal operator via fast projected gradient on the dual.
 
-    Minimizes 0.5*||x - z||^2 + tau*tv(x, mode) with x = z - tau*D^T p and
-    p constrained to the dual unit balls. Dual step 1/(4d), zero dual
-    initialization, standard momentum, restarted when cfg.restart whenever
-    <q - p+, p+ - p> > 0 (the gradient scheme of O'Donoghue and Candes,
-    2015). Every 50 iterations and at max_iter it stops when the duality
+    Minimizes 0.5*||x - z||^2 + tau*tv(x, mode), with tv's circular
+    differences D, as x = z - tau*D^T p with p constrained to the dual unit
+    balls. Dual step 1/(4d), zero dual initialization, standard momentum,
+    restarted when cfg.restart whenever <q - p+, p+ - p> > 0 (the gradient
+    scheme of O'Donoghue and Candes, 2015). Every 50 iterations and at max_iter it stops when the duality
     gap is at most cfg.tol times the primal objective P(x).
 
     Hitting max_iter first warns, unless return_info asks for (x, info)
@@ -108,7 +96,7 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
     z = validate_signal(z, "z")
     check_positive("tau", tau)
     cfg = cfg or OracleConfig()
-    max_iter, tol, restart, mode, boundary = cfg.max_iter, cfg.tol, cfg.restart, cfg.mode, cfg.boundary
+    max_iter, tol, restart, mode = cfg.max_iter, cfg.tol, cfg.restart, cfg.mode
     d, aniso = z.ndim, mode == "aniso"
     step, tau_, beta_, lo, hi = (np.array(v, dtype=np.float64) for v in (1.0 / (4.0 * d * tau), tau, 0.0, -1.0, 1.0))
 
@@ -130,10 +118,10 @@ def fpg_prox(z, tau, cfg=None, return_info=False):
         if halves:
             first, second = (_phase_calls(z, pb, gb, xb, dxb, q, r, scalars, cfg, None) for r in halves)
             calls = [[(_both, a, b, None)] for a, b in zip(first, second)]
-            gap_steps = [(_both, *(_grad_steps(dxb, pb, boundary, rows=r) for r in halves), None)]
+            gap_steps = [(_both, *(_grad_steps(dxb, pb, rows=r) for r in halves), None)]
         else:
             calls = _phase_calls(z, pb, gb, xb, dxb, q, None, scalars, cfg, tmp)
-            gap_steps = _grad_steps(dxb, pb, boundary)
+            gap_steps = _grad_steps(dxb, pb)
         extrapolation, ascent, descent, primal, difference = calls
         phases.append((extrapolation + ascent, pb.reshape(-1), descent, dxb.reshape(-1), primal,
                        gap_steps, difference))
@@ -190,12 +178,12 @@ def _phase_calls(z, p, g, x, dx, q, rows, scalars, cfg, tmp):
     xr, dxr, gs, ps, qs = x[r], dx[r], g[s], p[s], q[s]
     project = (partial(_clip, gs), lo, hi, gs) if cfg.mode == "aniso" else \
         (partial(_project_ball, g, 1.0), cfg.mode, dx, tmp)
-    ascent = _grad_steps(dx, g, cfg.boundary, rows=rows) + [
+    ascent = _grad_steps(dx, g, rows=rows) + [
         (np.multiply, gs, step, gs), (np.add, gs, qs, gs), project, (np.subtract, gs, ps, ps)]
     if cfg.restart:
         ascent.append((np.subtract, qs, gs, qs))
     descent = [(np.multiply, ps, beta_, qs), (np.add, qs, gs, qs),
-               *_adjoint_steps(g, dx, p[0], cfg.boundary, rows=rows), (np.multiply, dxr, tau_, dxr)]
+               *_adjoint_steps(g, dx, p[0], rows=rows), (np.multiply, dxr, tau_, dxr)]
     return ([(np.multiply, dxr, beta_, dxr), (np.add, dxr, xr, dxr)], ascent, descent,
             [(np.subtract, z[r], dxr, dxr)], [(np.subtract, dxr, xr, xr)])
 
@@ -222,10 +210,10 @@ def _relative_gap(grad_steps, dif, p, dtp_sq, tau, mode):
     return gap / primal if normal <= dtp_sq < math.inf and normal <= primal < math.inf else math.nan
 
 
-def duality_gap(z, x, p, tau, mode="aniso", boundary="circular"):
+def duality_gap(z, x, p, tau, mode="aniso"):
     """Duality gap P(x) - D(p) of a candidate prox output x and a dual p.
 
-    P(x) = 0.5*||x - z||^2 + tau*TV(x), with TV taken under `boundary`, and
+    P(x) = 0.5*||x - z||^2 + tau*TV(x) and
     D(p) = 0.5*||z||^2 - 0.5*||z - tau*D^T p||^2. For any x and any feasible
     p (|entries| <= 1 for aniso, per-location norms <= 1 for iso), with
     x* = prox(z): P(x) - P(x*) <= gap and 0.5*||x - x*||^2 <= gap. Evaluated
@@ -238,82 +226,8 @@ def duality_gap(z, x, p, tau, mode="aniso", boundary="circular"):
     x, p = check_array("x", x, z.shape), check_array("p", p, (z.ndim,) + z.shape)
     check_positive("tau", tau)
     check_mode(mode)
-    check_choice("boundary", boundary, BOUNDARIES)
-    r = x - (z - tau * _grad_adjoint(p, boundary))  # z - tau*D^T p as fpg_prox forms x
-    g = _grad(x, boundary)
+    r = x - (z - tau * _grad_adjoint(p))  # z - tau*D^T p as fpg_prox forms x
+    g = _grad(x)
     coupling = float(np.vdot(g, p))  # before _tv_of_differences overwrites g
     return 0.5 * float(np.vdot(r, r)) + tau * (_tv_of_differences(g, mode) - coupling)
 
-
-def tautstring_prox_1d(z, tau):
-    """Exact 1D TV proximal operator (free-boundary differences).
-
-    Taut-string construction: the output is the derivative of the tightest
-    path through the tube of half-width tau around the running sums of z,
-    tracked with linear lower/upper string segments. O(n) in practice.
-    """
-    y = validate_signal(z, "z")
-    if y.ndim != 1:
-        raise ValueError("tautstring_prox_1d expects a 1D signal")
-    check_positive("tau", tau)
-    n = y.size
-    x = np.empty(n, dtype=np.float64)
-
-    # Taut-string walk with candidate lower/upper segment values (vmin, vmax),
-    # their accumulated slack against the tube (umin, umax), and the sample
-    # ranges k0..km / k0..kp the candidates currently cover.
-    k = k0 = km = kp = 0
-    vmin = y[0] - tau
-    vmax = y[0] + tau
-    umin = tau
-    umax = -tau
-    while True:
-        if k == n - 1:
-            # Tube collapses at the right endpoint: resolve leftover slack.
-            if umin < 0.0:
-                # Lower string would leave the tube: fix a segment at vmin.
-                x[k0 : km + 1] = vmin
-                k = k0 = km = km + 1
-                vmin = y[k]
-                umin = tau
-                umax = y[k] + tau - vmax
-                continue
-            if umax > 0.0:
-                x[k0 : kp + 1] = vmax
-                k = k0 = kp = kp + 1
-                vmax = y[k]
-                umax = -tau
-                umin = y[k] - tau - vmin
-                continue
-            x[k0:] = vmin + umin / (k - k0 + 1)
-            return x
-        if y[k + 1] + umin < vmin - tau:
-            # Negative jump forced: emit the lower candidate segment.
-            x[k0 : km + 1] = vmin
-            k = k0 = km = kp = km + 1
-            vmin = y[k]
-            vmax = y[k] + 2.0 * tau
-            umin = tau
-            umax = -tau
-        elif y[k + 1] + umax > vmax + tau:
-            # Positive jump forced: emit the upper candidate segment.
-            x[k0 : kp + 1] = vmax
-            k = k0 = km = kp = kp + 1
-            vmin = y[k] - 2.0 * tau
-            vmax = y[k]
-            umin = tau
-            umax = -tau
-        else:
-            # No jump: extend both candidates, re-averaging when the slack
-            # saturates the tube width.
-            k += 1
-            umin += y[k] - vmin
-            umax += y[k] - vmax
-            if umin >= tau:
-                vmin += (umin - tau) / (k - k0 + 1)
-                umin = tau
-                km = k
-            if umax <= -tau:
-                vmax += (umax + tau) / (k - k0 + 1)
-                umax = -tau
-                kp = k

@@ -3,10 +3,10 @@
 W stacks, per axis j, an averaging block A_j z = z + z_{+1} and a
 difference block D_j z = z - z_{+1}, scaled by 1/(2 sqrt d). The
 difference pair _grad / _grad_adjoint stacks the d difference blocks, one
-contiguous subtraction per axis, with circular or free boundaries. tv,
-the FPG oracle and the approximate prox's synthesis use it directly, and
-W is defined on it through A_j = 2I - D_j, so w_forward / w_adjoint carry
-no stencil of their own.
+contiguous subtraction per axis, with circular boundaries, the one stencil
+of the package. tv, the FPG oracle and the approximate prox's synthesis use
+it directly, and W is defined on it through A_j = 2I - D_j, so w_forward /
+w_adjoint carry no stencil of their own.
 
 The stencil lives in two step builders, _grad_steps and _adjoint_steps.
 They build the slab views of the pair for given buffers once and return
@@ -14,7 +14,7 @@ the kernel calls as (ufunc, a, b, out) tuples. _grad / _grad_adjoint build
 and run them once per call; fpg_prox, and the solvers' iterate ring over
 all its slots as leading batch axes, build them once and run only the calls.
 
-Under circular boundaries W^T W = I exactly: w_adjoint(w_forward(z)) == z.
+W^T W = I exactly: w_adjoint(w_forward(z)) == z.
 The approximate prox analyses with w_forward.
 
 fpg_prox uses the second core on large signals. From SPLIT_MIN samples
@@ -42,11 +42,8 @@ import numpy as np
 
 from .signal import validate_signal
 
-BOUNDARIES = ("circular", "free")
 # fpg_prox runs each phase of a signal of at least this many samples as two halves (_row_halves)
 SPLIT_MIN = 1 << 20
-# the free boundary's operands, as 0-d arrays that numpy does not convert again on every call
-_ZERO, _ONE, _MINUS_ONE = np.array(0.0), np.array(1.0), np.array(-1.0)
 
 
 @dataclass(frozen=True)
@@ -73,19 +70,19 @@ class CoeffStack:
 
 @lru_cache(maxsize=64)
 def _axis_slices(shape):
-    """Per-axis (stride, first, last, penult) of a C-ordered signal shape:
-    the flat distance between neighbours along the axis, and index tuples
-    of the first, last and second-to-last slab along it (block j of a
-    (d, *shape) stack prefixes j). Past 1-D it is an integer, dropping the
-    axis, so a 2-D signal's column is a 1-D view, which numpy runs without
-    copying it through its buffer."""
+    """Per-axis (stride, first, last) of a C-ordered signal shape: the flat
+    distance between neighbours along the axis, and index tuples of the
+    first and last slab along it (block j of a (d, *shape) stack prefixes
+    j). Past 1-D it is an integer, dropping the axis, so a 2-D signal's
+    column is a 1-D view, which numpy runs without copying it through its
+    buffer."""
     full = (slice(None),) * len(shape)
 
     def slab(j, k):
         return full[:j] + (k if len(shape) > 1 else slice(k, k + 1 or None),) + full[j + 1 :]
 
     return tuple(
-        (math.prod(shape[j + 1 :]), slab(j, 0), slab(j, -1), slab(j, -2))
+        (math.prod(shape[j + 1 :]), slab(j, 0), slab(j, -1))
         for j in range(len(shape))
     )
 
@@ -183,17 +180,16 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _grad_steps(x, out, boundary, batch=0, rows=None):
+def _grad_steps(x, out, batch=0, rows=None):
     """Kernel calls (ufunc, a, b, out) that write D x into `out`.
 
-    out[j]_i = x_i - x_{i+1} along axis j. circular: the last sample pairs
-    with the first; free: the last difference along each axis is zero.
-    Each axis is one contiguous subtraction over the flattened signal at
-    the axis stride, after which the last slab, where that pairing crosses
-    a line end, is overwritten with its boundary value (the free zero as
-    the product 0 * 0). `out` has shape (*lead, d, *signal_shape), lead
-    being the first `batch` axes of `x`, each call covering every signal
-    of that stack with the bits of one call per signal. When `x` and `out`
+    out[j]_i = x_i - x_{i+1} along axis j, the last sample pairing with
+    the first (circular boundaries). Each axis is one contiguous
+    subtraction over the flattened signal at the axis stride, after which
+    the last slab, where that pairing crosses a line end, is overwritten
+    with its wrapped difference. `out` has shape (*lead, d, *signal_shape),
+    lead being the first `batch` axes of `x`, each call covering every
+    signal of that stack with the bits of one call per signal. When `x` and `out`
     are C-contiguous, every array a, b and out is a view of one of them,
     so the calls can be run again after those buffers change; the flat
     view of any other layout is a copy, read once.
@@ -201,7 +197,7 @@ def _grad_steps(x, out, boundary, batch=0, rows=None):
     rows=(r0, r1) keeps the part of each call that writes rows r0:r1 along
     the signal's axis 0, in the same order for each sample: fpg_prox runs
     each phase of a large signal as two such halves at once. They read x
-    up to row r1 (and row 0 for the circular last row).
+    up to row r1 (and row 0 for the last row).
     """
     lead, shape = x.shape[:batch], x.shape[batch:]
     r0, r1 = rows or (0, shape[0])
@@ -210,7 +206,7 @@ def _grad_steps(x, out, boundary, batch=0, rows=None):
     size, row = math.prod(shape), math.prod(shape[1:])
     xf, of = x.reshape(lead + (-1,)), out.reshape(lead + (len(shape), -1))
     steps = []
-    for j, (s, first, last, _) in enumerate(_axis_slices(shape)):
+    for j, (s, first, last) in enumerate(_axis_slices(shape)):
         lo, hi = r0 * row, min(r1 * row, size - s)
         if lo < hi:
             steps.append((np.subtract, xf[..., lo:hi], xf[..., lo + s:hi + s], of[..., j, lo:hi]))
@@ -218,30 +214,24 @@ def _grad_steps(x, out, boundary, batch=0, rows=None):
             continue  # axis 0's last slab is the last row
         if j and rows:
             first, last = (slice(r0, r1),) + first[1:], (slice(r0, r1),) + last[1:]
-        if boundary == "circular":
-            steps.append((np.subtract, x[(...,) + last], x[(...,) + first], out[(..., j) + last]))
-        else:
-            steps.append((np.multiply, _ZERO, _ZERO, out[(..., j) + last]))
+        steps.append((np.subtract, x[(...,) + last], x[(...,) + first], out[(..., j) + last]))
     return steps
 
 
-def _adjoint_steps(p, out, scratch, boundary, rows=None):
+def _adjoint_steps(p, out, scratch, rows=None):
     """Kernel calls (ufunc, a, b, out) that write D^T p into `out`.
 
-    D^T p is the sum over axes of p[j]_i - p[j]_{i-1}. circular: p[j]_{-1}
-    wraps to the last sample; free: the last sample of p[j] is ignored and
-    p[j]_{-1} is zero. Like _grad_steps, each axis is one contiguous
-    subtraction plus a fix of its first slab (and, for free, its last);
-    axis 0 writes `out` directly and every later axis goes through
-    `scratch` and is added to `out`. `out` and `scratch` are C-contiguous
-    arrays of the signal shape; `scratch` is unused when d = 1. `scratch`
-    may be p[0], which the axis-0 calls read before any later axis writes
-    it (the calls then use up p), or a block of a stack whose contents are
-    dead; it must not alias `out` or p[1:]. Copy and negation are
-    multiplications by 1 and -1, which are exact. rows=(r0, r1) keeps, as
-    for _grad_steps, the part that writes rows r0:r1 of out (and of
-    scratch); it reads p from row r0 - 1 (and the last rows, at the
-    boundaries of axis 0).
+    D^T p is the sum over axes of p[j]_i - p[j]_{i-1}, p[j]_{-1} wrapping
+    to the last sample. Like _grad_steps, each axis is one contiguous
+    subtraction plus a fix of its first slab; axis 0 writes `out` directly
+    and every later axis goes through `scratch` and is added to `out`.
+    `out` and `scratch` are C-contiguous arrays of the signal shape;
+    `scratch` is unused when d = 1. `scratch` may be p[0], which the axis-0
+    calls read before any later axis writes it (the calls then use up p),
+    or a block of a stack whose contents are dead; it must not alias `out`
+    or p[1:]. rows=(r0, r1) keeps, as for _grad_steps, the part that writes
+    rows r0:r1 of out (and of scratch); it reads p from row r0 - 1 (and
+    the last row of axis 0 for its first).
     """
     r0, r1 = rows or (0, out.shape[0])
     if r0 == r1:
@@ -250,19 +240,14 @@ def _adjoint_steps(p, out, scratch, boundary, rows=None):
     pf = p.reshape(len(p), -1)
     steps = []
     work = out
-    for j, (s, first, last, penult) in enumerate(_axis_slices(out.shape)):
+    for j, (s, first, last) in enumerate(_axis_slices(out.shape)):
         lo, hi = max(r0 * row, s), r1 * row
         if lo < hi:
             steps.append((np.subtract, pf[j, lo:hi], pf[j, lo - s:hi - s], work.reshape(-1)[lo:hi]))
         if j and rows:
-            first, last, penult = ((slice(r0, r1),) + i[1:] for i in (first, last, penult))
+            first, last = (slice(r0, r1),) + first[1:], (slice(r0, r1),) + last[1:]
         if j or r0 == 0:  # axis 0's first slab is the first row
-            if boundary == "circular":
-                steps.append((np.subtract, p[(j,) + first], p[(j,) + last], work[first]))
-            else:
-                steps.append((np.multiply, p[(j,) + first], _ONE, work[first]))
-        if boundary == "free" and (j or r1 == out.shape[0]):
-            steps.append((np.multiply, p[(j,) + penult], _MINUS_ONE, work[last]))
+            steps.append((np.subtract, p[(j,) + first], p[(j,) + last], work[first]))
         if j > 0:
             o, w = (out, work) if rows is None else (out[r0:r1], work[r0:r1])
             steps.append((np.add, o, w, o))
@@ -276,17 +261,17 @@ def _run(steps):
         ufunc(a, b, out)
 
 
-def _grad(x, boundary="circular"):
+def _grad(x):
     """Forward differences D x stacked over axes, shape (d, *x.shape).
 
     See _grad_steps for the stencil.
     """
     out = np.empty((x.ndim,) + x.shape)
-    _run(_grad_steps(x, out, boundary))
+    _run(_grad_steps(x, out))
     return out
 
 
-def _grad_adjoint(p, boundary="circular"):
+def _grad_adjoint(p):
     """Exact adjoint of _grad: sum over axes of p[j]_i - p[j]_{i-1}.
 
     See _adjoint_steps for the stencil.
@@ -294,14 +279,14 @@ def _grad_adjoint(p, boundary="circular"):
     shape = p.shape[1:]
     out = np.empty(shape)
     scratch = np.empty(shape) if len(shape) > 1 else None
-    _run(_adjoint_steps(p, out, scratch, boundary))
+    _run(_adjoint_steps(p, out, scratch))
     return out
 
 
 def w_forward(z):
     """Analysis transform: stack A_j z and D_j z over axes, scaled by 1/(2 sqrt d).
 
-    D_j z is the circular difference block of _grad and A_j = 2I - D_j.
+    D_j z is the difference block of _grad and A_j = 2I - D_j.
     The difference blocks are scaled after the subtraction, the rounding
     that approx_prox's output depends on.
     """
@@ -316,8 +301,7 @@ def w_adjoint(u):
     """Synthesis transform, exact adjoint of w_forward.
 
     With A_j^T = 2I - D_j^T, W^T u = scale * (D^T (dif - avg) + 2 sum_j avg_j).
-    Satisfies w_adjoint(w_forward(z)) == z (tight frame under circular
-    boundaries).
+    Satisfies w_adjoint(w_forward(z)) == z (a tight frame).
     """
     scale = 1.0 / (2.0 * np.sqrt(u.d))
     out = _grad_adjoint(u.dif - u.avg)

@@ -129,7 +129,7 @@ def _synthesis_steps(z, dif, out):
     """Kernel calls (ufunc, a, b, out) that end S_tau once dif is projected:
     z - D^T dif / (2 sqrt d) into out, using dif up (dif[0] is the scratch)."""
     scale = np.array(1.0 / (2.0 * math.sqrt(len(dif))))
-    return _adjoint_steps(dif, out, dif[0], "circular") + [(np.multiply, out, scale, out), (np.subtract, z, out, out)]
+    return _adjoint_steps(dif, out, dif[0]) + [(np.multiply, out, scale, out), (np.subtract, z, out, out)]
 
 
 def approx_prox(z, params):
@@ -161,7 +161,7 @@ def _bind_approx_prox(z, outs, dif, tmp, params):
     d, mode = z.ndim, params.mode
     radius = params.threshold(d)
     lo, hi = np.array(-radius), np.array(radius)
-    analysis = _grad_steps(z, dif, "circular") + [(np.multiply, dif, np.array(1.0 / (2.0 * math.sqrt(d))), dif)]
+    analysis = _grad_steps(z, dif) + [(np.multiply, dif, np.array(1.0 / (2.0 * math.sqrt(d))), dif)]
 
     def bind(out):
         synthesis = _synthesis_steps(z, dif, out)

@@ -84,7 +84,7 @@ RING_BYTES, RING_SLOTS = 3 << 17, 16
 class SolverConfig:
     """Step size, TV weight and stop rule of one solve. The exact prox runs
     oracle (default OracleConfig(mode=mode)), which must solve the TV the
-    objective scores: the same mode, circular boundaries."""
+    objective scores, in the same mode."""
 
     gamma: float = 1.0
     lam: float = 0.0
@@ -101,8 +101,8 @@ class SolverConfig:
         check_count("max_iter", self.max_iter)
         check_mode(self.mode)
         check_choice("prox_choice", self.prox_choice, PROX_CHOICES)
-        if self.oracle is not None and (self.oracle.mode, self.oracle.boundary) != (self.mode, "circular"):
-            raise ValueError(f"oracle must solve mode {self.mode!r} with circular boundaries, got {self.oracle}")
+        if self.oracle is not None and self.oracle.mode != self.mode:
+            raise ValueError(f"oracle must solve mode {self.mode!r}, got {self.oracle}")
 
     @property
     def tau(self):
@@ -137,13 +137,13 @@ def objective(problem, cfg, x):
     ring, difs = x[None], np.empty((1, x.ndim) + x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         data_terms = np.empty(1) if y is not None else np.array([problem.objective_g(x)])
-        return _objectives(ring, difs, _grad_steps(ring, difs, "circular", batch=1), cfg, y, data_terms)[0]
+        return _objectives(ring, difs, _grad_steps(ring, difs, batch=1), cfg, y, data_terms)[0]
 
 
 def _objectives(ring, difs, tv_steps, cfg, y, data_terms):
     """The list of g(x) + lambda * tv(x, mode) of each slot x of a (B, *shape) ring,
     each with the bits of that slot alone: the one kernel of the composite objective.
-    tv_steps = _grad_steps(ring, difs, "circular", batch=1) write into the
+    tv_steps = _grad_steps(ring, difs, batch=1) write into the
     C-contiguous (B, d, *shape) stack difs, which the kernel overwrites: the TV
     terms, then y - x of every slot in its first B * n values. data_terms holds
     each slot's g, or receives it when the data y (g = 0.5||x - y||^2) is given."""
@@ -220,7 +220,7 @@ def _working_set(problem, cfg, x0, algorithm):
     ring = _aligned((slots,) + x0.shape, zero=True)
     ring[0], xs = x0, list(ring)
     difs = _aligned((slots, x0.ndim) + x0.shape)
-    tv_steps = _grad_steps(ring, difs, "circular", batch=1)
+    tv_steps = _grad_steps(ring, difs, batch=1)
     y, objective_g, stop_tol = problem.data, problem.objective_g, cfg.stop_tol
     normal, dxf = sys.float_info.min, dx.reshape(-1)
     data_terms, trace, fpg_solves = np.zeros(slots), [], []

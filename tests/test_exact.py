@@ -1,6 +1,7 @@
-"""Exact-prox oracles: FPG on the dual, the 1D taut string, and the
-duality gap that certifies an FPG output, cross-checked against each other
-and against simple grid/bisection oracles."""
+"""Exact-prox oracles: FPG on the dual and the duality gap that certifies
+an FPG output, cross-checked against each other, against the 1D taut
+string (through the even reflection), against BVLS on small signals of
+every dimension, and against simple grid/bisection oracles."""
 
 import hashlib
 import math
@@ -9,15 +10,10 @@ from functools import partial
 import numpy as np
 import pytest
 from call_counts import python_calls
-from oracles import oracle
+from oracles import bvls_prox, oracle, reflected, tautstring_prox_1d
 from placement import at_offset, line_offset
 
-from tvprox.exact import (
-    OracleConfig,
-    duality_gap,
-    fpg_prox,
-    tautstring_prox_1d,
-)
+from tvprox.exact import OracleConfig, duality_gap, fpg_prox
 from tvprox.experiments import gen_foam_phantom
 from tvprox.frame import _grad
 from tvprox.signal import l2_norm
@@ -33,29 +29,27 @@ def test_oracle_config_validation():
         OracleConfig(max_iter=0)
     with pytest.raises(ValueError):
         OracleConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        OracleConfig(boundary="mirror")
 
 
-# A 1D step with a one-sample notch, free boundaries, tau = 1: the iterate
-# stops changing long before it reaches the prox (after 2013 iterations
-# its relative change is 1e-12, 2.4e-6 from it). The restarted and the
-# unrestarted solve are held to the 1e-6 gate of the drawn taut-string
-# property.
+# A 1D step with a one-sample notch, free boundaries, tau = 1, solved as
+# the circular prox of its even reflection: the iterate stops changing long
+# before it reaches the prox (after 2013 iterations its relative change is
+# 1e-12, 2.4e-6 from it). The restarted and the unrestarted solve are held
+# to the 1e-6 gate of the drawn taut-string property.
 NOTCH = np.array([6.0] * 7 + [0.0] + [6.0] * 26)
 
 
 def test_certified_fpg_solves_the_notch():
-    cfg = OracleConfig(max_iter=50000, tol=1e-14, restart=True, boundary="free")
-    x, info = fpg_prox(NOTCH, 1.0, cfg, return_info=True)
+    cfg = OracleConfig(max_iter=50000, tol=1e-14, restart=True)
+    x, info = fpg_prox(reflected(NOTCH), 1.0, cfg, return_info=True)
     assert info["converged"]
-    assert np.max(np.abs(x - tautstring_prox_1d(NOTCH, 1.0))) <= 1e-6
+    assert np.max(np.abs(x[: NOTCH.size] - tautstring_prox_1d(NOTCH, 1.0))) <= 1e-6
 
 
 def test_unrestarted_fpg_solves_the_notch():
-    x, info = fpg_prox(NOTCH, 1.0, OracleConfig(max_iter=50000, tol=1e-12, boundary="free"), return_info=True)
+    x, info = fpg_prox(reflected(NOTCH), 1.0, OracleConfig(max_iter=50000, tol=1e-12), return_info=True)
     assert info["converged"]
-    assert np.max(np.abs(x - tautstring_prox_1d(NOTCH, 1.0))) <= 1e-6
+    assert np.max(np.abs(x[: NOTCH.size] - tautstring_prox_1d(NOTCH, 1.0))) <= 1e-6
 
 
 def test_fpg_constant_is_fixed_point():
@@ -106,17 +100,12 @@ def roll_fpg_reference(z, tau, cfg):
         g = np.empty((x.ndim,) + x.shape)
         for j in range(x.ndim):
             g[j] = x - np.roll(x, -1, axis=j)
-            if cfg.boundary == "free":
-                g[j].swapaxes(0, j)[-1] = 0.0
         return g
 
     def grad_adjoint(p):
         out = np.zeros(p.shape[1:])
         for j in range(p.shape[0]):
-            pj = p[j].copy()
-            if cfg.boundary == "free":
-                pj.swapaxes(0, j)[-1] = 0.0
-            out += pj - np.roll(pj, 1, axis=j)
+            out += p[j] - np.roll(p[j], 1, axis=j)
         return out
 
     def project(p):
@@ -144,13 +133,12 @@ def roll_fpg_reference(z, tau, cfg):
     return x, k + 1
 
 
-@pytest.mark.parametrize("boundary", ["circular", "free"])
 @pytest.mark.parametrize("mode", ["aniso", "iso"])
-def test_fpg_matches_roll_reference(mode, boundary):
+def test_fpg_matches_roll_reference(mode):
     rng = np.random.default_rng(50)
     for shape, tau in (((40,), 0.3), ((12, 13), 0.2), ((5, 6, 7), 0.1)):
         z = rng.standard_normal(shape)
-        cfg = OracleConfig(max_iter=3000, tol=1e-10, mode=mode, boundary=boundary)
+        cfg = OracleConfig(max_iter=3000, tol=1e-10, mode=mode)
         want, iters = roll_fpg_reference(z, tau, cfg)
         got, info = fpg_prox(z, tau, cfg, return_info=True)
         assert info["converged"]
@@ -211,23 +199,25 @@ def test_tautstring_two_point_step():
 
 
 def test_tautstring_objective_vs_fpg():
+    # FPG solves the free-boundary problem as the first half of the circular
+    # prox of the even reflection
     rng = np.random.default_rng(46)
-    cfg = OracleConfig(max_iter=5000, tol=1e-12, boundary="free")
+    cfg = OracleConfig(max_iter=5000, tol=1e-12)
     for _ in range(20):
         z = rng.standard_normal(32)
         tau = rng.uniform(0.05, 1.0)
         x_ts = tautstring_prox_1d(z, tau)
-        x_fpg = fpg_prox(z, tau, cfg)
+        x_fpg = fpg_prox(reflected(z), tau, cfg)[: z.size]
         assert objective_1d_free(x_ts, z, tau) <= objective_1d_free(x_fpg, z, tau) + 1e-10
 
 
 def test_oracle_agreement_fpg_vs_tautstring():
     rng = np.random.default_rng(47)
-    cfg = OracleConfig(max_iter=10000, tol=1e-12, boundary="free")
+    cfg = OracleConfig(max_iter=10000, tol=1e-12)
     for _ in range(20):
         z = rng.standard_normal(64)
         tau = rng.uniform(0.05, 0.8)
-        assert np.max(np.abs(fpg_prox(z, tau, cfg) - tautstring_prox_1d(z, tau))) <= 1e-6
+        assert np.max(np.abs(fpg_prox(reflected(z), tau, cfg)[: z.size] - tautstring_prox_1d(z, tau))) <= 1e-6
 
 
 def certified(**kwargs):
@@ -235,29 +225,45 @@ def certified(**kwargs):
 
 
 def test_certified_fpg_agrees_with_tautstring():
-    # 0.5||x - x*||^2 <= P(x) - P(x*) <= gap: the certified relative gap
-    # bounds the distance to the exact taut-string prox
+    # 0.5||x - x*||^2 <= P(x) - P(x*) <= gap: the certified relative gap of
+    # the circular solve of the even reflection bounds its distance to the
+    # exact prox there, the reflected taut string
     rng = np.random.default_rng(51)
     for _ in range(20):
         z = rng.standard_normal(64)
         tau = rng.uniform(0.05, 0.8)
-        x, info = fpg_prox(z, tau, certified(boundary="free"), return_info=True)
+        x, info = fpg_prox(reflected(z), tau, certified(), return_info=True)
         assert info["converged"] and info["gap"] <= 1e-11
-        primal = objective_1d_free(x, z, tau)
-        dist2 = 0.5 * l2_norm(x - tautstring_prox_1d(z, tau)) ** 2
+        primal = 0.5 * l2_norm(x - reflected(z)) ** 2 + tau * tv(x, "aniso")
+        dist2 = 0.5 * l2_norm(x - reflected(tautstring_prox_1d(z, tau))) ** 2
         assert dist2 <= info["gap"] * primal + 1e-14 * (1.0 + primal)
 
 
-@pytest.mark.parametrize("boundary", ["circular", "free"])
+@pytest.mark.parametrize("shape", [(8,), (17,), (4, 4), (5, 6), (3, 3, 3)])
+def test_certified_fpg_matches_bvls(shape):
+    # BVLS solves the aniso dual exactly by an active-set method: its x has
+    # a duality gap at rounding level, and FPG certified to a relative gap
+    # of 1e-14 lands on it (1.4e-13 at worst over these 75 problems)
+    rng = np.random.default_rng(59)
+    for tau in (0.05, 0.3, 2.0):
+        for _ in range(5):
+            z = rng.standard_normal(shape)
+            x_exact, p_exact = bvls_prox(z, tau)
+            assert duality_gap(z, x_exact, p_exact, tau) <= 1e-11
+            x, info = fpg_prox(z, tau, certified(tol=1e-14), return_info=True)
+            assert info["converged"]
+            assert np.max(np.abs(x - x_exact)) <= 1e-11
+
+
 @pytest.mark.parametrize("mode", ["aniso", "iso"])
-def test_certified_gap_matches_duality_gap(mode, boundary):
+def test_certified_gap_matches_duality_gap(mode):
     # the in-loop gap is duality_gap of the returned (x, p), relative to P(x)
     rng = np.random.default_rng(52)
     for shape, tau in (((40,), 0.3), ((12, 13), 0.2), ((5, 6, 7), 0.1)):
         z = rng.standard_normal(shape)
-        x, info = fpg_prox(z, tau, certified(mode=mode, boundary=boundary), return_info=True)
-        primal = 0.5 * l2_norm(x - z) ** 2 + tau * _tv_of_differences(_grad(x, boundary), mode)
-        gap = duality_gap(z, x, info["p"], tau, mode, boundary)
+        x, info = fpg_prox(z, tau, certified(mode=mode), return_info=True)
+        primal = 0.5 * l2_norm(x - z) ** 2 + tau * _tv_of_differences(_grad(x), mode)
+        gap = duality_gap(z, x, info["p"], tau, mode)
         assert info["gap"] * primal == pytest.approx(gap, rel=1e-6, abs=1e-15 * primal)
         assert info["converged"] == (info["gap"] <= 1e-11)
         assert info["iterations"] % 50 == 0 or info["iterations"] == 20000
@@ -295,10 +301,9 @@ def test_unreachable_tolerances_use_the_whole_budget():
 
 
 def test_tv_with_boundary():
-    # the TV that duality_gap charges: circular matches tv(), free drops the wrap
+    # the TV that duality_gap charges is tv()'s, with the wrap-around difference
     z = np.array([4.0, 0.0, 0.0, 0.0])
-    assert _tv_of_differences(_grad(z, "circular"), "aniso") == tv(z, "aniso") == 8.0
-    assert _tv_of_differences(_grad(z, "free"), "aniso") == 4.0
+    assert _tv_of_differences(_grad(z), "aniso") == tv(z, "aniso") == 8.0
 
 
 def test_duality_gap_at_optimum():
@@ -335,8 +340,6 @@ def test_duality_gap_validates_inputs():
         duality_gap(z, z, p, 0.0)
     with pytest.raises(ValueError, match="mode"):
         duality_gap(z, z, p, 0.5, mode="l1")
-    with pytest.raises(ValueError, match="boundary"):
-        duality_gap(z, z, p, 0.5, boundary="mirror")
     with pytest.raises(ValueError, match="non-finite"):
         duality_gap(z, np.full((4, 5), np.nan), p, 0.5)
     # a complex dual is not cast to its real part, and a NaN or inf one gives no gap
@@ -350,28 +353,27 @@ def test_duality_gap_validates_inputs():
 
 
 def fpg_solves(shape, place=np.asarray):
-    """Every solve of one shape, as (z, tau, cfg, x, info): both modes, both
-    boundaries, unrestarted and restarted, short and long budgets. place(a)
-    puts z in memory."""
+    """Every solve of one shape, as (z, tau, cfg, x, info): both modes,
+    unrestarted and restarted, short and long budgets. place(a) puts z in
+    memory."""
     rng = np.random.default_rng(54)
     z = place(rng.standard_normal(shape))
     tau = 0.7 / len(shape)
     for mode in ("aniso", "iso"):
-        for boundary in ("circular", "free"):
-            for restart_tol in (None, 1e-9):
-                for max_iter in (7, 300):
-                    cfg = oracle(restart_tol, max_iter=max_iter, mode=mode, boundary=boundary)
-                    yield z, tau, cfg, *fpg_prox(z, tau, cfg, return_info=True)
+        for restart_tol in (None, 1e-9):
+            for max_iter in (7, 300):
+                cfg = oracle(restart_tol, max_iter=max_iter, mode=mode)
+                yield z, tau, cfg, *fpg_prox(z, tau, cfg, return_info=True)
 
 
 # sha256 digests, recorded before the FPG loop was last reworked, of x, the
 # final dual p and the iteration count of every solve of fpg_solves. A
 # rework of the loop must leave each solve bit-identical.
 FPG_DIGESTS = {
-    (37,): "f1c914eb7c888ad34c859d1ebf1d3402bd4af0f194c601726f5f7850342ed38c",
-    (16, 16): "3d4513be73004433a2cd75878f9c7ab197bc2e38fd62756f3a54c1493a422b68",
-    (12, 20): "d8511f9c2fadcdfe6fbf0eb24e055efcaa2822aab44c8be3351afa3fd8fa10db",
-    (6, 7, 8): "4dbd70dcf20a438e993bad10391fa4b81b4e272be9ed1a4203d67b75ca4a65d0",
+    (37,): "f85f537886955f1d400f00f825129799c14ce4b9b4ebdf96e8320d2cd348625c",
+    (16, 16): "d713b31de4d33be0573f19a8c50ca111eaaa2f269ba64531d725328766406705",
+    (12, 20): "40cb0a39ab3e03c37fd81babb980da92edf4868f1521653f4a81593003532ecb",
+    (6, 7, 8): "e8a1c11dcfea59c2e2b008ba552f40d05c5d12a3cc2f010595c93da10d60ab1f",
 }
 
 
@@ -424,8 +426,8 @@ def test_fpg_reports_its_last_stop_statistic(shape):
     # the gap sums through BLAS ddot, whose summation order depends on the
     # CPU, so it is recomputed here rather than pinned
     for z, tau, cfg, x, info in fpg_solves(shape):
-        primal = 0.5 * l2_norm(x - z) ** 2 + tau * _tv_of_differences(_grad(x, cfg.boundary), cfg.mode)
-        expected = duality_gap(z, x, info["p"], tau, cfg.mode, cfg.boundary) / primal
+        primal = 0.5 * l2_norm(x - z) ** 2 + tau * _tv_of_differences(_grad(x), cfg.mode)
+        expected = duality_gap(z, x, info["p"], tau, cfg.mode) / primal
         assert info["gap"] == pytest.approx(expected, rel=1e-9, abs=1e-15)
         assert info["converged"] == (info["gap"] <= cfg.tol)
 

@@ -404,7 +404,7 @@ def test_tight_denoise_baselines_are_certified(monkeypatch):
     assert len(solves) == 3
     for z, tau, oracle, (x, info) in solves:
         f_star = 0.5 * float(((x - z) ** 2).sum()) + tau * tv(x, oracle.mode)
-        gap = duality_gap(z, x, info["p"], tau, oracle.mode, oracle.boundary)
+        gap = duality_gap(z, x, info["p"], tau, oracle.mode)
         assert gap <= 1e-6 * f_star
 
 

@@ -173,38 +173,28 @@ def test_grad_circular_stacks_diff_axis():
     for d, shape in SHAPES.items():
         x = rng.standard_normal(shape)
         want = np.stack([loop_diff_axis(x, j) for j in range(d)])
-        np.testing.assert_array_equal(_grad(x, "circular"), want)
+        np.testing.assert_array_equal(_grad(x), want)
 
 
-def test_grad_free_hand_trace():
-    g = _grad(np.array([4.0, 0.0, 0.0, 1.0]), "free")
-    np.testing.assert_array_equal(g, [[4.0, 0.0, -1.0, 0.0]])
-    # adjoint of the free differences: p_i - p_{i-1}, ignoring the last p
-    np.testing.assert_array_equal(_grad_adjoint(np.array([[1.0, 2.0, 3.0, 9.0]]), "free"),
-                                  [1.0, 1.0, 1.0, -3.0])
-
-
-@pytest.mark.parametrize("boundary", ["circular", "free"])
-def test_grad_pair_dot_test(boundary):
+def test_grad_pair_dot_test():
     rng = np.random.default_rng(18)
     for d, shape in SHAPES.items():
         for _ in range(5):
             x = rng.standard_normal(shape)
             p = rng.standard_normal((d,) + shape)
-            lhs = np.vdot(_grad(x, boundary), p)
-            rhs = np.vdot(x, _grad_adjoint(p, boundary))
+            lhs = np.vdot(_grad(x), p)
+            rhs = np.vdot(x, _grad_adjoint(p))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, l2_norm(x) * l2_norm(p))
 
 
 @pytest.mark.parametrize("lead", [(5,), (2, 3)])
-@pytest.mark.parametrize("boundary", ["circular", "free"])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_grad_steps_over_a_stack_give_each_signals_grad(d, boundary, lead):
+def test_grad_steps_over_a_stack_give_each_signals_grad(d, lead):
     # one set of calls over a (*lead, *shape) stack writes a (*lead, d, *shape)
     # stack that holds each signal's _grad, bit for bit
     shape = SHAPES[d]
     stack = np.random.default_rng(76).standard_normal(lead + shape)
     out = np.empty(lead + (d,) + shape)
-    _run(_grad_steps(stack, out, boundary, batch=len(lead)))
+    _run(_grad_steps(stack, out, batch=len(lead)))
     for idx in np.ndindex(lead):
-        assert out[idx].tobytes() == _grad(stack[idx], boundary).tobytes()
+        assert out[idx].tobytes() == _grad(stack[idx]).tobytes()

@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 from call_counts import python_calls
 
 import tvprox
-from tvprox.exact import duality_gap, fpg_prox, tautstring_prox_1d
+from tvprox.exact import duality_gap, fpg_prox
 from tvprox.experiments import gen_foam_phantom
 from tvprox.operators import (
     CG_TOL,
@@ -159,7 +159,6 @@ _V = np.arange(16.0).reshape(4, 4) % 3
 SCALED_CALLS = {
     "fpg_prox": lambda s: fpg_prox(_V, s),
     "duality_gap": lambda s: duality_gap(_V, _V, np.zeros((2, 4, 4)), s),
-    "tautstring_prox_1d": lambda s: tautstring_prox_1d(_V[0], s),
     "prox_g_denoise": lambda s: prox_g_denoise(_V, s, _V),
     "prox_g_ct": lambda s: prox_g_ct(_V, s, _V, identity_operator((4, 4))),
     "add_awgn": lambda s: add_awgn(_V, s, seed=0),

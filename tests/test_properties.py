@@ -6,7 +6,8 @@ Shapes have d = 1..3 axes with every extent in 2..9, so extent-2 axes,
 where the slicing kernel's boundary slab is half the axis, are drawn too.
 Runs are derandomized, so every run checks the same examples. The FPG
 loop's bit-identity reference also runs on a fixed grid of shapes, modes,
-boundaries, restart settings and budgets.
+restart settings and budgets. The 1D taut string checks FPG through the
+even reflection, whose circular prox holds the free-boundary prox.
 """
 
 import math
@@ -17,9 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import oracle
+from oracles import oracle, reflected, tautstring_prox_1d
 
-from tvprox.exact import OracleConfig, duality_gap, fpg_prox, tautstring_prox_1d
+from tvprox.exact import OracleConfig, duality_gap, fpg_prox
 from tvprox.frame import CoeffStack, _grad, _grad_adjoint, w_adjoint, w_forward
 from tvprox.shrinkage import ProxParams, _project_ball, approx_prox, threshold_stack
 from tvprox.operators import prox_g_denoise
@@ -172,7 +173,7 @@ def unbound_fpg_reference(z, tau, cfg):
     for k in range(cfg.max_iter):
         dx *= beta
         dx += x
-        g[...] = _grad(dx, cfg.boundary)
+        g[...] = _grad(dx)
         g *= step
         g += q
         _project_ball(g, 1.0, cfg.mode)
@@ -187,12 +188,12 @@ def unbound_fpg_reference(z, tau, cfg):
         q += g
         p, g, t_prev = g, p, t
         x, x_prev = x_prev, x
-        dtp[...] = _grad_adjoint(p, cfg.boundary)
+        dtp[...] = _grad_adjoint(p)
         dtp *= tau
         np.subtract(z, dtp, out=x)
         np.subtract(x, x_prev, out=dx)
         if (k + 1) % 50 == 0 or k + 1 == cfg.max_iter:
-            dif = _grad(x, cfg.boundary)
+            dif = _grad(x)
             coupling = float(np.vdot(dif, p))
             tv_x = _tv_of_differences(dif, cfg.mode)
             dtp_sq = float(np.vdot(dtp, dtp))
@@ -217,29 +218,28 @@ def assert_fpg_matches_unbound_loop(z, tau, cfg):
 
 
 @settings(PROPERTY, max_examples=60)
-@given(SIGNALS, TAUS, st.sampled_from(MODES), st.sampled_from(("circular", "free")), st.sampled_from((None, 1e-6)))
-# extent-2 axes, where the first, last and penultimate slabs coincide in pairs
-@example(np.array([3.0, -1.0]), 0.5, "aniso", "free", None)
-@example(np.arange(18.0).reshape(2, 9) % 5, 0.3, "iso", "free", None)
-@example(np.arange(12.0).reshape(3, 2, 2) % 7, 0.2, "iso", "circular", 1e-6)
-@example(np.arange(8.0).reshape(2, 2, 2) ** 2, 0.7, "aniso", "circular", 1e-6)
-def test_fpg_prox_bit_identical_to_unbound_loop(z, tau, mode, boundary, restart_tol):
-    cfg = oracle(restart_tol, max_iter=300, tol=1e-10, mode=mode, boundary=boundary)
+@given(SIGNALS, TAUS, st.sampled_from(MODES), st.sampled_from((None, 1e-6)))
+# extent-2 axes, where the first and last slabs make up the whole axis
+@example(np.array([3.0, -1.0]), 0.5, "aniso", None)
+@example(np.arange(18.0).reshape(2, 9) % 5, 0.3, "iso", None)
+@example(np.arange(12.0).reshape(3, 2, 2) % 7, 0.2, "iso", 1e-6)
+@example(np.arange(8.0).reshape(2, 2, 2) ** 2, 0.7, "aniso", 1e-6)
+def test_fpg_prox_bit_identical_to_unbound_loop(z, tau, mode, restart_tol):
+    cfg = oracle(restart_tol, max_iter=300, tol=1e-10, mode=mode)
     assert_fpg_matches_unbound_loop(z, tau, cfg)
 
 
 @pytest.mark.parametrize("restart_tol", [None, 1e-7])
-@pytest.mark.parametrize("boundary", ["circular", "free"])
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("shape", [(29,), (6, 7), (3, 4, 5)])
-def test_fpg_prox_bit_identical_to_unbound_loop_grid(shape, mode, boundary, restart_tol):
+def test_fpg_prox_bit_identical_to_unbound_loop_grid(shape, mode, restart_tol):
     # budgets off and on the 50-iteration gap check, so the runs also end
     # on the check at max_iter, and odd and even ones, so each of
     # fpg_prox's two primal buffers is the one returned, at the cap and at
     # a gap check
     z = np.random.default_rng(sum(shape)).standard_normal(shape)
     for max_iter, tau in ((37, 0.4), (123, 0.05), (173, 0.9), (1, 0.4), (2, 0.05), (50, 0.9), (124, 0.05)):
-        cfg = oracle(restart_tol, max_iter=max_iter, tol=1e-7, mode=mode, boundary=boundary)
+        cfg = oracle(restart_tol, max_iter=max_iter, tol=1e-7, mode=mode)
         assert_fpg_matches_unbound_loop(z, tau, cfg)
 
 
@@ -346,19 +346,20 @@ def test_bound_solvers_bit_identical_to_per_call_loops(run, solver):
     st.floats(-2.0, 0.5).map(lambda e: 10.0**e),
 )
 def test_free_boundary_fpg_matches_taut_string_1d(z, tau):
-    x = fpg_prox(z, tau, OracleConfig(max_iter=50000, tol=1e-12, boundary="free"), return_info=True)[0]
-    assert np.max(np.abs(x - tautstring_prox_1d(z, tau))) <= 1e-6
+    # the free-boundary prox is the first half of the circular one of the reflection
+    x = fpg_prox(reflected(z), tau, OracleConfig(max_iter=50000, tol=1e-12), return_info=True)[0]
+    assert np.max(np.abs(x[: z.size] - tautstring_prox_1d(z, tau))) <= 1e-6
 
 
 @settings(PROPERTY, max_examples=60)
-@given(SIGNALS, TAUS, st.sampled_from(MODES), st.sampled_from(("circular", "free")), st.integers(1, 300))
-def test_fpg_dual_is_feasible_and_synthesises_x(z, tau, mode, boundary, budget):
-    cfg = OracleConfig(max_iter=budget, tol=1e-10, mode=mode, boundary=boundary)
+@given(SIGNALS, TAUS, st.sampled_from(MODES), st.integers(1, 300))
+def test_fpg_dual_is_feasible_and_synthesises_x(z, tau, mode, budget):
+    cfg = OracleConfig(max_iter=budget, tol=1e-10, mode=mode)
     x, info = fpg_prox(z, tau, cfg, return_info=True)
     p = info["p"]
     sizes = np.abs(p) if mode == "aniso" else np.sqrt((p * p).sum(axis=0))
     assert sizes.max() <= 1.0 + 1e-14
-    assert np.array_equal(x, z - tau * _grad_adjoint(p, boundary))
+    assert np.array_equal(x, z - tau * _grad_adjoint(p))
 
 
 # n = 200 with a few long runs and jumps, where small budgets leave a large gap
@@ -376,12 +377,13 @@ STEPS_1D = np.sin(np.arange(200.0) * 0.37) * 3.0 + np.arange(200.0) % 7
 @example(STEPS_1D, 0.7, 500)
 def test_duality_gap_bounds_distance_to_taut_string_1d(z, tau, budget):
     # the gap of any FPG iterate bounds half its squared distance to the
-    # exact prox, here given by the taut string
-    cfg = OracleConfig(max_iter=budget, tol=1e-300, boundary="free")
-    x, info = fpg_prox(z, tau, cfg, return_info=True)
-    gap = duality_gap(z, x, info["p"], tau, "aniso", "free")
-    primal = 0.5 * l2_norm(x - z) ** 2 + tau * _tv_of_differences(_grad(x, "free"), "aniso")
-    assert 0.5 * l2_norm(x - tautstring_prox_1d(z, tau)) ** 2 <= gap + 1e-12 * (1.0 + abs(primal))
+    # exact prox, here of the even reflection: the reflected taut string
+    cfg = OracleConfig(max_iter=budget, tol=1e-300)
+    zz = reflected(z)
+    x, info = fpg_prox(zz, tau, cfg, return_info=True)
+    gap = duality_gap(zz, x, info["p"], tau, "aniso")
+    primal = 0.5 * l2_norm(x - zz) ** 2 + tau * _tv_of_differences(_grad(x), "aniso")
+    assert 0.5 * l2_norm(x - reflected(tautstring_prox_1d(z, tau))) ** 2 <= gap + 1e-12 * (1.0 + abs(primal))
 
 
 @PROPERTY

@@ -28,7 +28,6 @@ KEEP = (
     ("threshold_stack", "the paper's T, the prox of tau*h_hat; oracle of the fused prox"),
     ("h_hat", "the lifted TV whose Moreau envelope makes S_tau a prox"),
     ("h_hat_subgradient", "the paper's eps-subgradient bound"),
-    ("tautstring_prox_1d", "exact 1D reference that cross-validates FPG"),
     ("identity_operator", "the A = I operator of denoising checks"),
     ("prox_g_denoise", "closed-form data prox; reference of the solvers' in-place data step"),
     ("load_csv", "the reader of the recon_*.csv artifacts"),
@@ -95,7 +94,7 @@ def test_public_dataclass_type_hints_resolve():
         assert typing.get_type_hints(cls).keys() == {f.name for f in dataclasses.fields(cls)}, cls.__name__
 
 
-SIG, IMG, LINE = np.arange(6.0).reshape(2, 3), np.ones((8, 8)), np.arange(5.0)
+SIG, IMG = np.arange(6.0).reshape(2, 3), np.ones((8, 8))
 GEO = tvprox.CtGeometry(n_pixels=8, n_angles=4)
 SINO = np.ones(GEO.sinogram_shape)
 # Every exported function that takes an array, by name: one (call on one array
@@ -111,7 +110,6 @@ ARRAY_ARGUMENTS = {
     "duality_gap": [(lambda a, _: tvprox.duality_gap(a, SIG, np.zeros((2, 2, 3)), 0.1), SIG, "z"),
                     (lambda a, _: tvprox.duality_gap(SIG, a, np.zeros((2, 2, 3)), 0.1), SIG, "x"),
                     (lambda a, _: tvprox.duality_gap(SIG, SIG, a, 0.1), np.zeros((2, 2, 3)), "p")],
-    "tautstring_prox_1d": [(lambda a, _: tvprox.tautstring_prox_1d(a, 0.1), LINE, "z")],
     "radon_forward": [(lambda a, _: tvprox.radon_forward(a, GEO), IMG, "img")],
     "radon_adjoint": [(lambda a, _: tvprox.radon_adjoint(a, GEO), SINO, "sino")],
     "add_awgn": [(lambda a, _: tvprox.add_awgn(a, 0.1, 0), SIG, "x")],

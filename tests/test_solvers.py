@@ -74,7 +74,7 @@ _SETTINGS = {
     SolverConfig: {"stop_tol": (np.float64(1e-9), _TOLS), "max_iter": (np.int64(7), _BUDGETS),
                    "gamma": (np.float64(0.5), ("a", np.nan)), "lam": (np.float64(0.0), ("a", -np.inf)),
                    # the exact prox must solve the TV the objective scores
-                   "oracle": (OracleConfig(), (OracleConfig(mode="iso"), OracleConfig(boundary="free")))},
+                   "oracle": (OracleConfig(), (OracleConfig(mode="iso"),))},
     ProxParams: {"tau": (np.float64(1e-9), ("a", np.inf))},
     ExperimentConfig: {"n_phantoms": (np.int64(2), (1.5,)), "seed": (np.int64(0), (0.5,)),
                        "image_size": (np.int64(16), (20.5,)), "n_angles": (np.int64(4), (2.5,)),

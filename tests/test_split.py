@@ -59,16 +59,15 @@ def fpg_bits(z, tau, cfg):
 
 
 @pytest.mark.parametrize("restart_tol", [None, 1e-9])
-@pytest.mark.parametrize("boundary", ["circular", "free"])
 @pytest.mark.parametrize("mode", ["aniso", "iso"])
 @pytest.mark.parametrize("shape", SHAPES)
-def test_split_fpg_keeps_every_bit(split_calls, shape, mode, boundary, restart_tol):
+def test_split_fpg_keeps_every_bit(split_calls, shape, mode, restart_tol):
     # an iso solve runs whole at every size; an aniso one splits its five
     # phases each iteration (but the last x - dx of a converged solve), and
     # its gap's difference pass
     z = np.random.default_rng(60).standard_normal(shape)
     for max_iter in (1, 2, 60):
-        cfg = oracle(restart_tol, max_iter=max_iter, mode=mode, boundary=boundary)
+        cfg = oracle(restart_tol, max_iter=max_iter, mode=mode)
         whole, halves, splits = split_calls(lambda: fpg_bits(z, 0.4 / len(shape), cfg))
         assert whole == halves
         iters, converged = halves[3:]
@@ -85,16 +84,15 @@ def test_only_fpg_splits(split_calls, mode):
 
     def run():
         return (approx_prox(z, ProxParams(0.3, mode)).tobytes(), tv(z, mode),
-                duality_gap(z, x, info["p"], 0.3, mode, "free"),
+                duality_gap(z, x, info["p"], 0.3, mode),
                 apgm(Problem(data=z), cfg, z).final_x.tobytes())
 
     whole, halves, splits = split_calls(run)
     assert whole == halves and splits == 0
 
 
-@pytest.mark.parametrize("boundary", ["circular", "free"])
 @pytest.mark.parametrize("shape", SHAPES + [(2, 3), (3, 2, 2)])
-def test_row_halves_of_the_difference_pair_give_the_whole_pair(shape, boundary):
+def test_row_halves_of_the_difference_pair_give_the_whole_pair(shape):
     # the steps of rows (0, m) and (m, n) together write every sample once,
     # with the whole call's bits (an empty range makes no call)
     rng = np.random.default_rng(66)
@@ -103,15 +101,15 @@ def test_row_halves_of_the_difference_pair_give_the_whole_pair(shape, boundary):
     for m in sorted({0, n // 2, n}):
         halves = ((0, m), (m, n))
         grad, split = np.empty(p.shape), np.full(p.shape, np.nan)
-        _run(_grad_steps(x, grad, boundary))
+        _run(_grad_steps(x, grad))
         for rows in halves:
-            _run(_grad_steps(x, split, boundary, rows=rows))
+            _run(_grad_steps(x, split, rows=rows))
         assert grad.tobytes() == split.tobytes()
         adjoint, split = np.empty(shape), np.full(shape, np.nan)
-        _run(_adjoint_steps(p, adjoint, np.empty(shape), boundary))
+        _run(_adjoint_steps(p, adjoint, np.empty(shape)))
         scratch = np.empty(shape)
         for rows in halves:
-            _run(_adjoint_steps(p, split, scratch, boundary, rows=rows))
+            _run(_adjoint_steps(p, split, scratch, rows=rows))
         assert adjoint.tobytes() == split.tobytes()
 
 

@@ -116,7 +116,7 @@ def test_tv_of_a_stack_of_differences_is_each_signals_tv(d, mode):
     ring = rng.standard_normal((4,) + SHAPES[d]) * 10.0 ** rng.integers(-3, 4, (4,) + SHAPES[d])
     y = rng.standard_normal(SHAPES[d])
     difs = np.empty((4, d) + SHAPES[d])
-    steps = _grad_steps(ring, difs, "circular", batch=1)
+    steps = _grad_steps(ring, difs, batch=1)
 
     def objectives(lam, data):
         return _objectives(ring, difs, steps, SolverConfig(lam=lam, mode=mode), data, np.zeros(4))
