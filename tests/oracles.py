@@ -6,6 +6,7 @@ problem in the package's circular TV; and a BVLS oracle, exact for the
 circular aniso prox of small signals in any dimension."""
 
 import numpy as np
+import pytest
 from scipy.optimize import lsq_linear
 
 from tvprox.exact import OracleConfig
@@ -19,6 +20,17 @@ def oracle(restart_tol=None, **settings):
     if restart_tol is not None:
         settings.update(tol=restart_tol, restart=True)
     return OracleConfig(**settings)
+
+
+def circular_cases(argname, values, names=None):
+    """pytest.mark.parametrize(argname, values) with every id tagged
+    "-circular" after its value's name (names, else str(value)).
+
+    The tag marks the boundary of the difference pair, circular, in the
+    ids of cases that once also ran on a free boundary, so each keeps the
+    id it had."""
+    names = [str(v) for v in values] if names is None else names
+    return pytest.mark.parametrize(argname, values, ids=[f"{n}-circular" for n in names])
 
 
 def reflected(z):

@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 from call_counts import python_calls
-from oracles import bvls_prox, oracle, reflected, tautstring_prox_1d
+from oracles import bvls_prox, circular_cases, oracle, reflected, tautstring_prox_1d
 from placement import at_offset, line_offset
 
 from tvprox.exact import OracleConfig, duality_gap, fpg_prox
@@ -133,7 +133,7 @@ def roll_fpg_reference(z, tau, cfg):
     return x, k + 1
 
 
-@pytest.mark.parametrize("mode", ["aniso", "iso"])
+@circular_cases("mode", ["aniso", "iso"])
 def test_fpg_matches_roll_reference(mode):
     rng = np.random.default_rng(50)
     for shape, tau in (((40,), 0.3), ((12, 13), 0.2), ((5, 6, 7), 0.1)):
@@ -255,7 +255,7 @@ def test_certified_fpg_matches_bvls(shape):
             assert np.max(np.abs(x - x_exact)) <= 1e-11
 
 
-@pytest.mark.parametrize("mode", ["aniso", "iso"])
+@circular_cases("mode", ["aniso", "iso"])
 def test_certified_gap_matches_duality_gap(mode):
     # the in-loop gap is duality_gap of the returned (x, p), relative to P(x)
     rng = np.random.default_rng(52)

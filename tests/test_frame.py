@@ -3,6 +3,7 @@ and the slicing difference pair shared by tv, the fused prox and FPG."""
 
 import numpy as np
 import pytest
+from oracles import circular_cases
 
 from tvprox.frame import (
     CoeffStack,
@@ -176,8 +177,10 @@ def test_grad_circular_stacks_diff_axis():
         np.testing.assert_array_equal(_grad(x), want)
 
 
-def test_grad_pair_dot_test():
-    rng = np.random.default_rng(18)
+# the id tags the boundary, as in circular_cases
+@pytest.mark.parametrize("seed", [18], ids=["circular"])
+def test_grad_pair_dot_test(seed):
+    rng = np.random.default_rng(seed)
     for d, shape in SHAPES.items():
         for _ in range(5):
             x = rng.standard_normal(shape)
@@ -188,7 +191,7 @@ def test_grad_pair_dot_test():
 
 
 @pytest.mark.parametrize("lead", [(5,), (2, 3)])
-@pytest.mark.parametrize("d", [1, 2, 3])
+@circular_cases("d", [1, 2, 3])
 def test_grad_steps_over_a_stack_give_each_signals_grad(d, lead):
     # one set of calls over a (*lead, *shape) stack writes a (*lead, d, *shape)
     # stack that holds each signal's _grad, bit for bit

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import oracle, reflected, tautstring_prox_1d
+from oracles import circular_cases, oracle, reflected, tautstring_prox_1d
 
 from tvprox.exact import OracleConfig, duality_gap, fpg_prox
 from tvprox.frame import CoeffStack, _grad, _grad_adjoint, w_adjoint, w_forward
@@ -230,7 +230,7 @@ def test_fpg_prox_bit_identical_to_unbound_loop(z, tau, mode, restart_tol):
 
 
 @pytest.mark.parametrize("restart_tol", [None, 1e-7])
-@pytest.mark.parametrize("mode", MODES)
+@circular_cases("mode", MODES)
 @pytest.mark.parametrize("shape", [(29,), (6, 7), (3, 4, 5)])
 def test_fpg_prox_bit_identical_to_unbound_loop_grid(shape, mode, restart_tol):
     # budgets off and on the 50-iteration gap check, so the runs also end

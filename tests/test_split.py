@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import oracle
+from oracles import circular_cases, oracle
 
 from tvprox import exact, frame
 from tvprox.exact import OracleConfig, duality_gap, fpg_prox
@@ -59,7 +59,7 @@ def fpg_bits(z, tau, cfg):
 
 
 @pytest.mark.parametrize("restart_tol", [None, 1e-9])
-@pytest.mark.parametrize("mode", ["aniso", "iso"])
+@circular_cases("mode", ["aniso", "iso"])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_split_fpg_keeps_every_bit(split_calls, shape, mode, restart_tol):
     # an iso solve runs whole at every size; an aniso one splits its five
@@ -91,7 +91,7 @@ def test_only_fpg_splits(split_calls, mode):
     assert whole == halves and splits == 0
 
 
-@pytest.mark.parametrize("shape", SHAPES + [(2, 3), (3, 2, 2)])
+@circular_cases("shape", SHAPES + [(2, 3), (3, 2, 2)], [f"shape{i}" for i in range(5)])
 def test_row_halves_of_the_difference_pair_give_the_whole_pair(shape):
     # the steps of rows (0, m) and (m, n) together write every sample once,
     # with the whole call's bits (an empty range makes no call)
