@@ -6,9 +6,9 @@ assembled once into CSR arrays of A and of its transpose, so the adjoint is
 exact and every view conserves the total projected mass exactly. They are built
 and applied by scipy's private compiled ``_sparsetools`` kernels, loaded from their
 extension file without ``import scipy.sparse``: ``coo_tocsr``, ``csr_sort_indices``
-and ``csr_tocsc`` are what ``csr_matrix((vals, (rows, cols)))`` and ``.T.tocsr()`` run,
-and ``csr_matvec`` is the kernel of ``csr_matrix @ x``, so the bits match; it writes
-into ``out`` buffers, which ``@`` cannot. Only ``system_matrix`` imports scipy.sparse.
+and ``csr_tocsc`` are what scipy's CSR build from (vals, (rows, cols)) and ``.T.tocsr()``
+run, and ``csr_matvec`` is the kernel of a CSR matrix's ``@``, so the bits match; it writes
+into ``out`` buffers, which ``@`` cannot. ``CtGeometry()`` builds and binds them.
 The CT data prox is an in-place conjugate gradient on buffers bound once per call,
 stopped, and warning if it stalls, on its recursive ||r|| < CG_TOL ||b|| (one r.r per
 step): only return_info=True spends a Radon pair on the true residual. Its right-hand
@@ -80,15 +80,15 @@ def identity_operator(shape):
 class CtGeometry:
     """Parallel-beam geometry: square image, equispaced angles over [0, pi), unit pixels
     and ceil(n_pixels sqrt 2) unit bins, rounded up to n_pixels' parity: 0-degree rays hit bin centers.
-    Only n_pixels (>= 2) and n_angles are set; the rest is derived, the Radon kernels and system_matrix on first use."""
+    Only n_pixels (>= 2) and n_angles are set; the rest is derived, the Radon kernels last
+    (_bind_radon: ImportError if scipy's _sparsetools extension file is missing)."""
 
     n_pixels: int
     n_angles: int
     angles: np.ndarray = field(init=False)
     n_detectors: int = field(init=False)
     sinogram_shape: tuple = field(init=False)  # (n_angles, n_detectors)
-    _matrix: object = field(default=None, init=False, repr=False)  # system_matrix's csr_matrix over _kernels' A
-    _kernels: tuple = field(default=None, init=False, repr=False)  # kernel(x, out) adds A x, A^T x to out
+    _kernels: tuple = field(init=False, repr=False)  # kernel(x, out) adds A x, A^T x to out
 
     def __post_init__(self):
         n = self.n_pixels
@@ -98,6 +98,7 @@ class CtGeometry:
         m = int(np.ceil(n * np.sqrt(2.0)))
         self.n_detectors = m + (m - n) % 2
         self.sinogram_shape = (self.n_angles, self.n_detectors)
+        _bind_radon(self)
 
 
 def _sparsetools():
@@ -144,8 +145,8 @@ def _radon_triplets(geo):
 
 
 def _bind_radon(geo):
-    """Build A and A^T in CSR with the kernels that csr_matrix((vals, (rows, cols))) and
-    .T.tocsr() run, so the arrays keep scipy's bits (its sum of repeated (row, col) entries
+    """Build A and A^T in CSR with the kernels that scipy's CSR build from (vals, (rows, cols))
+    and .T.tocsr() run, so the arrays keep scipy's bits (its sum of repeated (row, col) entries
     is left out: the triplets repeat none), and bind csr_matvec to each as geo._kernels."""
     st = _sparsetools()
     rows, cols, vals = _radon_triplets(geo)
@@ -160,22 +161,8 @@ def _bind_radon(geo):
     geo._kernels = partial(st.csr_matvec, *shape, *csr), partial(st.csr_matvec, *shape[::-1], *csr_t)
 
 
-def system_matrix(geo):
-    """A, the (n_angles*n_detectors) x n_pixels^2 projection matrix, as a cached
-    scipy.sparse.csr_matrix over the arrays that A's CSR kernel binds. The Radon pair
-    never calls it: this is the one place that imports scipy.sparse."""
-    if geo._matrix is None:
-        import scipy.sparse as sp
-
-        if geo._kernels is None:
-            _bind_radon(geo)
-        n_rows, n_cols, indptr, indices, data = geo._kernels[0].args
-        geo._matrix = sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
-    return geo._matrix
-
-
 def _csr_product(kernel, x, shape, out):
-    """A x into out (a new array if None), zero-filled first as csr_matrix @ x fills its result."""
+    """A x into out (a new array if None), zero-filled first as a CSR matrix's @ fills its result."""
     if out is None:
         out = np.zeros(shape)
     elif not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
@@ -194,8 +181,6 @@ def radon_forward(img, geo, *, check_finite=True, out=None):
     img = validate_signal(img, "img") if check_finite else np.asarray(img, dtype=np.float64)
     if img.shape != (geo.n_pixels, geo.n_pixels):
         raise ValueError(f"image shape {img.shape} does not match geometry {geo.n_pixels}")
-    if geo._kernels is None:
-        _bind_radon(geo)
     return _csr_product(geo._kernels[0], img, geo.sinogram_shape, out)
 
 
@@ -205,17 +190,12 @@ def radon_adjoint(sino, geo, *, check_finite=True, out=None):
     sino = check_array("sino", sino) if check_finite else np.asarray(sino, dtype=np.float64)
     if sino.shape != geo.sinogram_shape:
         raise ValueError(f"sinogram shape {sino.shape} does not match geometry {geo.sinogram_shape}")
-    if geo._kernels is None:
-        _bind_radon(geo)
     return _csr_product(geo._kernels[1], sino, (geo.n_pixels, geo.n_pixels), out)
 
 
 def radon_operator(geo):
     """The Radon pair of geo as closures over radon_forward and radon_adjoint,
-    without their finiteness scans. geo's CSR kernels are bound here (scipy.sparse
-    is not imported), so no matvec builds them."""
-    if geo._kernels is None:
-        _bind_radon(geo)
+    without their finiteness scans."""
     return LinearOperator(
         apply=lambda x, out=None: radon_forward(x, geo, check_finite=False, out=out),
         adjoint=lambda r, out=None: radon_adjoint(r, geo, check_finite=False, out=out),

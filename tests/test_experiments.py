@@ -342,6 +342,31 @@ def test_ct_sweep_builds_one_operator(monkeypatch):
     assert len(res.cells) == 4 and not any(r.failed for r in res.rows)
 
 
+@pytest.mark.parametrize("task, solver", [("ct", "apgm"), ("ct", "admm"), ("denoise", "apgm"), ("denoise", "admm")])
+def test_sweep_cells_solve_at_their_grid_step(monkeypatch, task, solver):
+    # CT+APGM grid entries are fractions of 1/L; every other cell solves at
+    # the grid value itself. A stub solver records each cell's step and L
+    # (the CT baseline's exact-prox APGM solves are not cells)
+    steps = []
+
+    def stub(problem, cfg, x0):
+        if cfg.prox_choice == "approx":
+            steps.append((cfg.gamma, problem.lipschitz_L))
+        return RunReport(final_x=x0, objective_trace=np.array([1.0]), iterations=1,
+                         stop_reason="tolerance-met", wall_time=0.0)
+
+    monkeypatch.setattr(experiments, "apgm", stub)
+    monkeypatch.setattr(experiments, "admm", stub)
+    grid = (1e-2, 0.5)
+    cfg = ExperimentConfig(task=task, image_size=16, n_phantoms=2, n_angles=4,
+                           lambda_grid=(0.5,), gamma_grid=grid, solver=solver)
+    run_sweep(cfg)
+    L = steps[0][1]
+    assert all(lipschitz == L for _, lipschitz in steps) and (L > 1 if task == "ct" else L == 1)
+    want = [gamma / L if (task, solver) == ("ct", "apgm") else gamma for gamma in grid for _ in range(2)]
+    assert [gamma for gamma, _ in steps] == want
+
+
 def test_sweep_marks_failed_rows():
     # an absurd step size makes APGM diverge on the denoising problem
     cfg = ExperimentConfig(task="denoise", image_size=16, n_phantoms=1, seed=0,

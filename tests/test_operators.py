@@ -32,7 +32,6 @@ from tvprox.operators import (
     radon_adjoint,
     radon_forward,
     radon_operator,
-    system_matrix,
 )
 from tvprox.signal import l2_norm
 from tvprox.solvers import Problem, SolverConfig, admm
@@ -231,12 +230,14 @@ def test_grad_g_finite_difference_consistency():
         assert fd == pytest.approx(np.vdot(grad, direction), rel=1e-5)
 
 
-def test_system_matrix_cached():
-    geo = small_geo()
-    assert system_matrix(geo) is system_matrix(geo)
-
-
 CT_SIZES = ((16, 8), (32, 15), (64, 45))
+
+
+def scipy_matrix(geo):
+    """A built by scipy.sparse itself from the builder's triplets: an oracle
+    independent of the CSR arrays that the geometry binds."""
+    rows, cols, vals = _radon_triplets(geo)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(geo.n_angles * geo.n_detectors, geo.n_pixels**2))
 
 
 def test_radon_forward_is_matrix_product_bitwise():
@@ -245,8 +246,9 @@ def test_radon_forward_is_matrix_product_bitwise():
     rng = np.random.default_rng(57)
     for n, angles in CT_SIZES:
         geo = CtGeometry(n_pixels=n, n_angles=angles)
+        mat = scipy_matrix(geo)
         for x in (rng.standard_normal((n, n)), rng.standard_normal((n, n)).T):
-            want = (system_matrix(geo) @ x.ravel()).reshape(geo.sinogram_shape)
+            want = (mat @ x.ravel()).reshape(geo.sinogram_shape)
             assert np.array_equal(radon_forward(x, geo), want)
 
 
@@ -264,14 +266,11 @@ def test_radon_pair_zero_fills_out():
 
 
 def test_radon_kernels_hold_scipys_csr_pair_bitwise():
-    # an oracle independent of system_matrix, which wraps the bound arrays:
-    # scipy.sparse's own construction from the builder's triplets
+    # the geometry binds the very arrays that scipy.sparse builds from the triplets
     rng = np.random.default_rng(60)
     for n, angles in (*CT_SIZES, (33, 7), (2, 1)):
         geo = CtGeometry(n_pixels=n, n_angles=angles)
-        radon_operator(geo)
-        rows, cols, vals = _radon_triplets(geo)
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=(angles * geo.n_detectors, n * n))
+        mat = scipy_matrix(geo)
         for kernel, want in zip(geo._kernels, (mat, mat.T.tocsr())):
             assert kernel.args[:2] == want.shape
             for got, arr in zip(kernel.args[2:], (want.indptr, want.indices, want.data)):
@@ -286,9 +285,10 @@ def test_radon_adjoint_is_matrix_transpose_bitwise():
     rng = np.random.default_rng(58)
     for n, angles in CT_SIZES:
         geo = CtGeometry(n_pixels=n, n_angles=angles)
+        mat_t = scipy_matrix(geo).T
         for _ in range(3):
             s = rng.standard_normal(geo.sinogram_shape)
-            want = (system_matrix(geo).T @ s.ravel()).reshape(n, n)
+            want = (mat_t @ s.ravel()).reshape(n, n)
             assert np.array_equal(radon_adjoint(s, geo), want)
 
 
@@ -479,8 +479,7 @@ def test_radon_pair_rejects_a_bad_out():
 
 def test_data_proxes_check_an_exact_float_gamma_without_abc_calls():
     # each setting is checked once per call; a CG step's matvec runs the operator's
-    # closures over radon_forward and radon_adjoint, which call neither
-    # system_matrix nor a property
+    # closures over radon_forward and radon_adjoint, which call no property
     rng = np.random.default_rng(59)
     v, y = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
     op = radon_operator(small_geo())
@@ -533,7 +532,7 @@ def test_radon_operator_skips_the_finiteness_scan():
 
 def test_import_leaves_scipy_sparse_linalg_out(tmp_path):
     # the Radon kernels load from scipy's extension file alone: denoise, prox-check
-    # and CT runs leave scipy.sparse out, and only system_matrix imports it
+    # and CT runs load no scipy module at all
     src = str(Path(tvprox.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = f"""
@@ -541,16 +540,15 @@ import sys
 import numpy as np
 import tvprox
 from tvprox import cli
-from tvprox.operators import CtGeometry, prox_g_ct, radon_operator, system_matrix
+from tvprox.operators import CtGeometry, prox_g_ct, radon_operator
 assert cli.main(["denoise", "--size", "16", "--phantoms", "1", "--out", {str(tmp_path / "denoise")!r}]) == 0
 assert cli.main(["prox-check"]) == 0
 geo = CtGeometry(16, 8)
 op = radon_operator(geo)
 prox_g_ct(np.zeros((16, 16)), 1e-2, np.ones(geo.sinogram_shape), op)
 assert cli.main(["ct", "--size", "16", "--phantoms", "1", "--gamma", "0.01", "--out", {str(tmp_path / "ct")!r}]) == 0
-assert "scipy.sparse" not in sys.modules
-assert system_matrix(geo).shape == (8 * 24, 16 * 16)
-assert "scipy.sparse" in sys.modules
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
 """
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

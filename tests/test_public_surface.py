@@ -38,8 +38,12 @@ def _relative_imports(tree):
     return [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
 
 
+def _package_trees():
+    return {path.stem: ast.parse(path.read_text()) for path in Path(tvprox.__file__).parent.glob("*.py")}
+
+
 def test_every_export_is_used_or_kept():
-    trees = {path.stem: ast.parse(path.read_text()) for path in Path(tvprox.__file__).parent.glob("*.py")}
+    trees = _package_trees()
     # {name: defining module} of the package-relative imports in __init__
     exports = {alias.asname or alias.name: node.module
                for node in _relative_imports(trees.pop("__init__")) for alias in node.names}
@@ -55,6 +59,19 @@ def test_every_export_is_used_or_kept():
     assert not dead, f"exported but used nowhere in the package: {dead}"
     stale = sorted(name for name in keep if used(name))
     assert not stale, f"kept exports that the package now uses: {stale}"
+
+
+def test_every_public_definition_is_exported_or_used():
+    # a public module-level function or class that __init__ does not export
+    # escapes the check above, so the package itself must use it
+    trees = _package_trees()
+    exports = {alias.asname or alias.name for node in _relative_imports(trees["__init__"]) for alias in node.names}
+    used = {node.id for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {alias.name for tree in trees.values() for node in _relative_imports(tree) for alias in node.names}
+    dead = sorted(f"{stem}.{node.name}" for stem, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+                  and node.name not in exports and node.name not in used)
+    assert not dead, f"public, but neither exported nor used in the package: {dead}"
 
 
 # The messages of signal's check_positive / check_nonnegative, check_count,

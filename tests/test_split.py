@@ -248,6 +248,38 @@ def test_the_worker_does_not_hold_up_exit():
     assert done.stdout.strip() == "['MainThread', 'tvprox-half']"
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="a forked child needs os.fork")
+def test_a_forked_child_starts_its_own_worker():
+    # the child inherits no worker thread, only the parent's queue: without
+    # the at-fork reset its first split step would wait on that queue forever.
+    # An alarm ends a hung child, and the parent reports how the child ended
+    script = textwrap.dedent("""
+        import os, signal, warnings
+        import numpy as np
+        from tvprox import frame
+        from tvprox.exact import OracleConfig, fpg_prox
+        frame._splits = lambda: True
+        frame.SPLIT_MIN = 64
+        z = np.random.default_rng(66).standard_normal((20, 20))
+
+        def bits():
+            x, info = fpg_prox(z, 0.3, OracleConfig(max_iter=30), return_info=True)
+            return x.tobytes() + info["p"].tobytes()
+
+        parent = bits()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with a thread running
+            pid = os.fork()
+        if pid == 0:
+            signal.alarm(20)
+            os._exit(0 if bits() == parent else 1)
+        print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    """)
+    done = run_script(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0", "the child hung (-14) or lost bits (1)"
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="the worker is placed only where the process may run on two CPUs or more")
 def test_the_worker_runs_off_the_cpu_of_the_thread_that_started_it():
