@@ -103,6 +103,7 @@ def gen_foam_phantom(size, seed, n_disks=30):
     cannot close, so testing every pixel would select the same ones.
     """
     check_count("size", size, least=16)
+    check_count("seed", seed, least=0)
     check_count("n_disks", n_disks, least=0)
     rng = np.random.default_rng(seed)
     c = (size - 1) / 2.0

@@ -99,12 +99,10 @@ def _row_halves(shape):
 
 def _splits():
     """Whether halves run at once: when the process may run on two or more
-    CPUs, and on numpy 2, whose context carries errstate and setbufsize to
-    the worker (numpy 1 keeps them per thread). CPU affinity is all it
-    sees: neither a cgroup's CPU quota nor the thread variables
-    (OMP_NUM_THREADS and its kin) hold the worker back."""
+    CPUs. CPU affinity is all it sees: neither a cgroup's CPU quota nor the
+    thread variables (OMP_NUM_THREADS and its kin) hold the worker back."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return cpus >= 2 and int(np.__version__.split(".")[0]) >= 2
+    return cpus >= 2
 
 
 _tasks = None  # the worker's queue of (context, calls, done), made with it on the first split step

@@ -22,8 +22,6 @@ closures check shapes only, and ``prox_g_ct`` checks ``v`` and ``y`` with
 ``check_array`` once at entry instead of on every matvec (``y`` once per new sinogram).
 """
 
-from __future__ import annotations
-
 import importlib.util
 import math
 import os
@@ -213,6 +211,7 @@ def lipschitz_power_iter(op, iters, tol, seed=0):
     """
     check_count("iters", iters)
     check_positive("tol", tol)
+    check_count("seed", seed, least=0)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op.in_shape)
     v /= l2_norm(v)
@@ -232,10 +231,11 @@ def lipschitz_power_iter(op, iters, tol, seed=0):
 
 
 def add_awgn(x, sigma, seed):
-    """Add i.i.d. Gaussian noise of standard deviation sigma, seeded;
+    """Add i.i.d. Gaussian noise of standard deviation sigma, seeded by an integer >= 0;
     ValueError if x is not a finite real array or the sum overflows."""
     x = check_array("x", x)
     check_nonnegative("sigma", sigma)
+    check_count("seed", seed, least=0)
     if sigma == 0.0:
         return x.copy()
     # Built in the noise buffer: n * sigma + x is x + sigma * n bit for bit.

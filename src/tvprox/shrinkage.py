@@ -23,18 +23,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# The clip ufunc, which ndarray.clip reaches only through numpy's Python wrapper
+# _methods._clip: private API, taken once as operators takes scipy's csr_matvec.
+from numpy._core.umath import clip as _clip
 
 from .frame import CoeffStack, _adjoint_steps, _grad_steps, _run, w_forward
 from .signal import check_array, check_nonnegative, check_positive
 from .tv import check_mode
-
-# The clip ufunc that ndarray.clip reaches only through numpy's Python
-# wrapper _methods._clip. Private API (numpy._core on numpy 2, numpy.core on
-# 1.x), taken once here as operators takes scipy's csr_matvec.
-try:
-    from numpy._core.umath import clip as _clip
-except ImportError:
-    from numpy.core.umath import clip as _clip
 
 
 @dataclass(frozen=True)

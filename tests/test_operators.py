@@ -1,6 +1,7 @@
 """Forward models: identity / Radon operators, Lipschitz estimation, noise,
 and the data-term proxes."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -552,3 +553,13 @@ assert not loaded, loaded
 """
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_missing_kernel_file_raises_import_error(monkeypatch):
+    # where no scipy extension file is found, the geometry cannot bind its
+    # Radon pair and says why with an ImportError, not an AttributeError
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *args: None if name == "scipy" else find_spec(name, *args))
+    with pytest.raises(ImportError, match="no scipy/sparse/_sparsetools extension file to load"):
+        CtGeometry(4, 2)

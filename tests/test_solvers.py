@@ -79,9 +79,12 @@ _SETTINGS = {
     ExperimentConfig: {"n_phantoms": (np.int64(2), (1.5,)), "seed": (np.int64(0), (0.5,)),
                        "image_size": (np.int64(16), (20.5,)), "n_angles": (np.int64(4), (2.5,)),
                        "lambda_grid": ((np.float64(0.0),), (("a",),))},
-    partial(gen_foam_phantom, 16, 0): {"n_disks": (np.int64(3), (2.5,))},
+    partial(gen_foam_phantom, 16, seed=0):
+        {"n_disks": (np.int64(3), (2.5,)), "seed": (np.int64(0), (0.5, True, -1))},
     partial(lipschitz_power_iter, identity_operator((4, 4)), iters=3, tol=1e-3):
-        {"iters": (np.int64(3), (2.5, 0)), "tol": (np.float64(1e-3), (np.nan, 0.0))},
+        {"iters": (np.int64(3), (2.5, 0)), "tol": (np.float64(1e-3), (np.nan, 0.0)),
+         "seed": (np.int64(0), (0.5, True, -1))},
+    partial(add_awgn, np.zeros(4), 0.1): {"seed": (np.int64(0), (0.5, True, -1))},
     partial(prox_g_ct, np.zeros((4, 4)), 0.5, np.zeros((4, 4)), identity_operator((4, 4))):
         {"cg_max": (np.int64(3), (2.5, 0))},
 }

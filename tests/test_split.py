@@ -300,3 +300,45 @@ def test_the_worker_runs_off_the_cpu_of_the_thread_that_started_it():
     assert done.returncode == 0, done.stderr
     cpus, worker_cpus = map(int, done.stdout.split())
     assert worker_cpus == cpus - 1
+
+
+def test_an_unpinned_worker_keeps_every_bit():
+    # where /proc/thread-self/stat cannot be read the worker starts on any
+    # CPU, and where the cpuset no longer allows the CPUs it was given it
+    # stays where it started; either way a split solve keeps the whole
+    # solve's bits. An alarm ends a process whose worker died and left the
+    # caller waiting on its half
+    script = textwrap.dedent("""
+        import os, signal
+        import numpy as np
+        from tvprox import frame
+        from tvprox.exact import OracleConfig, fpg_prox
+        signal.alarm(20)
+        pinned = []
+
+        def unreadable(*args):
+            raise OSError("unreadable")
+
+        def refuse(*args):
+            pinned.append(args)
+            raise OSError("refused")
+
+        frame.open = unreadable
+        os.sched_setaffinity = refuse
+        z = np.random.default_rng(67).standard_normal((20, 20))
+
+        def bits():
+            x, info = fpg_prox(z, 0.3, OracleConfig(max_iter=30), return_info=True)
+            return x.tobytes() + info["p"].tobytes()
+
+        whole = bits()
+        frame._splits = lambda: True
+        frame.SPLIT_MIN = 64
+        print(frame._other_cpus(), bits() == whole, len(pinned))
+        frame._forget_worker()
+        frame._other_cpus = lambda: {0}
+        print(bits() == whole, len(pinned))
+    """)
+    done = run_script(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["None", "True", "0", "True", "1"]
